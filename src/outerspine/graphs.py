@@ -464,19 +464,20 @@ def candidates(g: MarkedGraph) -> list[tuple[LoopPath, Word]]:
     meeting at exactly one vertex; barbell (two vertex-disjoint embedded
     circles joined by an embedded arc, traversed twice).  Every candidate
     crosses each edge at most twice.  One representative per unoriented free
-    homotopy class is returned (canonical key: cyclically reduced comarking
-    word up to rotation and inversion), each paired with that word.
+    homotopy class is returned (key: ``canonical_representative`` of the
+    comarking word, unique up to rotation and inversion), each paired with
+    that word.
     """
     if g._candidates is not None:
         return g._candidates
-    from .words import canonical_cyclic_key, canonical_representative, spelling_key
+    from .words import canonical_representative, spelling_key
 
     out: list[tuple[LoopPath, Word]] = []
     seen: set[tuple[int, ...]] = set()
 
     def emit(path: tuple[OrientedEdge, ...]):
         word = canonical_representative(g.word_along(path))
-        key = canonical_cyclic_key(word)
+        key = word.letters
         assert key, "candidate loop is null homotopic"
         if key in seen:
             return

@@ -9,7 +9,8 @@ Everything here is immutable and pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 _LETTER_NAMES = "abcd"
@@ -119,17 +120,39 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     >>> format_word(core), format_word(conj)
     ('b', "c' a")
     """
-    letters = list(w.letters)
-    prefix: list[int] = []
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        prefix.append(letters[0])
-        letters = letters[1:-1]
-    return Word(w.rank, letters), Word(w.rank, prefix)
+    letters = w.letters
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i] == -letters[j]:
+        i += 1
+        j -= 1
+    return Word(w.rank, letters[i : j + 1]), Word(w.rank, letters[:i])
 
 
-def cyclic_rotations(letters: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    for i in range(len(letters)):
-        yield letters[i:] + letters[:i]
+def _least_rotation(s: Sequence[int]) -> int:
+    """Start index of the lexicographically least rotation of nonempty ``s``.
+
+    Two-pointer minimum-expression scan (Shiloach, J. Algorithms 2, 1981):
+    candidates i and j are compared over k letters; on a mismatch the loser
+    and the k letters after it are ruled out.  O(n) time, O(1) extra space.
+    ``s[p - n]`` reads position ``p mod n`` for every ``0 <= p < 2n``.
+    """
+    n = len(s)
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = s[i + k - n], s[j + k - n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        elif i > j:
+            i, j = j, i
+        k = 0
+    return i
 
 
 def canonical_cyclic_key(w: Word) -> tuple[int, ...]:
@@ -138,16 +161,18 @@ def canonical_cyclic_key(w: Word) -> tuple[int, ...]:
     The key is the lexicographically smallest tuple among all rotations of
     the cyclically reduced core and of its inverse.  Two words have equal
     keys exactly when their unoriented free homotopy classes agree, which is
-    the dedup rule used for current atoms and candidate loops.
+    the dedup rule used for current atoms.  O(n) in the length of ``w``.
     """
     core, _ = cyclic_reduce(w)
-    if not core.letters:
+    letters = core.letters
+    if not letters:
         return ()
     best = None
-    for base in (core.letters, core.inverse().letters):
-        for rot in cyclic_rotations(base):
-            if best is None or rot < best:
-                best = rot
+    for base in (letters, tuple(-x for x in reversed(letters))):
+        i = _least_rotation(base)
+        rot = base[i:] + base[:i]
+        if best is None or rot < best:
+            best = rot
     return best
 
 
@@ -168,21 +193,22 @@ def canonical_representative(w: Word) -> Word:
 
     >>> format_word(canonical_representative(parse_word("c' b' a' c", 3)))
     'a b'
+
+    Like ``canonical_cyclic_key`` it is a complete invariant of the
+    unoriented class, and it costs O(n) in the length of ``w``.
     """
     core, _ = cyclic_reduce(w)
-    if not core.letters:
+    letters = core.letters
+    if not letters:
         return core
-    # spell each orientation once; per-rotation work is then a tuple slice
-    # and an early-exiting compare, which keeps 10k-letter iwip duals cheap
     best_spelled = None
-    best_letters = core.letters
-    for base in (core.letters, core.inverse().letters):
+    for base in (letters, tuple(-x for x in reversed(letters))):
         spelled = tuple(2 * abs(x) + (x < 0) for x in base)
-        for i in range(len(base)):
-            rot = spelled[i:] + spelled[:i]
-            if best_spelled is None or rot < best_spelled:
-                best_spelled = rot
-                best_letters = base[i:] + base[:i]
+        i = _least_rotation(spelled)
+        rot = spelled[i:] + spelled[:i]
+        if best_spelled is None or rot < best_spelled:
+            best_spelled = rot
+            best_letters = base[i:] + base[:i]
     return Word(w.rank, best_letters)
 
 
@@ -230,11 +256,34 @@ class NielsenMove:
         return images
 
 
+# Longest word a substitution may build.  The bundled data and tests stay
+# under 30,000 letters; iterating an exponentially growing map runs into the
+# cap within seconds instead of exhausting memory.
+MAX_LETTERS = 1 << 20
+
+
 def _substitute(letters: Sequence[int], images: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
+    """Substitute ``images`` into ``letters`` and freely reduce.
+
+    Raises ValueError, before building anything, when the unreduced result
+    would exceed MAX_LETTERS letters.
+    """
+    # a cheap upper bound first; the exact count only when it is exceeded
+    if len(letters) * max(map(len, images.values())) > MAX_LETTERS:
+        size = sum(
+            (letters.count(k) + letters.count(-k)) * len(img) for k, img in images.items()
+        )
+        if size > MAX_LETTERS:
+            raise ValueError(
+                f"word too long: substitution would produce {size} letters "
+                f"(cap {MAX_LETTERS})"
+            )
     out: list[int] = []
     for x in letters:
-        img = images[abs(x)]
-        out.extend(img if x > 0 else tuple(-y for y in reversed(img)))
+        if x > 0:
+            out.extend(images[x])
+        else:
+            out.extend(map(operator.neg, reversed(images[-x])))
     return free_reduce(out)
 
 
@@ -251,15 +300,25 @@ def _replay(rank: int, moves: Sequence[NielsenMove]) -> tuple[tuple[int, ...], .
 class Automorphism:
     """An automorphism of F_rank given by generator images.
 
-    Instances built from a Nielsen factorization (``from_moves``) know their
-    exact inverse.  Instances built from raw images (``from_images``) act on
-    words and currents but refuse to invert; computing an inverse from
-    images alone is a separate hard problem this library does not need.
+    Instances built from a Nielsen factorization (``from_moves``) carry the
+    images of their inverse as well, in ``inverse_images``: ``from_moves``
+    replays the inverted moves once, ``compose`` composes both sides, and
+    ``invert`` swaps the two, so inversion does no word work.  ``moves`` is
+    kept as the factorization that JSON writes.  Instances built from raw
+    images (``from_images``) act on words and currents but refuse to
+    invert; computing an inverse from images alone is a separate hard
+    problem this library does not need.
+
+    Two automorphisms are equal when they have the same rank and images,
+    whatever their factorizations.
     """
 
     rank: int
     images: tuple[tuple[int, ...], ...]
-    moves: tuple[NielsenMove, ...] | None = None
+    moves: tuple[NielsenMove, ...] | None = field(default=None, compare=False)
+    inverse_images: tuple[tuple[int, ...], ...] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @staticmethod
     def identity(rank: int) -> "Automorphism":
@@ -271,7 +330,8 @@ class Automorphism:
         for m in mv:
             if abs(m.target) > rank or abs(m.other) > rank:
                 raise ValueError(f"move {m} out of range for rank {rank}")
-        return Automorphism(rank, _replay(rank, mv), mv)
+        inverse = _replay(rank, tuple(m.inverted() for m in reversed(mv)))
+        return Automorphism(rank, _replay(rank, mv), mv, inverse)
 
     @staticmethod
     def from_images(rank: int, images: Sequence[Word]) -> "Automorphism":
@@ -280,11 +340,11 @@ class Automorphism:
         for w in images:
             if w.rank != rank:
                 raise ValueError("image rank mismatch")
-        return Automorphism(rank, tuple(w.letters for w in images), None)
+        return Automorphism(rank, tuple(w.letters for w in images))
 
     @property
     def invertible(self) -> bool:
-        return self.moves is not None
+        return self.inverse_images is not None
 
     def image_words(self) -> tuple[Word, ...]:
         return tuple(Word(self.rank, img) for img in self.images)
@@ -296,27 +356,28 @@ class Automorphism:
 def apply(phi: Automorphism, w: Word) -> Word:
     if phi.rank != w.rank:
         raise ValueError(f"rank mismatch: {phi.rank} != {w.rank}")
-    tables = {k: phi.images[k - 1] for k in range(1, phi.rank + 1)}
-    return Word(w.rank, _substitute(w.letters, tables))
+    return Word(w.rank, _substitute(w.letters, dict(enumerate(phi.images, 1))))
 
 
 def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
     """phi after psi: apply(compose(phi, psi), w) == apply(phi, apply(psi, w))."""
     if phi.rank != psi.rank:
         raise ValueError(f"rank mismatch: {phi.rank} != {psi.rank}")
-    tables = {k: phi.images[k - 1] for k in range(1, phi.rank + 1)}
+    tables = dict(enumerate(phi.images, 1))
     images = tuple(_substitute(img, tables) for img in psi.images)
-    if phi.invertible and psi.invertible:
-        return Automorphism(phi.rank, images, psi.moves + phi.moves)
-    return Automorphism(phi.rank, images, None)
+    if not (phi.invertible and psi.invertible):
+        return Automorphism(phi.rank, images)
+    # (phi psi)^-1 = psi^-1 phi^-1
+    tables = dict(enumerate(psi.inverse_images, 1))
+    inverse = tuple(_substitute(img, tables) for img in phi.inverse_images)
+    return Automorphism(phi.rank, images, psi.moves + phi.moves, inverse)
 
 
 def invert(phi: Automorphism) -> Automorphism:
     if not phi.invertible:
         raise ValueError("automorphism has no factorization; cannot invert")
-    return Automorphism.from_moves(
-        phi.rank, tuple(m.inverted() for m in reversed(phi.moves))
-    )
+    moves = tuple(m.inverted() for m in reversed(phi.moves))
+    return Automorphism(phi.rank, phi.inverse_images, moves, phi.images)
 
 
 def power(phi: Automorphism, k: int) -> Automorphism:

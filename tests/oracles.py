@@ -54,6 +54,23 @@ def o_class_key(letters) -> tuple[int, ...]:
     return best
 
 
+def o_spelling_rep(letters) -> tuple[int, ...]:
+    """Preferred spelling of a conjugacy class up to inversion.
+
+    Least rotation of the cyclic reduction or of its inverse in printed
+    order (a < a' < b < b' < ...), returned as raw letters.
+    """
+    w = o_cyclic_reduce(letters)
+    if not w:
+        return ()
+
+    def spelled(rot):
+        return tuple(2 * abs(x) + (x < 0) for x in rot)
+
+    rotations = [rep[i:] + rep[:i] for rep in (w, o_invert(w)) for i in range(len(rep))]
+    return min(rotations, key=spelled)
+
+
 def reduced_words(rank: int, max_len: int):
     """All nonempty freely reduced words of length <= max_len."""
     alphabet = [s * k for k in range(1, rank + 1) for s in (1, -1)]

@@ -1,5 +1,6 @@
 """Free-group plumbing: reduction, cyclic forms, automorphisms."""
 
+import json
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from outerspine import (
     NielsenMove,
     Word,
     apply,
+    cli,
     compose,
     cyclic_reduce,
     elementary_automorphisms,
@@ -20,9 +22,15 @@ from outerspine import (
     power,
     whitehead_length_reduce,
 )
-from outerspine.words import canonical_cyclic_key, free_reduce, invert_basis
+from outerspine.words import (
+    _replay,
+    canonical_cyclic_key,
+    canonical_representative,
+    free_reduce,
+    invert_basis,
+)
 
-from oracles import o_class_key, o_reduce, whitehead_min_length
+from oracles import o_class_key, o_reduce, o_spelling_rep, whitehead_min_length
 
 TRIBONACCI = Automorphism.from_moves(
     3,
@@ -36,6 +44,13 @@ TRIBONACCI = Automorphism.from_moves(
 
 letters_st = st.lists(
     st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=0, max_size=14
+)
+
+# short words, periodic words u^k (many tied rotations) and long words
+class_words_st = st.one_of(
+    letters_st,
+    st.builds(lambda u, k: u * k, letters_st, st.integers(1, 40)),
+    st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=100, max_size=400),
 )
 
 
@@ -108,7 +123,8 @@ class TestCyclicReduce:
 
 
 class TestClassKey:
-    @given(letters_st)
+    @given(class_words_st)
+    @settings(deadline=None)
     def test_matches_oracle(self, letters):
         assert canonical_cyclic_key(Word(3, tuple(letters))) == o_class_key(letters)
 
@@ -119,6 +135,13 @@ class TestClassKey:
         w = Word(3, tuple(letters))
         conj = Word(3, tuple(u) + w.letters + tuple(-x for x in reversed(u)))
         assert canonical_cyclic_key(w) == canonical_cyclic_key(conj)
+
+
+class TestSpellingRepresentative:
+    @given(class_words_st)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle(self, letters):
+        assert canonical_representative(Word(3, tuple(letters))).letters == o_spelling_rep(letters)
 
 
 class TestAutomorphism:
@@ -179,6 +202,32 @@ class TestAutomorphism:
         b = canonical_cyclic_key(apply(phi, uwu))
         assert a == b
 
+    def test_equality_ignores_factorization(self):
+        twice = Automorphism.from_moves(3, [NielsenMove("invert", 1), NielsenMove("invert", 1)])
+        assert twice == Automorphism.identity(3)
+        assert hash(twice) == hash(Automorphism.identity(3))
+
+    @given(st.integers(0, 10_000), st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_matches_replay(self, seed, n_moves):
+        rng = random.Random(seed)
+        phi = compose(random_auto(rng, n_moves), random_auto(rng, rng.randrange(4)))
+        inv = invert(phi)
+        assert inv.images == _replay(3, tuple(m.inverted() for m in reversed(phi.moves)))
+        assert invert(inv) == phi
+        assert invert(inv).moves == phi.moves
+
+    def test_inverse_of_squared_twists(self):
+        # the twist a -> a b, squared ten times as _far_points does
+        phi = Automorphism.from_moves(3, [NielsenMove("right_multiply", 1, 2)])
+        for _ in range(10):
+            phi = compose(phi, phi)
+        inv = invert(phi)
+        assert inv.images[0] == (1,) + (-2,) * 2**10
+        assert inv.images == _replay(3, tuple(m.inverted() for m in reversed(phi.moves)))
+        assert invert(inv) == phi
+        assert compose(phi, inv) == Automorphism.identity(3)
+
     def test_power_negative(self):
         sq = power(TRIBONACCI, -2)
         fwd = power(TRIBONACCI, 2)
@@ -187,6 +236,27 @@ class TestAutomorphism:
     def test_tribonacci_inverse_images(self):
         inv = invert(TRIBONACCI)
         assert [format_word(w) for w in inv.image_words()] == ["c a'", "a", "b"]
+
+
+class TestSizeGuard:
+    def test_oversized_iteration_exits_2(self, tmp_path, capsys):
+        # the twist pair a -> ab, b -> ba grows like the Fibonacci numbers, so
+        # 40 iterations would need ~10^8 letters; the letter cap stops it
+        path = tmp_path / "twist_pair.json"
+        path.write_text(json.dumps({
+            "format": 1,
+            "rank": 3,
+            "moves": [
+                {"kind": "right_multiply", "target": "a", "by": "b", "inverse": False},
+                {"kind": "right_multiply", "target": "b", "by": "a", "inverse": False},
+            ],
+        }))
+        rc = cli.main(["iwip", "--phi", str(path), "--seed", "a", "--k", "40"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestElementaryAutomorphisms:
