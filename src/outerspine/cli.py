@@ -715,9 +715,6 @@ def _cmd_tau(args) -> int:
 def _add_common(p: argparse.ArgumentParser, eps: bool = True) -> None:
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.add_argument("--csv", metavar="FILE", help="write a CSV table to FILE")
-    p.add_argument(
-        "--threads", type=int, default=1, help="parallel width cap (>= 1)"
-    )
     if eps:
         p.add_argument("--eps", type=float, default=0.05, help="spine bound")
         p.add_argument("--budget", type=int, default=600, help="topology budget")
@@ -863,9 +860,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code else 0
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, SampleError) as e:

@@ -18,7 +18,6 @@ from .words import (
     Automorphism,
     Word,
     apply,
-    canonical_cyclic_key,
     canonical_representative,
     cyclic_reduce,
     invert,
@@ -279,7 +278,7 @@ def positivity_check(
     def note(w: Word):
         core, _ = cyclic_reduce(w)
         if core:
-            words.setdefault(canonical_cyclic_key(core), core)
+            words.setdefault(canonical_representative(core).letters, core)
 
     for w in sample_words:
         note(w)

@@ -11,8 +11,16 @@ with F_rank:
 
 Reading comarking letters along any based loop therefore evaluates the
 homotopy inverse on that loop, and consistency means this evaluation
-returns ``x_k`` on the marking loop of ``x_k`` (checked exactly on every
-construction).
+returns ``x_k`` on the marking loop of ``x_k``.
+
+A point is a marked topology plus lengths.  The private topology (edge
+endpoints, basepoint, marking, tree, comarking) fixes one simplex of Outer
+space and caches what does not depend on lengths: adjacency, tree and letter
+paths, embedded cycles, candidate loops.  ``edges`` carries one point's
+lengths, which are summed along those cached paths.  The constructor builds
+and validates a fresh topology, marking read-back included;
+``with_lengths``, ``rescale`` and ``normalize_volume`` share their source's
+topology and check only the lengths (no negative edge, positive volume).
 
 All values are immutable; every operation returns a fresh graph.
 """
@@ -20,9 +28,10 @@ All values are immutable; every operation returns a fresh graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .words import Word, free_reduce
+from .words import Word, apply, canonical_representative, invert, spelling_key
 
 OrientedEdge = tuple[str, int]  # (edge id, +1 along src->dst, -1 against)
 
@@ -72,26 +81,91 @@ def _cyclic_tighten(path: Sequence[OrientedEdge]) -> tuple[OrientedEdge, ...]:
     return tuple(p)
 
 
-class MarkedGraph:
-    """Immutable marked metric graph.  Use the module builders or
-    ``MarkedGraph.build`` rather than mutating instances."""
+def _reverse(path: tuple[OrientedEdge, ...]) -> tuple[OrientedEdge, ...]:
+    return tuple((e, -s) for e, s in reversed(path))
 
-    __slots__ = (
-        "rank",
-        "edges",
-        "basepoint",
-        "marking",
-        "tree",
-        "_comarking",
-        "_by_id",
-        "_adj",
-        "_tree_path",
-        "_letter_path",
-        "_cycles",
-        "_candidates",
-        "_length_memo",
-        "_key",
-    )
+
+def _bfs_tree_paths(adj: dict, basepoint: str, tree: frozenset[str]) -> dict[str, tuple[OrientedEdge, ...]]:
+    """Oriented tree path from the basepoint to each vertex (BFS)."""
+    paths = {basepoint: ()}
+    frontier = [basepoint]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for eid, s, u in adj[v]:
+                if eid in tree and u not in paths:
+                    paths[u] = paths[v] + ((eid, s),)
+                    nxt.append(u)
+        frontier = nxt
+    if len(paths) != len(adj):
+        raise ValueError("tree does not span the graph")
+    return paths
+
+
+class _Topology:
+    """The length-independent part of a marked graph: one open simplex.
+
+    Every point reached from a constructed graph by changing lengths
+    shares its topology, so the derived tables below are built once.
+    """
+
+    def __init__(self, rank, edges, basepoint, marking, tree, comarking):
+        self.rank = rank
+        self.basepoint = basepoint
+        self.marking = tuple(tuple((e, s) for e, s in p) for p in marking)
+        self.tree = frozenset(tree)
+        self.comarking = {e.id: comarking[e.id] for e in edges}
+        self.index = {e.id: i for i, e in enumerate(edges)}
+        self.ends = {e.id: (e.src, e.dst) for e in edges}
+        adj: dict[str, list[tuple[str, int, str]]] = {}
+        for e in edges:
+            adj.setdefault(e.src, []).append((e.id, 1, e.dst))
+            adj.setdefault(e.dst, []).append((e.id, -1, e.src))
+        for v in adj:
+            adj[v].sort()
+        self.adj = adj
+        self.vertices = tuple(sorted(adj))
+        # the identity of the LP a point poses: everything but lengths
+        self.key = (
+            rank,
+            tuple((e.id, e.src, e.dst) for e in edges),
+            basepoint,
+            self.marking,
+            tuple(sorted(self.tree)),
+        )
+
+    @cached_property
+    def tree_paths(self) -> dict[str, tuple[OrientedEdge, ...]]:
+        return _bfs_tree_paths(self.adj, self.basepoint, self.tree)
+
+    @cached_property
+    def letter_paths(self) -> dict[int, tuple[OrientedEdge, ...]]:
+        table = dict(enumerate(self.marking, start=1))
+        table.update((-k, _reverse(p)) for k, p in enumerate(self.marking, start=1))
+        return table
+
+    def word_along(self, path: Sequence[OrientedEdge]) -> Word:
+        letters: list[int] = []
+        for eid, s in path:
+            w = self.comarking[eid]
+            letters.extend(w.letters if s > 0 else (-x for x in reversed(w.letters)))
+        return Word(self.rank, letters)
+
+    @cached_property
+    def cycles(self) -> list[tuple[tuple[OrientedEdge, ...], tuple[int, ...]]]:
+        return _cycle_paths(self)
+
+    @cached_property
+    def candidates(self) -> list[tuple[tuple[OrientedEdge, ...], tuple[int, ...], Word]]:
+        return _candidate_paths(self)
+
+
+class MarkedGraph:
+    """Immutable marked metric graph: a marked topology plus edge lengths.
+
+    Use the module builders and moves rather than mutating instances."""
+
+    __slots__ = ("edges", "_topo", "_cycles", "_candidates", "_key")
 
     def __init__(
         self,
@@ -102,46 +176,33 @@ class MarkedGraph:
         tree: Iterable[str],
         comarking: dict[str, Word],
     ):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "edges", tuple(sorted(edges, key=lambda e: e.id)))
-        object.__setattr__(self, "basepoint", basepoint)
-        object.__setattr__(
-            self, "marking", tuple(tuple((e, s) for e, s in p) for p in marking)
-        )
-        object.__setattr__(self, "tree", frozenset(tree))
-        object.__setattr__(
-            self, "_comarking", {e.id: comarking[e.id] for e in self.edges}
-        )
-        object.__setattr__(self, "_by_id", {e.id: e for e in self.edges})
-        adj: dict[str, list[tuple[str, int, str]]] = {}
-        for e in self.edges:
-            adj.setdefault(e.src, []).append((e.id, 1, e.dst))
-            adj.setdefault(e.dst, []).append((e.id, -1, e.src))
-        for v in adj:
-            adj[v].sort()
-        object.__setattr__(self, "_adj", adj)
-        object.__setattr__(self, "_tree_path", None)
-        object.__setattr__(self, "_letter_path", None)
+        edges = tuple(sorted(edges, key=lambda e: e.id))
+        self._init(_Topology(rank, edges, basepoint, marking, tree, comarking), edges)
+        self._validate()
+
+    def _init(self, topo: _Topology, edges: tuple[Edge, ...]) -> None:
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_topo", topo)
         object.__setattr__(self, "_cycles", None)
         object.__setattr__(self, "_candidates", None)
-        object.__setattr__(self, "_length_memo", {})
         object.__setattr__(self, "_key", None)
-        self._validate()
 
     def __setattr__(self, name, value):
         raise AttributeError("MarkedGraph is immutable")
 
     # -- basic accessors ---------------------------------------------------
 
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return tuple(sorted(self._adj))
+    rank = property(lambda self: self._topo.rank)
+    basepoint = property(lambda self: self._topo.basepoint)
+    marking = property(lambda self: self._topo.marking)
+    tree = property(lambda self: self._topo.tree)
+    vertices = property(lambda self: self._topo.vertices)
 
     def edge(self, eid: str) -> Edge:
-        return self._by_id[eid]
+        return self.edges[self._topo.index[eid]]
 
     def comarking_word(self, eid: str, sign: int = 1) -> Word:
-        w = self._comarking[eid]
+        w = self._topo.comarking[eid]
         return w if sign > 0 else w.inverse()
 
     @property
@@ -149,19 +210,14 @@ class MarkedGraph:
         return sum(e.length for e in self.edges)
 
     def valence(self, v: str) -> int:
-        return len(self._adj[v])
+        return len(self._topo.adj[v])
 
     def key(self):
         """Hashable identity: topology, lengths, basepoint, marking, tree."""
         if self._key is None:
-            k = (
-                self.rank,
-                tuple((e.id, e.src, e.dst, e.length) for e in self.edges),
-                self.basepoint,
-                self.marking,
-                tuple(sorted(self.tree)),
-            )
-            object.__setattr__(self, "_key", k)
+            rank, _, basepoint, marking, tree = self._topo.key
+            edges = tuple((e.id, e.src, e.dst, e.length) for e in self.edges)
+            object.__setattr__(self, "_key", (rank, edges, basepoint, marking, tree))
         return self._key
 
     def __eq__(self, other):
@@ -179,17 +235,18 @@ class MarkedGraph:
     # -- validation ---------------------------------------------------------
 
     def _validate(self) -> None:
+        t = self._topo
         if not self.edges:
             raise ValueError("graph has no edges")
         verts = self.vertices
-        if self.basepoint not in self._adj:
+        if self.basepoint not in t.adj:
             raise ValueError(f"basepoint {self.basepoint!r} is not a vertex")
         # connectivity
         seen = {self.basepoint}
         stack = [self.basepoint]
         while stack:
             v = stack.pop()
-            for _, _, u in self._adj[v]:
+            for _, _, u in t.adj[v]:
                 if u not in seen:
                     seen.add(u)
                     stack.append(u)
@@ -207,12 +264,12 @@ class MarkedGraph:
         if len(self.tree) != len(verts) - 1:
             raise ValueError("tree edge count is not |V| - 1")
         for eid in self.tree:
-            if eid not in self._by_id:
+            if eid not in t.index:
                 raise ValueError(f"tree edge {eid!r} not in graph")
-            if not self._comarking[eid]:
+            if not t.comarking[eid]:
                 continue
             raise ValueError(f"tree edge {eid!r} carries a nonempty word")
-        self._tree_paths()  # raises if the tree does not span
+        t.tree_paths  # raises if the tree does not span
         if len(self.marking) != self.rank:
             raise ValueError("marking must have one loop per generator")
         for k, path in enumerate(self.marking, start=1):
@@ -220,10 +277,10 @@ class MarkedGraph:
                 raise ValueError(f"marking of generator {k} is empty")
             cur = self.basepoint
             for eid, s in path:
-                e = self._by_id.get(eid)
-                if e is None or s not in (1, -1):
+                ends = t.ends.get(eid)
+                if ends is None or s not in (1, -1):
                     raise ValueError(f"marking step ({eid!r},{s}) is malformed")
-                start, end = (e.src, e.dst) if s > 0 else (e.dst, e.src)
+                start, end = ends if s > 0 else ends[::-1]
                 if start != cur:
                     raise ValueError(f"marking of generator {k} is not a path")
                 cur = end
@@ -237,61 +294,25 @@ class MarkedGraph:
 
     # -- tree machinery ------------------------------------------------------
 
-    def _tree_paths(self) -> dict[str, tuple[OrientedEdge, ...]]:
-        """Oriented tree path from the basepoint to each vertex."""
-        if self._tree_path is not None:
-            return self._tree_path
-        paths = {self.basepoint: ()}
-        frontier = [self.basepoint]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for eid, s, u in self._adj[v]:
-                    if eid in self.tree and u not in paths:
-                        paths[u] = paths[v] + ((eid, s),)
-                        nxt.append(u)
-            frontier = nxt
-        if len(paths) != len(self.vertices):
-            raise ValueError("tree does not span the graph")
-        object.__setattr__(self, "_tree_path", paths)
-        return paths
-
     def path_from_base(self, v: str) -> tuple[OrientedEdge, ...]:
-        return self._tree_paths()[v]
+        """Oriented tree path from the basepoint to ``v``."""
+        return self._topo.tree_paths[v]
 
     def based_loop(self, eid: str, sign: int = 1) -> tuple[OrientedEdge, ...]:
         """The based loop crossing ``eid`` once, closed up through the tree."""
-        e = self._by_id[eid]
+        e = self.edge(eid)
         a, b = (e.src, e.dst) if sign > 0 else (e.dst, e.src)
-        back = tuple((f, -s) for f, s in reversed(self.path_from_base(b)))
+        back = _reverse(self.path_from_base(b))
         return tuple(_tighten(self.path_from_base(a) + ((eid, sign),) + back))
 
     def word_along(self, path: Sequence[OrientedEdge]) -> Word:
-        letters: list[int] = []
-        for eid, s in path:
-            w = self._comarking[eid]
-            letters.extend(w.letters if s > 0 else (-x for x in reversed(w.letters)))
-        return Word(self.rank, letters)
+        return self._topo.word_along(path)
 
     # -- lengths -------------------------------------------------------------
 
-    def _letter_paths(self) -> dict[int, tuple[OrientedEdge, ...]]:
-        if self._letter_path is None:
-            table: dict[int, tuple[OrientedEdge, ...]] = {}
-            for k in range(1, self.rank + 1):
-                p = self.marking[k - 1]
-                table[k] = p
-                table[-k] = tuple((e, -s) for e, s in reversed(p))
-            object.__setattr__(self, "_letter_path", table)
-        return self._letter_path
-
     def loop_of(self, w: Word) -> LoopPath:
         """Tightened cyclic loop representing the conjugacy class of ``w``."""
-        table = self._letter_paths()
-        raw: list[OrientedEdge] = []
-        for x in w.letters:
-            raw.extend(table[x])
-        path = _cyclic_tighten(raw)
+        path = _cyclic_tighten(self._marked_path(w))
         # sum crossings in canonical edge order, not path order: conjugate
         # words rotate the path, and float addition must not see the rotation
         counts: dict[str, int] = {}
@@ -305,11 +326,20 @@ class MarkedGraph:
 
     def path_of(self, w: Word) -> tuple[OrientedEdge, ...]:
         """Tightened based path of ``w`` through the marking (no cyclic move)."""
-        table = self._letter_paths()
+        return tuple(_tighten(self._marked_path(w)))
+
+    def _marked_path(self, w: Word) -> list[OrientedEdge]:
+        table = self._topo.letter_paths
         raw: list[OrientedEdge] = []
         for x in w.letters:
             raw.extend(table[x])
-        return tuple(_tighten(raw))
+        return raw
+
+    def _loops(self, entries) -> list[LoopPath]:
+        """LoopPaths of cached (path, edge indices, ...) entries, each length
+        summed in its stored index order."""
+        lengths = [e.length for e in self.edges]
+        return [LoopPath(path, sum(lengths[i] for i in order)) for path, order, *_ in entries]
 
 
 def translation_length(g: MarkedGraph, w: Word) -> tuple[float, LoopPath]:
@@ -320,16 +350,8 @@ def translation_length(g: MarkedGraph, w: Word) -> tuple[float, LoopPath]:
     """
     if w.rank != g.rank:
         raise ValueError(f"rank mismatch: {w.rank} != {g.rank}")
-    memo = g._length_memo
-    hit = memo.get(w.letters)
-    if hit is None:
-        loop = g.loop_of(w)
-        hit = (loop.length, loop)
-        # long words are one-shot queries (candidates of far translates);
-        # caching their loops would pin megabytes to long-lived points
-        if len(w.letters) <= 4096 and len(memo) < 100_000:
-            memo[w.letters] = hit
-    return hit
+    loop = g.loop_of(w)
+    return loop.length, loop
 
 
 def crossing_vector(g: MarkedGraph, w: Word) -> dict[str, int]:
@@ -359,13 +381,18 @@ def embedded_cycles(g: MarkedGraph) -> list[LoopPath]:
     length searches (the systole, the spine constraints) may quantify over
     embedded cycles only; this enumeration is exact and finite.
     """
-    if g._cycles is not None:
-        return g._cycles
+    if g._cycles is None:
+        object.__setattr__(g, "_cycles", g._loops(g._topo.cycles))
+    return g._cycles
+
+
+def _cycle_paths(t: _Topology) -> list[tuple[tuple[OrientedEdge, ...], tuple[int, ...]]]:
+    """Embedded cycles: (canonical path, edge indices in DFS order)."""
     found: dict[frozenset[str], tuple[OrientedEdge, ...]] = {}
-    order = {v: i for i, v in enumerate(g.vertices)}
+    order = {v: i for i, v in enumerate(t.vertices)}
 
     def dfs(start: str, cur: str, path: list[OrientedEdge], visited: set[str]):
-        for eid, s, nxt in g._adj[cur]:
+        for eid, s, nxt in t.adj[cur]:
             if path and path[-1][0] == eid and path[-1][1] == -s:
                 continue
             if nxt == start and path:
@@ -389,22 +416,18 @@ def embedded_cycles(g: MarkedGraph) -> list[LoopPath]:
             path.pop()
             visited.remove(nxt)
 
-    for v in g.vertices:
+    for v in t.vertices:
         dfs(v, v, [], {v})
-    loops = []
-    for key in sorted(found, key=lambda k: tuple(sorted(k))):
-        cyc = found[key]
-        length = sum(g.edge(e).length for e, _ in cyc)
-        loops.append(LoopPath(_canonical_cycle(cyc), length))
-    object.__setattr__(g, "_cycles", loops)
-    return loops
+    return [
+        (_canonical_cycle(found[k]), tuple(t.index[e] for e, _ in found[k]))
+        for k in sorted(found, key=lambda k: tuple(sorted(k)))
+    ]
 
 
 def _canonical_cycle(path: tuple[OrientedEdge, ...]) -> tuple[OrientedEdge, ...]:
     """Deterministic representative among rotations and the reversal."""
     best = None
-    rev = tuple((e, -s) for e, s in reversed(path))
-    for base in (path, rev):
+    for base in (path, _reverse(path)):
         for i in range(len(base)):
             rot = base[i:] + base[:i]
             if best is None or rot < best:
@@ -431,30 +454,26 @@ def in_spine(g: MarkedGraph, eps: float, tol: float = 1e-9) -> bool:
 # -- candidate loops ----------------------------------------------------------
 
 
-def _rotate_to(path: tuple[OrientedEdge, ...], vertex: str, g: MarkedGraph) -> tuple[OrientedEdge, ...]:
-    cur = _path_vertices(path, g)
+def _rotate_to(path: tuple[OrientedEdge, ...], vertex: str, t: _Topology) -> tuple[OrientedEdge, ...]:
+    cur = _path_vertices(path, t)
     for i, v in enumerate(cur[:-1]):
         if v == vertex:
             return path[i:] + path[:i]
     raise ValueError(f"cycle does not pass through {vertex!r}")
 
 
-def _path_vertices(path: Sequence[OrientedEdge], g: MarkedGraph) -> list[str]:
+def _path_vertices(path: Sequence[OrientedEdge], t: _Topology) -> list[str]:
     """Vertex itinerary of an oriented path, length len(path)+1."""
     if not path:
         return []
     out = []
     end = ""
     for eid, s in path:
-        e = g.edge(eid)
-        a, end = (e.src, e.dst) if s > 0 else (e.dst, e.src)
+        src, dst = t.ends[eid]
+        a, end = (src, dst) if s > 0 else (dst, src)
         out.append(a)
     out.append(end)
     return out
-
-
-def _reverse(path: tuple[OrientedEdge, ...]) -> tuple[OrientedEdge, ...]:
-    return tuple((e, -s) for e, s in reversed(path))
 
 
 def candidates(g: MarkedGraph) -> list[tuple[LoopPath, Word]]:
@@ -468,25 +487,29 @@ def candidates(g: MarkedGraph) -> list[tuple[LoopPath, Word]]:
     comarking word, unique up to rotation and inversion), each paired with
     that word.
     """
-    if g._candidates is not None:
-        return g._candidates
-    from .words import canonical_representative, spelling_key
+    if g._candidates is None:
+        cands = g._topo.candidates
+        out = [(loop, word) for loop, (_, _, word) in zip(g._loops(cands), cands)]
+        object.__setattr__(g, "_candidates", out)
+    return g._candidates
 
-    out: list[tuple[LoopPath, Word]] = []
+
+def _candidate_paths(t: _Topology) -> list[tuple[tuple[OrientedEdge, ...], tuple[int, ...], Word]]:
+    """Candidate loops (see candidates): (path, edge indices, class word)."""
+    out: list[tuple[tuple[OrientedEdge, ...], tuple[int, ...], Word]] = []
     seen: set[tuple[int, ...]] = set()
 
     def emit(path: tuple[OrientedEdge, ...]):
-        word = canonical_representative(g.word_along(path))
+        word = canonical_representative(t.word_along(path))
         key = word.letters
         assert key, "candidate loop is null homotopic"
         if key in seen:
             return
         seen.add(key)
-        length = sum(g.edge(e).length for e, _ in path)
-        out.append((LoopPath(path, length), word))
+        out.append((path, tuple(t.index[e] for e, _ in path), word))
 
-    circles = [c.path for c in embedded_cycles(g)]
-    verts = [set(_path_vertices(p, g)[:-1]) for p in circles]
+    circles = [path for path, _ in t.cycles]
+    verts = [set(_path_vertices(p, t)[:-1]) for p in circles]
     eids = [set(p_e for p_e, _ in p) for p in circles]
 
     for p in circles:
@@ -499,29 +522,28 @@ def candidates(g: MarkedGraph) -> list[tuple[LoopPath, Word]]:
             common = verts[i] & verts[j]
             if len(common) == 1:
                 v = min(common)
-                a = _rotate_to(circles[i], v, g)
-                b = _rotate_to(circles[j], v, g)
+                a = _rotate_to(circles[i], v, t)
+                b = _rotate_to(circles[j], v, t)
                 emit(a + b)
                 emit(a + _reverse(b))
             elif not common:
-                for arc in _connecting_arcs(g, verts[i], verts[j]):
-                    u, w = _path_vertices(arc, g)[0], _path_vertices(arc, g)[-1]
-                    a = _rotate_to(circles[i], u, g)
-                    b = _rotate_to(circles[j], w, g)
+                for arc in _connecting_arcs(t, verts[i], verts[j]):
+                    u, w = _path_vertices(arc, t)[0], _path_vertices(arc, t)[-1]
+                    a = _rotate_to(circles[i], u, t)
+                    b = _rotate_to(circles[j], w, t)
                     emit(a + arc + b + _reverse(arc))
                     emit(a + arc + _reverse(b) + _reverse(arc))
 
-    out.sort(key=lambda cw: (len(cw[1]), spelling_key(cw[1])))
-    object.__setattr__(g, "_candidates", out)
+    out.sort(key=lambda c: (len(c[2]), spelling_key(c[2])))
     return out
 
 
-def _connecting_arcs(g: MarkedGraph, va: set[str], vb: set[str]):
+def _connecting_arcs(t: _Topology, va: set[str], vb: set[str]):
     """Embedded arcs from ``va`` to ``vb`` with interior avoiding both."""
     arcs = []
 
     def dfs(cur: str, path: list[OrientedEdge], interior: set[str]):
-        for eid, s, nxt in g._adj[cur]:
+        for eid, s, nxt in t.adj[cur]:
             if path and path[-1][0] == eid and path[-1][1] == -s:
                 continue
             if nxt in vb:
@@ -543,12 +565,24 @@ def _connecting_arcs(g: MarkedGraph, va: set[str], vb: set[str]):
 # -- scaling -------------------------------------------------------------------
 
 
+def _relength(g: MarkedGraph, lengths: Iterable[float]) -> MarkedGraph:
+    """The point of ``g``'s simplex with these lengths, in edge order.
+
+    The topology is shared, not rebuilt: it was validated when ``g`` was
+    constructed, and lengths can only break the edge and volume bounds.
+    """
+    h = object.__new__(MarkedGraph)
+    h._init(g._topo, tuple(Edge(e.id, e.src, e.dst, x) for e, x in zip(g.edges, lengths)))
+    if h.volume <= 0:
+        raise ValueError("total volume must be positive")
+    return h
+
+
 def rescale(g: MarkedGraph, c: float) -> MarkedGraph:
     """Multiply every edge length by ``c`` (> 0); translation lengths scale."""
     if not c > 0:
         raise ValueError(f"scale factor must be positive, got {c}")
-    edges = [Edge(e.id, e.src, e.dst, e.length * c) for e in g.edges]
-    return MarkedGraph(g.rank, edges, g.basepoint, g.marking, g.tree, g._comarking)
+    return _relength(g, [e.length * c for e in g.edges])
 
 
 def normalize_volume(g: MarkedGraph) -> MarkedGraph:
@@ -556,8 +590,7 @@ def normalize_volume(g: MarkedGraph) -> MarkedGraph:
 
 
 def with_lengths(g: MarkedGraph, lengths: dict[str, float]) -> MarkedGraph:
-    edges = [Edge(e.id, e.src, e.dst, float(lengths[e.id])) for e in g.edges]
-    return MarkedGraph(g.rank, edges, g.basepoint, g.marking, g.tree, g._comarking)
+    return _relength(g, [float(lengths[e.id]) for e in g.edges])
 
 
 # -- topology moves -------------------------------------------------------------
@@ -571,31 +604,14 @@ def retree(g: MarkedGraph, tree: Iterable[str]) -> MarkedGraph:
     """
     tree = frozenset(tree)
     comarking: dict[str, Word] = {}
-    tree_paths = _tree_paths_for(g, tree)
+    tree_paths = _bfs_tree_paths(g._topo.adj, g.basepoint, tree)
     for e in g.edges:
         if e.id in tree:
             comarking[e.id] = Word(g.rank)
         else:
-            back = tuple((f, -s) for f, s in reversed(tree_paths[e.dst]))
-            loop = _tighten(tree_paths[e.src] + ((e.id, 1),) + back)
+            loop = _tighten(tree_paths[e.src] + ((e.id, 1),) + _reverse(tree_paths[e.dst]))
             comarking[e.id] = g.word_along(loop)
     return MarkedGraph(g.rank, g.edges, g.basepoint, g.marking, tree, comarking)
-
-
-def _tree_paths_for(g: MarkedGraph, tree: frozenset[str]) -> dict[str, tuple[OrientedEdge, ...]]:
-    paths = {g.basepoint: ()}
-    frontier = [g.basepoint]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for eid, s, u in g._adj[v]:
-                if eid in tree and u not in paths:
-                    paths[u] = paths[v] + ((eid, s),)
-                    nxt.append(u)
-        frontier = nxt
-    if len(paths) != len(g.vertices):
-        raise ValueError("proposed tree does not span the graph")
-    return paths
 
 
 def _spanning_tree_containing(g: MarkedGraph, eid: str) -> frozenset[str]:
@@ -641,7 +657,7 @@ def collapse_edge(g: MarkedGraph, eid: str) -> MarkedGraph:
     marking = [
         tuple(step for step in path if step[0] != eid) for path in host.marking
     ]
-    comarking = {f.id: host._comarking[f.id] for f in host.edges if f.id != eid}
+    comarking = {f.id: host.comarking_word(f.id) for f in host.edges if f.id != eid}
     return MarkedGraph(
         host.rank,
         edges,
@@ -720,7 +736,7 @@ def _split(g: MarkedGraph, v: str, new_v: str, new_e: str, moved: set[tuple[str,
             new_path.append((new_e, 1) if cur == v else (new_e, -1))
         marking.append(tuple(_tighten(new_path)))
 
-    comarking = dict(g._comarking)
+    comarking = dict(g._topo.comarking)
     comarking[new_e] = Word(g.rank)
     return MarkedGraph(
         g.rank, edges, g.basepoint, marking, g.tree | {new_e}, comarking
@@ -752,11 +768,9 @@ def transform(g: MarkedGraph, phi) -> MarkedGraph:
     phi^-1(w).  Together with the current action this gives the exact
     equivariance pairing(transform(g, phi), nu) = pairing(g, phi^-1 nu).
     """
-    from .words import apply, invert
-
     inv = invert(phi)
     marking = [g.path_of(apply(inv, Word(g.rank, (k,)))) for k in range(1, g.rank + 1)]
-    comarking = {e.id: apply(phi, g._comarking[e.id]) for e in g.edges}
+    comarking = {e.id: apply(phi, g.comarking_word(e.id)) for e in g.edges}
     return MarkedGraph(g.rank, g.edges, g.basepoint, marking, g.tree, comarking)
 
 

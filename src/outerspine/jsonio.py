@@ -31,6 +31,8 @@ FORMAT = 1
 
 
 def _check_format(data: dict, what: str) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} file must hold a JSON object, not {type(data).__name__}")
     v = data.get("format", FORMAT)
     if v != FORMAT:
         raise ValueError(f"unsupported {what} format {v!r} (expected {FORMAT})")
@@ -185,7 +187,7 @@ def automorphism_from_obj(data: dict) -> Automorphism:
             if kind not in _KINDS:
                 raise ValueError(f"unknown move kind {kind!r}")
             target = _LETTER_NAMES.index(m["target"]) + 1
-            other = _LETTER_NAMES.index(m["by"]) + 1 if "by" in m else None
+            other = _LETTER_NAMES.index(m["by"]) + 1 if "by" in m else 0
             moves.append(
                 NielsenMove(kind, target, other, bool(m.get("inverse", False)))
             )

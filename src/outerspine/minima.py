@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .currents import RationalCurrent, exp_combination, pairing
+from .currents import RationalCurrent, apply_to_current, exp_combination, pairing
 from .graphs import (
     LoopPath,
     MarkedGraph,
@@ -22,6 +22,7 @@ from .graphs import (
     embedded_cycles,
     expansions,
     in_spine,
+    rose,
     transform,
     with_lengths,
 )
@@ -143,17 +144,6 @@ def _zero_nonloop_edges(g: MarkedGraph) -> list[str]:
     return [e.id for e in g.edges if e.length == 0.0 and e.src != e.dst]
 
 
-def _simplex_key(g: MarkedGraph):
-    """Identity of the LP a graph poses: topology and marking, not lengths."""
-    return (
-        g.rank,
-        tuple((e.id, e.src, e.dst) for e in g.edges),
-        g.basepoint,
-        g.marking,
-        tuple(sorted(g.tree)),
-    )
-
-
 def minimize(
     current: RationalCurrent,
     eps: float,
@@ -180,7 +170,7 @@ def minimize(
     exhausted = False
     res = min_on_topology(start, current, eps)
     solves += 1
-    seen: set = {_simplex_key(start)}
+    seen: set = {start._topo.key}
     while not exhausted:
         # explore from the carrier topology: the optimum with its zero
         # faces collapsed away (a rose has no zero faces; explore anyway)
@@ -193,10 +183,9 @@ def minimize(
         neighbors.extend(transform(carrier, psi) for psi in gens)
         best_move: MinResult | None = None
         for nb in neighbors:
-            key = _simplex_key(nb)
-            if key in seen:
+            if nb._topo.key in seen:
                 continue
-            seen.add(key)
+            seen.add(nb._topo.key)
             if solves >= budget:
                 exhausted = True
                 break
@@ -289,8 +278,6 @@ def axis(
     if step <= 0 or s_max < s_min:
         raise ValueError("need step > 0 and s_max >= s_min")
     if start is None:
-        from .graphs import rose
-
         start = rose([1.0 / mu.rank] * mu.rank)
     grid = []
     i = 0
@@ -325,9 +312,6 @@ def translate_axis(ax: AxisSample, phi) -> AxisSample:
     transformed samples are minimizers for the pushed pair at the same s
     and the same values; no re-solving is needed.
     """
-    from .graphs import transform
-    from .currents import apply_to_current
-
     return AxisSample(
         mu=apply_to_current(phi, ax.mu),
         nu=apply_to_current(phi, ax.nu),

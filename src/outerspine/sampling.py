@@ -32,6 +32,12 @@ from .lipschitz import d_sym
 from .minima import balance_param, max_systole_lengths
 from .words import Automorphism, NielsenMove
 
+# spine_points: twists per rose marking (markings stay short) and the
+# lognormal length jitter; balanced_point: length probes per marking and
+# the balance tolerance of its bisection
+_TWIST_MOVES, _JITTER_SCALE = 4, 0.6
+_PROBES_PER_MARKING, _BALANCE_TOL = 12, 1e-9
+
 
 class SampleError(RuntimeError):
     """The sampler could not produce a point meeting its constraints."""
@@ -116,8 +122,6 @@ def spine_points(
     eps: float,
     seed: int,
     n: int,
-    twist_moves: int = 4,
-    jitter_scale: float = 0.6,
 ) -> list[MarkedGraph]:
     """n independent seeded spine points at volume one.
 
@@ -131,7 +135,7 @@ def spine_points(
     out: list[MarkedGraph] = []
     while len(out) < n:
         g = base
-        k = rng.randrange(0, twist_moves + 1)
+        k = rng.randrange(0, _TWIST_MOVES + 1)
         if k:
             g = transform(g, random_automorphism(rng, rank, k))
         for _ in range(rng.randrange(0, 3)):
@@ -143,7 +147,7 @@ def spine_points(
                 moved = _random_collapse(g, rng, eps)
             if moved is not None:
                 g = moved
-        out.append(jitter(g, rng, jitter_scale, eps))
+        out.append(jitter(g, rng, _JITTER_SCALE, eps))
     return out
 
 
@@ -200,8 +204,6 @@ def balanced_point(
     seed: int,
     eps: float,
     markings: Sequence[Automorphism] = (),
-    probes_per_marking: int = 12,
-    tol: float = 1e-9,
 ) -> MarkedGraph:
     """A spine point with balance parameter s_target for (mu, nu).
 
@@ -221,7 +223,7 @@ def balanced_point(
     for phi in pool:
         g = transform(base, phi)
         lo = hi = None
-        for _ in range(probes_per_marking):
+        for _ in range(_PROBES_PER_MARKING):
             cand = jitter(g, rng, 1.0, eps)
             f = balance_param(cand, mu, nu) - s_target
             if f <= 0 and (lo is None or f > lo[0]):
@@ -238,7 +240,7 @@ def balanced_point(
                 a, {k: 0.5 * (la[k] + lb[k]) for k in la}
             )
             f = balance_param(mid, mu, nu) - s_target
-            if abs(f) <= tol:
+            if abs(f) <= _BALANCE_TOL:
                 return mid
             if f < 0:
                 la = {e.id: e.length for e in mid.edges}

@@ -108,11 +108,6 @@ def format_word(w: Word) -> str:
     )
 
 
-def reduce(w: Word) -> Word:
-    """Freely reduce; idempotent (Word reduces on construction already)."""
-    return Word(w.rank, w.letters)
-
-
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """Split ``w = conjugator * core * conjugator^-1`` with core cyclically reduced.
 
@@ -155,27 +150,6 @@ def _least_rotation(s: Sequence[int]) -> int:
     return i
 
 
-def canonical_cyclic_key(w: Word) -> tuple[int, ...]:
-    """Canonical form of the conjugacy class of ``w`` up to inversion.
-
-    The key is the lexicographically smallest tuple among all rotations of
-    the cyclically reduced core and of its inverse.  Two words have equal
-    keys exactly when their unoriented free homotopy classes agree, which is
-    the dedup rule used for current atoms.  O(n) in the length of ``w``.
-    """
-    core, _ = cyclic_reduce(w)
-    letters = core.letters
-    if not letters:
-        return ()
-    best = None
-    for base in (letters, tuple(-x for x in reversed(letters))):
-        i = _least_rotation(base)
-        rot = base[i:] + base[:i]
-        if best is None or rot < best:
-            best = rot
-    return best
-
-
 def spelling_key(w: Word) -> tuple[int, ...]:
     """Sort key matching printed order: a < a' < b < b' < ...
 
@@ -194,8 +168,9 @@ def canonical_representative(w: Word) -> Word:
     >>> format_word(canonical_representative(parse_word("c' b' a' c", 3)))
     'a b'
 
-    Like ``canonical_cyclic_key`` it is a complete invariant of the
-    unoriented class, and it costs O(n) in the length of ``w``.
+    It is a complete invariant of the unoriented class (the dedup rule for
+    current atoms and candidate loops), and it costs O(n) in the length of
+    ``w``.
     """
     core, _ = cyclic_reduce(w)
     letters = core.letters
@@ -422,80 +397,6 @@ def elementary_automorphisms(rank: int) -> tuple[Automorphism, ...]:
                     )
                 )
     return tuple(gens)
-
-
-# --- Whitehead length reduction --------------------------------------------
-
-
-def whitehead_moves(rank: int) -> list[dict[int, tuple[int, ...]]]:
-    """Letter image tables of all Whitehead automorphisms of the second kind.
-
-    One table per pair (multiplier letter a, letter set A) with a in A and
-    a^-1 not in A: letters x with x in A, x^-1 not in A map to x a; x^-1 in A,
-    x not in A map to a^-1 x; both in A map to a^-1 x a; a is fixed.  At rank
-    3 there are 96 tables, at rank 4 there are 512 (identity choices of A
-    included).
-    """
-    if rank > MAX_RANK:
-        raise ValueError(f"rank {rank} unsupported (max {MAX_RANK})")
-    tables: list[dict[int, tuple[int, ...]]] = []
-    for a in [s * k for k in range(1, rank + 1) for s in (1, -1)]:
-        rest = [k for k in range(1, rank + 1) if k != abs(a)]
-        # membership of x and x^-1 in A, chosen independently per generator
-        for mask in range(4 ** len(rest)):
-            table: dict[int, tuple[int, ...]] = {abs(a): (abs(a),)}
-            m = mask
-            for k in rest:
-                pos_in = bool(m & 1)
-                neg_in = bool(m & 2)
-                m >>= 2
-                if pos_in and not neg_in:
-                    img = (k, a)
-                elif neg_in and not pos_in:
-                    img = (-a, k)
-                elif pos_in and neg_in:
-                    img = (-a, k, a)
-                else:
-                    img = (k,)
-                table[k] = img
-            tables.append(table)
-    return tables
-
-
-def cyclic_length_after(letters: tuple[int, ...], table: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
-    """Cyclically reduced image of a cyclic word under a letter table."""
-    ls = list(_substitute(letters, table))
-    while len(ls) >= 2 and ls[0] == -ls[-1]:
-        ls = ls[1:-1]
-    return tuple(ls)
-
-
-def whitehead_length_reduce(w: Word) -> tuple[int, Word]:
-    """Greedily shrink the cyclic length of ``w`` by Whitehead automorphisms.
-
-    Repeatedly applies the move giving the biggest decrease (first such move
-    in enumeration order on ties) until no move decreases the length.  The
-    final length is the minimum over the automorphism orbit; length 1 means
-    the class is primitive.  Length reduction alone settles primitivity,
-    which is all the candidate checks need; orbit enumeration at equal
-    length is out of scope.
-    """
-    if w.rank > MAX_RANK:
-        raise ValueError(f"rank {w.rank} unsupported (max {MAX_RANK})")
-    core, _ = cyclic_reduce(w)
-    cur = core.letters
-    if not cur:
-        return 0, Word(w.rank)
-    tables = whitehead_moves(w.rank)
-    while True:
-        best = cur
-        for table in tables:
-            cand = cyclic_length_after(cur, table)
-            if len(cand) < len(best):
-                best = cand
-        if len(best) == len(cur):
-            return len(cur), Word(w.rank, cur)
-        cur = best
 
 
 def invert_basis(words: Sequence[Word]) -> tuple[Word, ...]:

@@ -8,7 +8,6 @@ Letters are signed integers (1 = a, -1 = a inverse).
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 
@@ -99,56 +98,6 @@ def conjugacy_classes(rank: int, max_len: int) -> list[tuple[int, ...]]:
             seen.add(key)
             out.append(key)
     return out
-
-
-# --- Whitehead length descent -----------------------------------------------------
-
-
-def _whitehead_tables(rank: int):
-    """Image tables of the second-kind Whitehead automorphisms (a, A)."""
-    tables = []
-    for a in [s * k for k in range(1, rank + 1) for s in (1, -1)]:
-        rest = [k for k in range(1, rank + 1) if k != abs(a)]
-        for picks in itertools.product(range(4), repeat=len(rest)):
-            table = {abs(a): (abs(a),)}
-            for k, pick in zip(rest, picks):
-                if pick == 0:
-                    table[k] = (k,)
-                elif pick == 1:  # k in A
-                    table[k] = (k, a)
-                elif pick == 2:  # k^-1 in A
-                    table[k] = (-a, k)
-                else:  # both
-                    table[k] = (-a, k, a)
-            tables.append(table)
-    return tables
-
-
-def _apply_table(table, letters):
-    out: list[int] = []
-    for x in letters:
-        img = table[abs(x)]
-        out.extend(img if x > 0 else o_invert(img))
-    return o_reduce(out)
-
-
-def whitehead_min_length(letters, rank: int) -> int:
-    """Minimal cyclic length in the automorphism orbit.
-
-    Greedy strictly-decreasing descent through Whitehead moves; peak
-    reduction guarantees this reaches the true minimum.
-    """
-    tables = _whitehead_tables(rank)
-    w = o_cyclic_reduce(letters)
-    while True:
-        best = w
-        for t in tables:
-            img = o_cyclic_reduce(_apply_table(t, w))
-            if len(img) < len(best):
-                best = img
-        if len(best) == len(w):
-            return len(w)
-        w = best
 
 
 # --- polynomial roots and matrix growth -------------------------------------------

@@ -1,9 +1,12 @@
 """Marked metric graphs: lengths, cycles, candidates, moves."""
 
+import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outerspine import (
     Edge,
@@ -28,9 +31,10 @@ from outerspine import (
     with_lengths,
 )
 from outerspine.graphs import collapse_zero_edges
-from outerspine.words import canonical_cyclic_key
+from outerspine.words import canonical_representative
 
 from oracles import conjugacy_classes, rose_length
+from record_float_pins import FIXTURE, KEPT, float_pins, pin_points
 
 ROSE = unit_rose(3)
 
@@ -143,9 +147,9 @@ class TestCandidates:
         assert lengths[3:] == pytest.approx([2 / 3] * 6)
 
     def test_bouquet_words_cover_both_signs(self):
-        keys = {canonical_cyclic_key(w) for _, w in candidates(ROSE)}
+        keys = {canonical_representative(w) for _, w in candidates(ROSE)}
         for text in ("a", "b", "c", "a b", "a b'", "a c", "a c'", "b c", "b c'"):
-            assert canonical_cyclic_key(parse_word(text, 3)) in keys
+            assert canonical_representative(parse_word(text, 3)) in keys
 
     def test_crossing_bound(self):
         for g in (ROSE, parallel_graph([0.25] * 4), rose([0.6, 0.3, 0.1])):
@@ -287,3 +291,40 @@ class TestMarkingConsistency:
             assert translation_length(h, w)[0] == pytest.approx(
                 translation_length(g, apply(invert(phi), w))[0]
             )
+
+
+class TestRelength:
+    @given(st.integers(0, KEPT), st.lists(st.floats(0.01, 1.0), min_size=5, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_fresh_build(self, i, xs):
+        g = (pin_points() + [ROSE])[i]
+        lengths = {e.id: x for e, x in zip(g.edges, xs)}
+        moved = with_lengths(g, lengths)
+        fresh = MarkedGraph(
+            g.rank,
+            [Edge(e.id, e.src, e.dst, lengths[e.id]) for e in g.edges],
+            g.basepoint,
+            g.marking,
+            g.tree,
+            {e.id: g.comarking_word(e.id) for e in g.edges},
+        )
+        assert moved.key() == fresh.key()
+        assert embedded_cycles(moved) == embedded_cycles(fresh)
+        assert candidates(moved) == candidates(fresh)
+        rng = random.Random(i)
+        words = [w for _, w in candidates(fresh)] + [random_rose_word(rng, 9) for _ in range(5)]
+        for w in words:
+            assert translation_length(moved, w) == translation_length(fresh, w)
+
+    def test_checks_only_lengths(self):
+        g = pin_points()[0]
+        with pytest.raises(ValueError, match="negative length"):
+            with_lengths(g, {e.id: -1.0 for e in g.edges})
+        with pytest.raises(ValueError, match="volume must be positive"):
+            with_lengths(g, {e.id: 0.0 for e in g.edges})
+
+
+class TestFloatPins:
+    def test_matches_fixture(self):
+        with open(FIXTURE) as fh:
+            assert float_pins() == json.load(fh)

@@ -129,7 +129,7 @@ class TestMinOnTopology:
             g.basepoint,
             g.marking,
             g.tree,
-            g._comarking,
+            {e.id: g.comarking_word(e.id) for e in g.edges},
         )
         cur = add(dual(w("a b")), dual(w("c"), 0.5))
         assert (

@@ -20,17 +20,15 @@ from outerspine import (
     invert,
     parse_word,
     power,
-    whitehead_length_reduce,
 )
 from outerspine.words import (
     _replay,
-    canonical_cyclic_key,
     canonical_representative,
     free_reduce,
     invert_basis,
 )
 
-from oracles import o_class_key, o_reduce, o_spelling_rep, whitehead_min_length
+from oracles import o_reduce, o_spelling_rep
 
 TRIBONACCI = Automorphism.from_moves(
     3,
@@ -122,11 +120,11 @@ class TestCyclicReduce:
         assert not (core.letters and core.letters[0] == -core.letters[-1])
 
 
-class TestClassKey:
+class TestSpellingRepresentative:
     @given(class_words_st)
-    @settings(deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_matches_oracle(self, letters):
-        assert canonical_cyclic_key(Word(3, tuple(letters))) == o_class_key(letters)
+        assert canonical_representative(Word(3, tuple(letters))).letters == o_spelling_rep(letters)
 
     @given(letters_st, st.integers(0, 5))
     def test_conjugation_invariant(self, letters, seed):
@@ -134,14 +132,7 @@ class TestClassKey:
         u = [rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(rng.randrange(4))]
         w = Word(3, tuple(letters))
         conj = Word(3, tuple(u) + w.letters + tuple(-x for x in reversed(u)))
-        assert canonical_cyclic_key(w) == canonical_cyclic_key(conj)
-
-
-class TestSpellingRepresentative:
-    @given(class_words_st)
-    @settings(max_examples=150, deadline=None)
-    def test_matches_oracle(self, letters):
-        assert canonical_representative(Word(3, tuple(letters))).letters == o_spelling_rep(letters)
+        assert canonical_representative(w) == canonical_representative(conj)
 
 
 class TestAutomorphism:
@@ -198,8 +189,8 @@ class TestAutomorphism:
         u = tuple(rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(3))
         w = Word(3, tuple(letters))
         uwu = Word(3, u + w.letters + tuple(-x for x in reversed(u)))
-        a = canonical_cyclic_key(apply(phi, w))
-        b = canonical_cyclic_key(apply(phi, uwu))
+        a = canonical_representative(apply(phi, w))
+        b = canonical_representative(apply(phi, uwu))
         assert a == b
 
     def test_equality_ignores_factorization(self):
@@ -273,29 +264,6 @@ class TestElementaryAutomorphisms:
         images = {g.images for g in elementary_automorphisms(3)}
         assert ((1, 2), (2,), (3,)) in images  # a -> a b
         assert ((2, 1), (2,), (3,)) in images  # a -> b a
-
-
-class TestWhiteheadReduce:
-    def test_generator(self):
-        n, w = whitehead_length_reduce(parse_word("a", 3))
-        assert n == 1
-
-    def test_primitive_pair(self):
-        n, w = whitehead_length_reduce(parse_word("a b", 3))
-        assert n == 1
-        assert len(w.letters) == 1
-
-    def test_commutator_not_primitive(self):
-        n, w = whitehead_length_reduce(parse_word("a b a' b'", 3))
-        assert n == 4
-        assert canonical_cyclic_key(w) == o_class_key((1, 2, -1, -2))
-
-    @given(letters_st)
-    @settings(max_examples=40, deadline=None)
-    def test_matches_greedy_oracle(self, letters):
-        w = Word(3, tuple(letters))
-        n, _ = whitehead_length_reduce(w)
-        assert n == whitehead_min_length(letters, 3)
 
 
 class TestInvertBasis:
