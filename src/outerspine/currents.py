@@ -169,8 +169,8 @@ def iwip_pair_approx(
     conjugacy class matters) and the same for the inverse; lambda estimates
     are length ratios on ``base`` (default: unit rose of the right rank).
     """
-    if not phi.invertible:
-        raise ValueError("need an automorphism with a Nielsen factorization")
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
     if not seed:
         raise ValueError("seed must be nontrivial")
     if base is None:

@@ -4,7 +4,8 @@ Graph files carry rank, vertices, edges (id/from/to/length), basepoint and
 the marking as oriented-edge strings ("e1+", "e2-").  The comarking is not
 stored: it is recomputed on load by expressing each marking loop in the
 based-loop basis of a deterministic spanning tree and inverting that basis
-(words.invert_basis), then verified exactly by the graph constructor.
+exactly by Stallings folding (words.invert_basis, no search budget), then
+verified exactly by the graph constructor.
 
 Edge lengths given as decimal strings round-trip bit-exactly; numeric
 lengths are re-emitted as their shortest float form.
@@ -30,9 +31,20 @@ from .words import (
 FORMAT = 1
 
 
+_JSON_NAMES = {dict: "object", list: "array", str: "string", int: "integer", float: "number"}
+
+
+def _typed(value: Any, kinds: tuple[type, ...], what: str) -> Any:
+    """``value`` if its JSON type is one of ``kinds``, else ValueError: a file
+    of the wrong shape is malformed input (CLI exit 2), not a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        want = " or ".join(_JSON_NAMES[k] for k in kinds)
+        raise ValueError(f"{what} must be a JSON {want}, not {type(value).__name__}")
+    return value
+
+
 def _check_format(data: dict, what: str) -> None:
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} file must hold a JSON object, not {type(data).__name__}")
+    _typed(data, (dict,), f"{what} file")
     v = data.get("format", FORMAT)
     if v != FORMAT:
         raise ValueError(f"unsupported {what} format {v!r} (expected {FORMAT})")
@@ -42,7 +54,7 @@ def _check_format(data: dict, what: str) -> None:
 
 
 def _parse_step(s: str) -> OrientedEdge:
-    if len(s) < 2 or s[-1] not in "+-":
+    if len(_typed(s, (str,), "marking step")) < 2 or s[-1] not in "+-":
         raise ValueError(f"malformed oriented edge {s!r} (want e.g. 'e1+')")
     return s[:-1], 1 if s[-1] == "+" else -1
 
@@ -94,23 +106,27 @@ def _bfs_tree(adj: dict[str, list[tuple[str, str]]], base: str, n_vertices: int)
 
 def graph_from_obj(data: dict) -> MarkedGraph:
     _check_format(data, "graph")
-    rank = int(data["rank"])
+    rank = int(_typed(data["rank"], (int, str), "'rank'"))
     edges = []
-    for e in data["edges"]:
-        raw = e["length"]
-        if isinstance(raw, str):
-            edges.append(Edge(e["id"], e["from"], e["to"], float(raw), raw))
-        else:
-            edges.append(Edge(e["id"], e["from"], e["to"], float(raw)))
-    basepoint = data["basepoint"]
+    for e in _typed(data["edges"], (list,), "'edges'"):
+        _typed(e, (dict,), "edge")
+        ends = [_typed(e[k], (str,), f"edge {k!r}") for k in ("id", "from", "to")]
+        raw = _typed(e["length"], (int, float, str), "edge 'length'")
+        edges.append(Edge(*ends, float(raw), raw if isinstance(raw, str) else None))
+    basepoint = _typed(data["basepoint"], (str,), "'basepoint'")
+    marking = _typed(data["marking"], (dict,), "'marking'")
     marking_paths = []
     for k in range(rank):
         name = _LETTER_NAMES[k]
-        if name not in data["marking"]:
+        if name not in marking:
             raise ValueError(f"marking lacks generator {name!r}")
-        marking_paths.append(tuple(_parse_step(s) for s in data["marking"][name]))
+        path = _typed(marking[name], (list,), f"marking of {name!r}")
+        marking_paths.append(tuple(_parse_step(s) for s in path))
 
-    declared = set(data.get("vertices", []))
+    declared = {
+        _typed(v, (str,), "vertex")
+        for v in _typed(data.get("vertices", []), (list,), "'vertices'")
+    }
     touched = {e.src for e in edges} | {e.dst for e in edges}
     if declared and declared != touched:
         raise ValueError("vertex list disagrees with edge endpoints")
@@ -130,15 +146,12 @@ def graph_from_obj(data: dict) -> MarkedGraph:
             f"first Betti number {len(nontree)} does not match rank {rank}"
         )
     index = {eid: j + 1 for j, eid in enumerate(nontree)}
-    basis_words = []
-    for path in marking_paths:
-        letters = [index[eid] * s for eid, s in path if eid in index]
-        basis_words.append(Word(rank, letters))
+    basis_words = [
+        Word(rank, [index[eid] * s for eid, s in path if eid in index]) for path in marking_paths
+    ]
 
     inverse = invert_basis(basis_words)  # raises if the marking is no basis
-    comarking = {eid: Word(rank) for eid in tree}
-    for j, eid in enumerate(nontree):
-        comarking[eid] = inverse[j]
+    comarking = {eid: Word(rank) for eid in tree} | dict(zip(nontree, inverse))
 
     return MarkedGraph(rank, edges, basepoint, marking_paths, tree, comarking)
 
@@ -179,22 +192,23 @@ def automorphism_to_obj(phi: Automorphism) -> dict:
 
 def automorphism_from_obj(data: dict) -> Automorphism:
     _check_format(data, "automorphism")
-    rank = int(data["rank"])
+    rank = int(_typed(data["rank"], (int, str), "'rank'"))
     if "moves" in data:
         moves = []
-        for m in data["moves"]:
-            kind = m["kind"]
+        for m in _typed(data["moves"], (list,), "'moves'"):
+            kind = _typed(_typed(m, (dict,), "move")["kind"], (str,), "move 'kind'")
             if kind not in _KINDS:
                 raise ValueError(f"unknown move kind {kind!r}")
-            target = _LETTER_NAMES.index(m["target"]) + 1
-            other = _LETTER_NAMES.index(m["by"]) + 1 if "by" in m else 0
+            target = _LETTER_NAMES.index(_typed(m["target"], (str,), "move 'target'")) + 1
+            other = _LETTER_NAMES.index(_typed(m["by"], (str,), "move 'by'")) + 1 if "by" in m else 0
             moves.append(
                 NielsenMove(kind, target, other, bool(m.get("inverse", False)))
             )
         return Automorphism.from_moves(rank, moves)
     if "images" in data:
+        images = _typed(data["images"], (list,), "'images'")
         return Automorphism.from_images(
-            rank, [parse_word(s, rank) for s in data["images"]]
+            rank, [parse_word(_typed(s, (str,), "image"), rank) for s in images]
         )
     raise ValueError("automorphism needs 'moves' or 'images'")
 
@@ -217,16 +231,16 @@ def current_to_obj(nu: RationalCurrent) -> dict:
 
 def current_from_obj(data: dict) -> RationalCurrent:
     _check_format(data, "current")
-    atoms = data["atoms"]
+    atoms = [_typed(a, (dict,), "atom") for a in _typed(data["atoms"], (list,), "'atoms'")]
+    classes = [_typed(a["class"], (str,), "atom 'class'") for a in atoms]
     if "rank" in data:
-        rank = int(data["rank"])
-    else:
-        rank = 2
-        for a in atoms:
-            for ch in a["class"]:
-                if ch.lower() in _LETTER_NAMES:
-                    rank = max(rank, _LETTER_NAMES.index(ch.lower()) + 1)
-    pairs = [(parse_word(a["class"], rank), float(a["weight"])) for a in atoms]
+        rank = int(_typed(data["rank"], (int, str), "'rank'"))
+    else:  # the highest generator named, at least b
+        rank = max([2] + [_LETTER_NAMES.find(ch) + 1 for text in classes for ch in text.lower()])
+    pairs = [
+        (parse_word(text, rank), float(_typed(a["weight"], (int, float, str), "atom 'weight'")))
+        for text, a in zip(classes, atoms)
+    ]
     return RationalCurrent(rank, pairs)
 
 

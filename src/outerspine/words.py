@@ -4,13 +4,17 @@ Letters are nonzero integers: ``k`` is the k-th generator, ``-k`` its
 inverse, ``1 <= k <= rank``.  Textual I/O writes generators as a, b, c, d
 and accepts three spellings of an inverse: ``a'``, ``A`` and ``-a``.
 
-Everything here is immutable and pure.
+An automorphism is a pair of image tuples, its own and its inverse's,
+whether it comes from Nielsen moves or from images; ``invert_basis``
+inverts images exactly by Stallings folding.  Everything here is immutable
+and pure.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 _LETTER_NAMES = "abcd"
@@ -36,6 +40,10 @@ def free_reduce(letters: Sequence[int]) -> tuple[int, ...]:
         else:
             stack.append(x)
     return tuple(stack)
+
+
+def _inverse(letters: Sequence[int]) -> tuple[int, ...]:
+    return tuple(map(operator.neg, reversed(letters)))
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,7 @@ class Word:
         return Word(self.rank, self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(self.rank, tuple(-x for x in reversed(self.letters)))
+        return Word(self.rank, _inverse(self.letters))
 
     def __str__(self) -> str:
         return format_word(self)
@@ -273,16 +281,14 @@ def _replay(rank: int, moves: Sequence[NielsenMove]) -> tuple[tuple[int, ...], .
 
 @dataclass(frozen=True)
 class Automorphism:
-    """An automorphism of F_rank given by generator images.
+    """An automorphism of F_rank: generator images and those of its inverse.
 
-    Instances built from a Nielsen factorization (``from_moves``) carry the
-    images of their inverse as well, in ``inverse_images``: ``from_moves``
-    replays the inverted moves once, ``compose`` composes both sides, and
-    ``invert`` swaps the two, so inversion does no word work.  ``moves`` is
-    kept as the factorization that JSON writes.  Instances built from raw
-    images (``from_images``) act on words and currents but refuse to
-    invert; computing an inverse from images alone is a separate hard
-    problem this library does not need.
+    Every instance carries ``inverse_images``: ``from_moves`` replays the
+    inverted moves once, ``from_images`` folds the images (``invert_basis``),
+    ``compose`` composes both sides, and ``invert`` swaps the two, so
+    inversion does no word work.  ``moves`` is the optional Nielsen
+    factorization that JSON writes; ``compose`` and ``invert`` keep it when
+    their inputs have one.
 
     Two automorphisms are equal when they have the same rank and images,
     whatever their factorizations.
@@ -290,10 +296,8 @@ class Automorphism:
 
     rank: int
     images: tuple[tuple[int, ...], ...]
+    inverse_images: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     moves: tuple[NielsenMove, ...] | None = field(default=None, compare=False)
-    inverse_images: tuple[tuple[int, ...], ...] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     @staticmethod
     def identity(rank: int) -> "Automorphism":
@@ -306,20 +310,17 @@ class Automorphism:
             if abs(m.target) > rank or abs(m.other) > rank:
                 raise ValueError(f"move {m} out of range for rank {rank}")
         inverse = _replay(rank, tuple(m.inverted() for m in reversed(mv)))
-        return Automorphism(rank, _replay(rank, mv), mv, inverse)
+        return Automorphism(rank, _replay(rank, mv), inverse, mv)
 
     @staticmethod
     def from_images(rank: int, images: Sequence[Word]) -> "Automorphism":
+        """Raises ValueError unless ``images`` are a basis of F_rank."""
         if len(images) != rank:
             raise ValueError(f"need {rank} images, got {len(images)}")
-        for w in images:
-            if w.rank != rank:
-                raise ValueError("image rank mismatch")
-        return Automorphism(rank, tuple(w.letters for w in images))
-
-    @property
-    def invertible(self) -> bool:
-        return self.inverse_images is not None
+        inverse = invert_basis(images)
+        return Automorphism(
+            rank, tuple(w.letters for w in images), tuple(v.letters for v in inverse)
+        )
 
     def image_words(self) -> tuple[Word, ...]:
         return tuple(Word(self.rank, img) for img in self.images)
@@ -340,23 +341,20 @@ def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
         raise ValueError(f"rank mismatch: {phi.rank} != {psi.rank}")
     tables = dict(enumerate(phi.images, 1))
     images = tuple(_substitute(img, tables) for img in psi.images)
-    if not (phi.invertible and psi.invertible):
-        return Automorphism(phi.rank, images)
     # (phi psi)^-1 = psi^-1 phi^-1
     tables = dict(enumerate(psi.inverse_images, 1))
     inverse = tuple(_substitute(img, tables) for img in phi.inverse_images)
-    return Automorphism(phi.rank, images, psi.moves + phi.moves, inverse)
+    moves = None if phi.moves is None or psi.moves is None else psi.moves + phi.moves
+    return Automorphism(phi.rank, images, inverse, moves)
 
 
 def invert(phi: Automorphism) -> Automorphism:
-    if not phi.invertible:
-        raise ValueError("automorphism has no factorization; cannot invert")
-    moves = tuple(m.inverted() for m in reversed(phi.moves))
-    return Automorphism(phi.rank, phi.inverse_images, moves, phi.images)
+    moves = None if phi.moves is None else tuple(m.inverted() for m in reversed(phi.moves))
+    return Automorphism(phi.rank, phi.inverse_images, phi.images, moves)
 
 
 def power(phi: Automorphism, k: int) -> Automorphism:
-    """phi^k for any integer k (negative powers need a factorization)."""
+    """phi^k for any integer k; negative powers use the carried inverse."""
     base = phi if k >= 0 else invert(phi)
     out = Automorphism.identity(phi.rank)
     for _ in range(abs(k)):
@@ -368,8 +366,7 @@ def elementary_automorphisms(rank: int) -> tuple[Automorphism, ...]:
     """All unit translations of the basis: x -> x^-1, swaps, x -> x*y^+-1
     and their left-handed mirrors x -> y^+-1*x.  30 at rank 3.
 
-    Each one carries its Nielsen factorization, so all are invertible.
-    Identity is not included.
+    Each one carries its Nielsen factorization.  Identity is not included.
     """
     gens: list[Automorphism] = []
     for t in range(1, rank + 1):
@@ -400,101 +397,87 @@ def elementary_automorphisms(rank: int) -> tuple[Automorphism, ...]:
 
 
 def invert_basis(words: Sequence[Word]) -> tuple[Word, ...]:
-    """Invert a basis of F_n given as words over another rank-n alphabet.
+    """The images V_1..V_n of phi^-1, given the images W_1..W_n of phi.
 
-    Input: W_1..W_n over generators y_1..y_n.  If the W_k form a basis,
-    returns V_1..V_n (over x_1..x_n) such that substituting y_j -> V_j into
-    W_k gives x_k.  Raises ValueError when the tuple is not carried to a
-    signed permutation of the generators within the search budget (in
-    particular whenever it is not a basis).
+    Substituting V_j for letter j in W_k gives x_k.  Raises ValueError
+    exactly when the W_k are not a basis of F_n.
 
-    Method: elementary Nielsen transformations, greedy on total length with
-    a bounded breadth-first escape across equal-length plateaus; the move
-    sequence is replayed to assemble the inverse exactly, and the defining
-    identity is re-checked before returning.
+    Stallings folding with labels (Kapovich-Myasnikov, J. Algebra 248,
+    2002).  Petal j of a wedge at the base spells W_j; each edge also
+    carries a word in new letters y, y_j on petal j's first edge and the
+    empty word elsewhere.  Invariant: along every based loop, y_j -> W_j
+    maps the y-reading to the word the loop spells.  Before two edges that
+    leave one vertex with one letter are folded, their far end that is not
+    the base is re-gauged by g (edges leaving it get g^-1 y, edges entering
+    it y g), so that the two y-words agree.  Parallel edges with one letter
+    and different y-words close a loop whose nontrivial y-reading maps to 1:
+    a kernel.  The W_k are a basis exactly when folding ends in the rose
+    with one edge per letter (n generators of F_n are a basis), and V_k is
+    then the y-word on edge x_k.  No search and no budget; a y-word longer
+    than MAX_LETTERS raises ValueError.
     """
     n = len(words)
     if n == 0 or any(w.rank != n for w in words):
         raise ValueError("need n words of rank n")
-    state = tuple(w.letters for w in words)
-    ops: list[tuple] = []
+    edges: dict[int, list] = {}  # id -> [tail, head, letter > 0, y-word]
+    star: dict[int, set[int]] = {0: set()}  # vertex -> incident edge ids
+    for j, w in enumerate(words, 1):
+        path = [0, *range(len(star), len(star) + len(w) - 1), 0]
+        for i, x in enumerate(w.letters):
+            e = [path[i], path[i + 1], x, (j,) if i == 0 else ()]
+            edges[len(edges)] = e if x > 0 else [e[1], e[0], -x, _inverse(e[3])]
+            for end in e[:2]:
+                star.setdefault(end, set()).add(len(edges) - 1)
 
-    def neighbors(st):
-        for k in range(n):
-            for l in range(n):
-                if k == l:
-                    continue
-                for e in (1, -1):
-                    other = st[l] if e > 0 else tuple(-x for x in reversed(st[l]))
-                    yield ("right", k, l, e), st[:k] + (free_reduce(st[k] + other),) + st[k + 1:]
-                    yield ("left", k, l, e), st[:k] + (free_reduce(other + st[k]),) + st[k + 1:]
+    todo = list(star)
+    while todo:
+        pair = _fold_pair(edges, star, todo[-1]) if todo[-1] in star else None
+        if pair is None:
+            todo.pop()
+            continue
+        key, (e1, u1), (e2, u2) = pair
+        r1, r2 = (edges[e][3] if key > 0 else _inverse(edges[e][3]) for e in (e1, e2))
+        if u1 == u2:
+            if r1 != r2:
+                raise ValueError("words do not form a basis: their map has a kernel")
+            for end in edges.pop(e2)[:2]:
+                star[end].discard(e2)
+            continue
+        if u2 == 0 or (u1 != 0 and len(star[u1]) < len(star[u2])):
+            u1, u2, r1, r2 = u2, u1, r2, r1
+        g = free_reduce(_inverse(r2) + r1)  # re-gauge u2 so both read r1; glue it to u1
+        for eid in star.pop(u2):
+            e = edges[eid]
+            if e[0] == u2:
+                e[0], e[3] = u1, free_reduce(_inverse(g) + e[3])
+            if e[1] == u2:
+                e[1], e[3] = u1, free_reduce(e[3] + g)
+            if len(e[3]) > MAX_LETTERS:
+                raise ValueError(f"word too long: a folding label exceeds {MAX_LETTERS} letters")
+            star[u1].add(eid)
+        todo.append(u1)
 
-    def total(st):
-        return sum(len(t) for t in st)
-
-    def is_signed_perm(st):
-        if any(len(t) != 1 for t in st):
-            return False
-        return sorted(abs(t[0]) for t in st) == list(range(1, n + 1))
-
-    budget = 20000
-    while not is_signed_perm(state):
-        best_op, best_state = None, None
-        for op, st in neighbors(state):
-            if total(st) < total(state) and (best_state is None or total(st) < total(best_state)):
-                best_op, best_state = op, st
-        if best_state is None:
-            # breadth-first over equal-length states to find a way down
-            seen = {state}
-            frontier = [(state, [])]
-            found = None
-            while frontier and found is None and len(seen) < budget:
-                nxt = []
-                for st, path in frontier:
-                    for op, st2 in neighbors(st):
-                        if total(st2) < total(st):
-                            found = (path + [op], st2)
-                            break
-                        if total(st2) == total(st) and st2 not in seen and len(path) < 6:
-                            seen.add(st2)
-                            nxt.append((st2, path + [op]))
-                    if found:
-                        break
-                frontier = nxt
-            if found is None:
-                if is_signed_perm(state):
-                    break
-                raise ValueError("words do not form a recoverable basis")
-            path, best_state = found
-            ops.extend(path)
-        else:
-            ops.append(best_op)
-        state = best_state
-
-    # replay the moves on the x-alphabet: images of A = op_1 o ... o op_m
-    images: list[tuple[int, ...]] = [(k,) for k in range(1, n + 1)]
-    for op in reversed(ops):
-        _, k, l, e = op
-        table = {i: (i,) for i in range(1, n + 1)}
-        if op[0] == "right":
-            table[k + 1] = (k + 1, (l + 1) * e)
-        else:
-            table[k + 1] = ((l + 1) * e, k + 1)
-        images = [free_reduce(_substitute(im, table)) for im in images]
-
-    # signed permutation S: x_k -> y_{pi(k)}^{s_k}; the inverse sends
-    # y_j to A(x_{pi^-1(j)}^{s}).
-    out: list[Word] = [None] * n  # type: ignore[list-item]
-    for k in range(n):
-        j = abs(state[k][0])
-        sign = 1 if state[k][0] > 0 else -1
-        letters = images[k] if sign > 0 else tuple(-x for x in reversed(images[k]))
-        out[j - 1] = Word(n, letters)
-
-    # certify: substituting y_j -> out[j] into W_k must give x_k
-    table = {j + 1: out[j].letters for j in range(n)}
-    for k in range(n):
-        got = free_reduce(_substitute(words[k].letters, table))
-        if got != (k + 1,):
+    if len(star) != 1 or len(edges) != n:
+        raise ValueError("words do not form a basis")
+    out = [Word(n, y) for _, _, _, y in sorted(edges.values(), key=operator.itemgetter(2))]
+    # certify W_k(V) = x_k, reducing as the letters stream in
+    table = {j: v.letters for j, v in enumerate(out, 1)}
+    table.update({-j: _inverse(v) for j, v in table.items()})
+    for k, w in enumerate(words, 1):
+        if free_reduce(chain.from_iterable(map(table.__getitem__, w.letters))) != (k,):
             raise ValueError("basis inversion failed verification")
     return tuple(out)
+
+
+def _fold_pair(edges: dict[int, list], star: dict[int, set[int]], v: int):
+    """(signed letter, (edge, far end), (edge, far end)) for two edges that
+    leave ``v`` with one letter, or None when ``v`` is folded."""
+    first: dict[int, tuple[int, int]] = {}
+    for eid in star[v]:
+        tail, head, x, _ = edges[eid]
+        for key, near, far in ((x, tail, head), (-x, head, tail)):
+            if near == v:
+                if key in first:
+                    return key, first[key], (eid, far)
+                first[key] = (eid, far)
+    return None

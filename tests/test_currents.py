@@ -255,10 +255,9 @@ class TestIwipApprox:
         assert ap.lambda_forward == 1.0
         assert not ap.exponential
 
-    def test_requires_factorization(self):
-        frozen = Automorphism.from_images(3, [w("b"), w("c"), w("a b")])
-        with pytest.raises(ValueError):
-            iwip_pair_approx(frozen, w("a"), 3)
+    def test_images_form_matches_moves_form(self):
+        raw = Automorphism.from_images(3, [w("b"), w("c"), w("a b")])
+        assert iwip_pair_approx(raw, w("a"), 6) == iwip_pair_approx(TRIB, w("a"), 6)
 
     def test_empty_seed_rejected(self):
         with pytest.raises(ValueError):

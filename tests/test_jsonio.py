@@ -1,14 +1,35 @@
-"""JSON input files through ``cli.main``: exit codes and error lines."""
+"""JSON input files through ``cli.main``: exit codes and error lines; and
+round trips of graphs and automorphisms through their JSON objects."""
 
 import json
 import os
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from outerspine import cli
+from outerspine import (
+    Automorphism,
+    cli,
+    compose,
+    elementary_automorphisms,
+    invert,
+    jsonio,
+    transform,
+    unit_rose,
+)
+from outerspine.graphs import retree
+from outerspine.sampling import random_automorphism, spine_points
 
 DATA = os.path.join(os.path.dirname(cli.__file__), "data")
 ROSE = os.path.join(DATA, "rose3.json")
+TRIBONACCI = os.path.join(DATA, "tribonacci.json")
+GRAPH = {
+    "format": 1, "rank": 3, "basepoint": "v",
+    "edges": [{"id": k, "from": "v", "to": "v", "length": 1} for k in "abc"],
+    "marking": {k: [k + "+"] for k in "abc"},
+}
 
 
 def run(tmp_path, capsys, obj, argv):
@@ -51,3 +72,93 @@ def test_top_level_array_exits_2(tmp_path, capsys, argv):
     rc, err = run(tmp_path, capsys, [1, 2], argv)
     assert rc == 2
     assert_one_error_line(err)
+
+
+@pytest.mark.parametrize(
+    "obj, argv",
+    [
+        ({"format": 1, "rank": 3, "moves": ["a"]}, ["iwip", "--phi", "INPUT", "--k", "3"]),
+        ({**GRAPH, "edges": [1]}, ["systole", "--graph", "INPUT"]),
+        ({**GRAPH, "marking": {"a": [5], "b": ["b+"], "c": ["c+"]}}, ["systole", "--graph", "INPUT"]),
+        ({"format": 1, "rank": 3, "atoms": "ab"}, ["pair", "--tree", ROSE, "--current", "INPUT"]),
+    ],
+    ids=["move", "edge", "marking-step", "atoms"],
+)
+def test_wrong_inner_type_exits_2(tmp_path, capsys, obj, argv):
+    rc, err = run(tmp_path, capsys, obj, argv)
+    assert rc == 2
+    assert_one_error_line(err)
+
+
+def test_non_basis_images_exit_2(tmp_path, capsys):
+    obj = {"format": 1, "rank": 3, "images": ["a", "b", "a b a"]}
+    rc, err = run(tmp_path, capsys, obj, ["iwip", "--phi", "INPUT", "--k", "3"])
+    assert rc == 2
+    assert_one_error_line(err)
+
+
+def test_images_form_runs_iwip_like_moves_form(tmp_path, capsys):
+    path = tmp_path / "images.json"
+    path.write_text(json.dumps({"format": 1, "rank": 3, "images": ["b", "c", "a b"]}))
+    bodies = []
+    for phi in (str(path), TRIBONACCI):
+        assert cli.main(["iwip", "--phi", phi, "--k", "6", "--json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        body = json.loads(out)
+        assert body["config"].pop("inputs") == [phi]
+        bodies.append(body)
+    assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("k, rc", [(-1, 2), (0, 0)])
+def test_iwip_k_bounds(capsys, k, rc):
+    assert cli.main(["iwip", "--phi", TRIBONACCI, "--k", str(k)]) == rc
+    err = capsys.readouterr().err
+    if rc:
+        assert_one_error_line(err)
+    else:
+        assert err == ""
+
+
+def assert_same_graph(loaded, g):
+    """The file stores no tree: compare with ``g`` re-expressed in the tree
+    the loader chose, comarking included."""
+    g = retree(g, loaded.tree)
+    assert loaded == g
+    assert all(loaded.comarking_word(e.id) == g.comarking_word(e.id) for e in g.edges)
+
+
+@given(st.integers(0, 10_000), st.integers(0, 8), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_automorphism_round_trip(seed, n_moves, as_images):
+    phi = random_automorphism(random.Random(seed), 3, n_moves)
+    if as_images:
+        phi = Automorphism.from_images(3, phi.image_words())
+    back = jsonio.automorphism_from_obj(jsonio.automorphism_to_obj(phi))
+    assert back == phi
+    assert back.inverse_images == phi.inverse_images
+    assert (back.moves is None) == as_images
+
+
+@given(st.integers(0, 10_000), st.integers(0, 6))
+@settings(max_examples=15, deadline=None)
+def test_graph_round_trip(seed, n_moves):
+    phi = random_automorphism(random.Random(seed), 3, n_moves)
+    for g in spine_points(3, 0.05, seed, 2):
+        for h in (g, transform(g, phi)):
+            assert_same_graph(jsonio.graph_from_obj(jsonio.graph_to_obj(h)), h)
+
+
+def test_long_marking_round_trips(tmp_path):
+    # marking words of 555/156/1,194/756 letters; certifying the inverse
+    # substitutes over a million letters before they cancel
+    rng = random.Random(208)
+    rank = rng.choice([3, 4])
+    phi = Automorphism.identity(rank)
+    for _ in range(rng.randrange(5, 40)):
+        phi = compose(rng.choice(elementary_automorphisms(rank)), phi)
+    g = transform(unit_rose(rank), invert(phi))
+    assert sorted(len(p) for p in g.marking) == [156, 555, 756, 1194]
+    jsonio.dump_graph(g, str(tmp_path / "g.json"))
+    assert_same_graph(jsonio.load_graph(str(tmp_path / "g.json")), g)

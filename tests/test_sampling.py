@@ -5,11 +5,14 @@ import random
 import pytest
 
 from outerspine import (
+    Automorphism,
     SampleError,
     balance_param,
+    compose,
     d_sym,
     dual,
     in_spine,
+    invert,
     parse_word,
     systole,
     unit_rose,
@@ -88,7 +91,7 @@ class TestRandomAutomorphism:
         for _ in range(20):
             phi = random_automorphism(rng, 3, rng.randrange(1, 7))
             assert phi.rank == 3
-            assert phi.invertible
+            assert compose(phi, invert(phi)) == Automorphism.identity(3)
 
 
 class TestBallPoints:

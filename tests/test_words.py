@@ -20,7 +20,9 @@ from outerspine import (
     invert,
     parse_word,
     power,
+    transform,
 )
+from outerspine.sampling import spine_points
 from outerspine.words import (
     _replay,
     canonical_representative,
@@ -170,11 +172,16 @@ class TestAutomorphism:
         t = Automorphism.from_moves(3, [NielsenMove("transpose", 1, 2)])
         assert compose(t, t).images == Automorphism.identity(3).images
 
-    def test_from_images_refuses_inversion(self):
+    def test_from_images_carries_inverse(self):
         raw = Automorphism.from_images(3, TRIBONACCI.image_words())
-        assert not raw.invertible
-        with pytest.raises(ValueError):
-            invert(raw)
+        assert raw.moves is None
+        assert [format_word(w) for w in invert(raw).image_words()] == ["c a'", "a", "b"]
+        assert power(raw, -2) == power(TRIBONACCI, -2)
+        assert power(raw, -2).inverse_images == power(TRIBONACCI, -2).inverse_images
+        base = spine_points(3, 0.05, 4, 1)[0]
+        got, want = transform(base, raw), transform(base, TRIBONACCI)
+        assert got == want
+        assert all(got.comarking_word(e.id) == want.comarking_word(e.id) for e in base.edges)
 
     @given(st.integers(0, 30), letters_st)
     def test_round_trip_on_words(self, seed, letters):
@@ -275,6 +282,26 @@ class TestInvertBasis:
             img = apply(sub, TRIBONACCI.image_words()[k])
             assert img.letters == (k + 1,)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_products_of_elementary_moves(self, seed):
+        # the carried inverse replays the inverted moves, independently
+        rng = random.Random(seed)
+        rank = 3 + seed % 2
+        phi = Automorphism.identity(rank)
+        for _ in range(rng.randrange(5, 40)):
+            phi = compose(rng.choice(elementary_automorphisms(rank)), phi)
+        got = invert_basis(phi.image_words())
+        assert tuple(v.letters for v in got) == phi.inverse_images
+
     def test_rejects_non_basis(self):
-        with pytest.raises(ValueError):
-            invert_basis([parse_word("a", 3), parse_word("b", 3), parse_word("a b a", 3) ])
+        for texts in [("a", "b", "a b a"), ("a a", "b", "c"), ("a b", "b a", "c"), ("a b a' b'", "b", "c")]:
+            words = [parse_word(t, 3) for t in texts]
+            with pytest.raises(ValueError):
+                invert_basis(words)
+            with pytest.raises(ValueError):
+                Automorphism.from_images(3, words)
+
+    def test_kernel_found_while_folding(self):
+        # a b a folds onto the petals a and b with a different label
+        with pytest.raises(ValueError, match="kernel"):
+            invert_basis([parse_word(t, 3) for t in ("a", "b", "a b a")])
