@@ -125,6 +125,8 @@ def check_minisline(
     """
     if b < 1:
         raise ValueError("b must be at least 1")
+    if not s_list:
+        raise ValueError("need at least one s to check")
     start = start if start is not None else rose([1.0 / mu.rank] * mu.rank)
     x = minimize(add(mu, nu), eps, start, budget).point
     rows = []
@@ -535,6 +537,8 @@ def ball_projection_diameter(
     projection diameter conflates travel along the line with contraction
     and the comparison is meaningless, so that is an error, not a result.
     """
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample per ball, not {n_samples}")
     if ax is None:
         ax = axis(mu, nu, -3.0, 3.0, 0.5, eps, budget)
     gap = min(d_sym(center, p) for p in ax.points())

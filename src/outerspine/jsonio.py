@@ -59,7 +59,7 @@ def _parse_step(s: str) -> OrientedEdge:
     return s[:-1], 1 if s[-1] == "+" else -1
 
 
-def _format_step(step: OrientedEdge) -> str:
+def format_step(step: OrientedEdge) -> str:
     return step[0] + ("+" if step[1] > 0 else "-")
 
 
@@ -72,7 +72,7 @@ def graph_to_obj(g: MarkedGraph) -> dict:
         length: Any = e.raw_length if e.raw_length is not None else e.length
         edges.append({"id": e.id, "from": e.src, "to": e.dst, "length": length})
     marking = {
-        _LETTER_NAMES[k]: [_format_step(s) for s in g.marking[k]]
+        _LETTER_NAMES[k]: [format_step(s) for s in g.marking[k]]
         for k in range(g.rank)
     }
     return {
@@ -190,6 +190,14 @@ def automorphism_to_obj(phi: Automorphism) -> dict:
     return {"format": FORMAT, "rank": phi.rank, "moves": moves}
 
 
+def _generator(value: Any, what: str) -> int:
+    """The 1-based index of the generator named by exactly one letter."""
+    name = _typed(value, (str,), what)
+    if len(name) != 1 or name not in _LETTER_NAMES:
+        raise ValueError(f"{what} must be one generator letter, not {name!r}")
+    return _LETTER_NAMES.index(name) + 1
+
+
 def automorphism_from_obj(data: dict) -> Automorphism:
     _check_format(data, "automorphism")
     rank = int(_typed(data["rank"], (int, str), "'rank'"))
@@ -199,8 +207,8 @@ def automorphism_from_obj(data: dict) -> Automorphism:
             kind = _typed(_typed(m, (dict,), "move")["kind"], (str,), "move 'kind'")
             if kind not in _KINDS:
                 raise ValueError(f"unknown move kind {kind!r}")
-            target = _LETTER_NAMES.index(_typed(m["target"], (str,), "move 'target'")) + 1
-            other = _LETTER_NAMES.index(_typed(m["by"], (str,), "move 'by'")) + 1 if "by" in m else 0
+            target = _generator(m["target"], "move 'target'")
+            other = _generator(m["by"], "move 'by'") if "by" in m else 0
             moves.append(
                 NielsenMove(kind, target, other, bool(m.get("inverse", False)))
             )

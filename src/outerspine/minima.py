@@ -162,6 +162,8 @@ def minimize(
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, not {eps}")
     if not in_spine(start, eps):
         raise ValueError("start point is outside the epsilon-spine")
     gens = elementary_automorphisms(start.rank)

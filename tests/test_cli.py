@@ -4,14 +4,19 @@ code, byte for byte.  See ``record_cli_goldens.py`` for how the fixture is
 recorded."""
 
 import json
+import os
 
 import pytest
 
 from outerspine import cli
-from record_cli_goldens import CASES, FIXTURE, FORMS, run_case
+from record_cli_goldens import CASES, DATA, FIXTURE, FORMS, run_case
 
 with open(FIXTURE) as fh:
     GOLDENS = json.load(fh)
+
+MU_NU = ["--mu", os.path.join(DATA, "current_a.json"), "--nu", os.path.join(DATA, "current_b.json")]
+CENTER = os.path.join(DATA, "rose_half_quarter.json")
+ROSE = os.path.join(DATA, "rose3.json")
 
 
 def test_goldens_cover_every_subcommand():
@@ -30,3 +35,35 @@ def test_matches_golden(name):
     got = run_case(golden["argv"])
     for form in FORMS:
         assert got[form] == golden["forms"][form], form
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-minisline", *MU_NU, "--b", "2", "--s-list", ""],
+        ["ball-contract", *MU_NU, "--center", CENTER, "--radii", "0.1,0.2", "--n", "0"],
+        ["ball-contract", *MU_NU, "--center", CENTER, "--radii", "0.1,0.2", "--n", "-1"],
+        ["min", *MU_NU, "--eps", "-1"],
+        ["min", *MU_NU, "--eps", "0"],
+        ["axis", *MU_NU, "--from", "-1", "--to", "1", "--eps", "-0.05"],
+    ],
+    ids=["empty-s-list", "no-ball-samples", "negative-ball-samples", "eps-negative", "eps-zero", "axis-eps"],
+)
+@pytest.mark.parametrize("form", ["human", "json"])
+def test_vacuous_input_exits_2(capsys, argv, form):
+    assert cli.main(argv + FORMS[form]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_json_and_csv_exclude_each_other(tmp_path, capsys):
+    csv_path = tmp_path / "out.csv"
+    argv = ["dist", "--from", ROSE, "--to", CENTER, "--json", "--csv", str(csv_path)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "[--json | --csv FILE]" in err
+    assert "argument --csv: not allowed with argument --json" in err
+    assert not csv_path.exists()

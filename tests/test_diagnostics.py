@@ -164,6 +164,10 @@ class TestCheckMinisline:
         with pytest.raises(ValueError):
             check_minisline(FLOOR_MU, FLOOR_NU, 0.5, [1.0], EPS)
 
+    def test_rejects_empty_s_list(self):
+        with pytest.raises(ValueError, match="at least one s"):
+            check_minisline(FLOOR_MU, FLOOR_NU, 2.0, [], EPS)
+
     def test_center_row_trivial_bounds(self):
         rep = check_minisline(FLOOR_MU, FLOOR_NU, 2.0, [0.0], EPS)
         row = rep.rows[0]
@@ -261,6 +265,13 @@ class TestBallProjection:
         assert bp.diameter == 0.0
         assert bp.n_distinct == 1
         assert bp.center_distance_to_axis > 3.0
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_empty_sample(self, pair6, ax6, off_axis_center, n):
+        with pytest.raises(ValueError, match="at least one sample"):
+            ball_projection_diameter(
+                pair6.forward, pair6.backward, off_axis_center, 0.5, n, EPS, ax=ax6
+            )
 
     def test_ball_touching_axis_rejected(self, pair6, ax6):
         x0 = ax6.samples[ax6.nearest_index(0.0)][1]

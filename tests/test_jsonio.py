@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 
 from outerspine import (
     Automorphism,
+    RationalCurrent,
+    Word,
     cli,
     compose,
+    cyclic_reduce,
     elementary_automorphisms,
     invert,
     jsonio,
@@ -81,8 +84,16 @@ def test_top_level_array_exits_2(tmp_path, capsys, argv):
         ({**GRAPH, "edges": [1]}, ["systole", "--graph", "INPUT"]),
         ({**GRAPH, "marking": {"a": [5], "b": ["b+"], "c": ["c+"]}}, ["systole", "--graph", "INPUT"]),
         ({"format": 1, "rank": 3, "atoms": "ab"}, ["pair", "--tree", ROSE, "--current", "INPUT"]),
+        (
+            {"format": 1, "rank": 3, "moves": [{"kind": "invert", "target": ""}]},
+            ["iwip", "--phi", "INPUT", "--k", "3"],
+        ),
+        (
+            {"format": 1, "rank": 3, "moves": [{"kind": "transpose", "target": "a", "by": "bc"}]},
+            ["iwip", "--phi", "INPUT", "--k", "3"],
+        ),
     ],
-    ids=["move", "edge", "marking-step", "atoms"],
+    ids=["move", "edge", "marking-step", "atoms", "empty-target", "two-letter-by"],
 )
 def test_wrong_inner_type_exits_2(tmp_path, capsys, obj, argv):
     rc, err = run(tmp_path, capsys, obj, argv)
@@ -162,3 +173,20 @@ def test_long_marking_round_trips(tmp_path):
     assert sorted(len(p) for p in g.marking) == [156, 555, 756, 1194]
     jsonio.dump_graph(g, str(tmp_path / "g.json"))
     assert_same_graph(jsonio.load_graph(str(tmp_path / "g.json")), g)
+
+
+atom_st = st.tuples(
+    st.lists(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]), min_size=1, max_size=10),
+    st.floats(min_value=1e-6, max_value=1e6, allow_nan=False),
+)
+
+
+@given(st.integers(2, 4), st.lists(atom_st, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_current_round_trip(rank, atoms):
+    words = [(Word(rank, [x for x in letters if abs(x) <= rank]), w) for letters, w in atoms]
+    nu = RationalCurrent(rank, [(w, weight) for w, weight in words if cyclic_reduce(w)[0].letters])
+    text = jsonio.dumps(jsonio.current_to_obj(nu))
+    back = jsonio.current_from_obj(json.loads(text))
+    assert back == nu
+    assert jsonio.dumps(jsonio.current_to_obj(back)) == text

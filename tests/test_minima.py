@@ -188,6 +188,11 @@ class TestMinimize:
         with pytest.raises(ValueError):
             minimize(full_support(), 0.05, bad)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+    def test_nonpositive_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            minimize(full_support(), eps, ROSE)
+
     def test_result_in_spine_with_certificate(self):
         rng = random.Random(5)
         cur = random_current(rng) or dual(w("a"))
