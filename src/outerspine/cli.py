@@ -4,9 +4,9 @@ Exit codes: 0 success, 2 bad usage or invalid input, 3 a checked
 inequality failed on this input.  Code 3 is reserved for genuine check
 failures so CI can tell a science regression from a plumbing error.
 Bad input includes ``--json`` given together with ``--csv``, an empty
-sample set (``check-minisline --s-list ""``, ``ball-contract --n 0``) and
-a spine bound ``--eps`` that is not positive: each exits 2 instead of
-reporting a vacuous result.
+``--csv`` file name, an empty sample set (``check-minisline --s-list ""``,
+``ball-contract --n 0``) and a spine bound ``--eps`` that is not positive:
+each exits 2 instead of reporting a vacuous result.
 
 Metric commands (dist, min, axis, project, the checks, ball-contract,
 tau) normalize input graphs to volume one on load; pure measurements
@@ -396,9 +396,11 @@ def _cmd_ball_contract(args) -> _Result:
     radii = _floats(args.radii) if args.radii else [args.radius]
     if not radii or any(r < 0 for r in radii):
         raise ValueError("need nonnegative radii")
+    ax = axis(mu, nu, -3.0, 3.0, 0.5, args.eps, args.budget)
     results = [
         ball_projection_diameter(
-            mu, nu, center, r, args.n, args.eps, seed=args.seed + i, budget=args.budget
+            mu, nu, center, r, args.n, args.eps,
+            seed=args.seed + i, budget=args.budget, ax=ax,
         )
         for i, r in enumerate(radii)
     ]
@@ -506,10 +508,20 @@ def _add_pair(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nu", required=True)
 
 
+class _CsvPath(argparse.Action):
+    """``--csv FILE``, refusing an empty FILE rather than reading it as no
+    ``--csv``; the ValueError leaves the parser and ``main`` reports it."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if not value:
+            raise ValueError("--csv needs a file name, not an empty string")
+        setattr(namespace, self.dest, value)
+
+
 def _add_common(p: argparse.ArgumentParser, eps: bool = True) -> None:
     form = p.add_mutually_exclusive_group()
     form.add_argument("--json", action="store_true", help="emit JSON")
-    form.add_argument("--csv", metavar="FILE", help="write a CSV table to FILE")
+    form.add_argument("--csv", metavar="FILE", action=_CsvPath, help="write a CSV table to FILE")
     if eps:
         p.add_argument("--eps", type=float, default=0.05, help="spine bound")
         p.add_argument("--budget", type=int, default=600, help="topology budget")
@@ -658,13 +670,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return _render(args, args.func(args))
     except SystemExit as e:
         return int(e.code) if e.code else 0
-    try:
-        return _render(args, args.func(args))
     except (ValueError, KeyError, OSError, SampleError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

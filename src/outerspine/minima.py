@@ -3,12 +3,18 @@
 Translation length is linear in edge lengths at fixed topology, so the
 restriction of T -> <T, current> to one simplex of the spine is a linear
 program: lengths on the volume-one simplex, one lower bound per embedded
-cycle.  Minimization over the spine chains these LPs through collapse and
-expansion moves; the search is local by design and every result says so.
+cycle.  Its feasible region depends only on the cycle rows and epsilon, and
+many topologies share one region, so the descent enumerates each region's
+vertices once (exactly, by double description) and probes a topology by
+its least vertex.  Minimization chains these probes through collapse and
+expansion moves, then solves the LP once on the final topology for the
+duals that certify it; the search is local by design and every result
+says so.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,8 +51,8 @@ class MinResult:
     ``certificate`` holds the LP duals on the final topology: first the
     volume-row dual, then one value per embedded cycle in enumeration
     order.  ``topology_visits`` counts the topologies the descent accepted
-    (1 when the start was already optimal); the budget bounds LP solves,
-    which probe many more.  ``local`` records that the topology search
+    (1 when the start was already optimal); the budget bounds feasible
+    probes, which are many more.  ``local`` records that the topology search
     makes no global claim; ``budget_exhausted`` that it stopped on budget
     rather than at a local optimum.
     """
@@ -61,6 +67,10 @@ class MinResult:
 
 
 def _objective(g: MarkedGraph, current: RationalCurrent) -> list[Fraction]:
+    if g.rank != current.rank:
+        raise ValueError("rank mismatch")
+    if not current:
+        raise ValueError("cannot minimize the zero current")
     obj = [Fraction(0)] * len(g.edges)
     for letters, weight in current.atoms:
         cv = crossing_vector(g, Word(g.rank, letters))
@@ -80,23 +90,103 @@ def _cycle_rows(g: MarkedGraph) -> tuple[list[list[Fraction]], list[LoopPath]]:
     return rows, cycles
 
 
+def _row_masks(g: MarkedGraph) -> tuple[int, ...]:
+    """The cycle rows as bitmasks over edge indices, sorted: with the edge
+    count, the key of every region this topology poses."""
+    return tuple(sorted(sum(1 << i for i in set(order)) for _, order in g._topo.cycles))
+
+
+# -- spine polytopes ----------------------------------------------------------
+#
+# The region {x >= 0, sum x = 1, row . x >= eps for every cycle row} is a
+# polytope.  A vertex is kept as an integer ray x with point x / sum(x),
+# together with its tight set: bit i for x_i >= 0, bit n + k for row k.
+
+
+@functools.cache
+def _vertices(n: int, rows: tuple[int, ...], eps: float) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The region's vertices as integer numerators over one denominator.
+
+    Incremental double description (Motzkin et al. 1953; Fukuda and Prodon
+    1996): start from the simplex's unit vectors and cut by one row at a
+    time.  A cut keeps the vertices on its side and adds a point on every
+    edge it crosses; u and v span an edge unless another vertex is tight
+    wherever both are (a necessary count, n - 2 common tight constraints,
+    filters first).  No vertices means the region is empty.
+    """
+    p, q = Fraction(eps).as_integer_ratio()
+    verts = [
+        (tuple(int(i == j) for i in range(n)), ((1 << n) - 1) & ~(1 << j))
+        for j in range(n)
+    ]
+    for k, row in enumerate(rows):
+        idx = [i for i in range(n) if row >> i & 1]
+        plus, minus, kept = [], [], []
+        for x, z in verts:
+            s = q * sum(x[i] for i in idx) - p * sum(x)
+            if s > 0:
+                plus.append((x, z, s))
+                kept.append((x, z))
+            elif s < 0:
+                minus.append((x, z, s))
+            else:
+                kept.append((x, z | 1 << (n + k)))
+        tight = [z for _, z in verts]
+        for xp, zp, sp in plus:
+            for xm, zm, sm in minus:
+                common = zp & zm
+                if common.bit_count() < n - 2:
+                    continue
+                if sum(1 for z in tight if z & common == common) > 2:
+                    continue
+                w = [sp * b - sm * a for a, b in zip(xp, xm)]
+                g = math.gcd(*w)
+                kept.append((tuple(v // g for v in w), common | 1 << (n + k)))
+        verts = kept
+        if not verts:
+            break
+    den = math.lcm(*(sum(x) for x, _ in verts)) if verts else 1
+    return den, tuple(sorted(tuple(v * (den // sum(x)) for v in x) for x, _ in verts))
+
+
+def _least_vertex(
+    obj: list[Fraction], n: int, rows: tuple[int, ...], eps: float
+) -> tuple[Fraction, tuple[Fraction, ...]] | None:
+    """The least (obj . v, v) over the region's vertices; None if empty.
+
+    The lexicographically least point of the optimal face is a vertex, so
+    this is the value and point of ``solve_lp`` with tie-break order
+    0..n-1 on the same region.
+    """
+    den, verts = _vertices(n, rows, eps)
+    if not verts:
+        return None
+    scale = math.lcm(*(o.denominator for o in obj))
+    cost = [int(o * scale) for o in obj]
+    dot, best = min((sum(c * v for c, v in zip(cost, x)), x) for x in verts)
+    return Fraction(dot, scale * den), tuple(Fraction(v, den) for v in best)
+
+
+@functools.cache
+def _max_systole(n: int, rows: tuple[int, ...]) -> tuple[Fraction, tuple[Fraction, ...]]:
+    # variables: x_0..x_{n-1}, m; maximize m = minimize -m
+    c = [0] * n + [-1]
+    a_ge = [[row >> i & 1 for i in range(n)] + [-1] for row in rows]
+    sol = solve_lp(
+        c, [[1] * n + [0]], [1], a_ge, [0] * len(rows), tie_break_order=list(range(n))
+    )
+    return -sol.value, sol.x[:n]
+
+
 def max_systole_lengths(g: MarkedGraph) -> tuple[float, dict[str, float]]:
     """Volume-one lengths on this topology maximizing the systole.
 
     Used to certify infeasibility of an epsilon bound and as the blend
-    target when samplers must repair a point back into the spine.
+    target when samplers must repair a point back into the spine.  The
+    answer depends only on the cycle rows, so it is solved once per rows.
     """
-    n = len(g.edges)
-    rows, cycles = _cycle_rows(g)
-    # variables: x_0..x_{n-1}, m; maximize m = minimize -m
-    c = [Fraction(0)] * n + [Fraction(-1)]
-    a_eq = [[Fraction(1)] * n + [Fraction(0)]]
-    b_eq = [Fraction(1)]
-    a_ge = [row + [Fraction(-1)] for row in rows]
-    b_ge = [Fraction(0)] * len(rows)
-    sol = solve_lp(c, a_eq, b_eq, a_ge, b_ge, tie_break_order=list(range(n)))
-    lengths = {e.id: float(sol.x[i]) for i, e in enumerate(g.edges)}
-    return float(-sol.value), lengths
+    best, x = _max_systole(len(g.edges), _row_masks(g))
+    return float(best), {e.id: float(v) for e, v in zip(g.edges, x)}
 
 
 def min_on_topology(g: MarkedGraph, current: RationalCurrent, eps: float) -> MinResult:
@@ -105,16 +195,13 @@ def min_on_topology(g: MarkedGraph, current: RationalCurrent, eps: float) -> Min
     Infeasibility (epsilon larger than the topology's best systole) raises
     InfeasibleSpine naming a cycle that cannot reach epsilon.
     """
-    if g.rank != current.rank:
-        raise ValueError("rank mismatch")
-    if not current:
-        raise ValueError("cannot minimize the zero current")
+    obj = _objective(g, current)
     n = len(g.edges)
     rows, cycles = _cycle_rows(g)
     epsq = Fraction(eps)
     try:
         sol = solve_lp(
-            _objective(g, current),
+            obj,
             [[Fraction(1)] * n],
             [Fraction(1)],
             rows,
@@ -144,6 +231,16 @@ def _zero_nonloop_edges(g: MarkedGraph) -> list[str]:
     return [e.id for e in g.edges if e.length == 0.0 and e.src != e.dst]
 
 
+def _probe(g: MarkedGraph, current: RationalCurrent, eps: float) -> tuple[float, MarkedGraph] | None:
+    """The value and point ``min_on_topology`` finds on ``g``, read off its
+    region's vertices without an LP; None when the region is empty."""
+    hit = _least_vertex(_objective(g, current), len(g.edges), _row_masks(g), eps)
+    if hit is None:
+        return None
+    value, x = hit
+    return float(value), with_lengths(g, {e.id: v for e, v in zip(g.edges, x)})
+
+
 def minimize(
     current: RationalCurrent,
     eps: float,
@@ -152,12 +249,14 @@ def minimize(
 ) -> MinResult:
     """Descend through neighboring points of the spine from ``start``.
 
-    Each step solves the LP, collapses the zero-length edges of the
-    optimum, and tries that quotient, all its expansions, and its
-    translates under the elementary automorphisms; it moves only on strict
-    improvement (> 1e-9), so the descent terminates.  Expansions alone
-    cannot walk along the axis of an exponential pair (that takes a change
-    of marking), which is what the translates are for.  The result is a
+    Each step takes the optimum on the current topology, collapses its
+    zero-length edges, and probes that quotient, all its expansions, and
+    its translates under the elementary automorphisms, each by the least
+    vertex of its region; it moves only on strict improvement (> 1e-9), so
+    the descent terminates.  Expansions alone cannot walk along the axis of
+    an exponential pair (that takes a change of marking), which is what the
+    translates are for.  One LP on the final topology (collapsed when the
+    optimum has zero edges) supplies the certificate.  The result is a
     certified local minimum unless the budget ran out first.
     """
     if budget < 1:
@@ -167,58 +266,52 @@ def minimize(
     if not in_spine(start, eps):
         raise ValueError("start point is outside the epsilon-spine")
     gens = elementary_automorphisms(start.rank)
-    solves = 0
+    here = _probe(start, current, eps)
+    if here is None:  # in the spine only up to in_spine's tolerance
+        min_on_topology(start, current, eps)  # raises InfeasibleSpine
+    value, point = here
+    probes = 1
     accepted = 1
     exhausted = False
-    res = min_on_topology(start, current, eps)
-    solves += 1
     seen: set = {start._topo.key}
     while not exhausted:
         # explore from the carrier topology: the optimum with its zero
         # faces collapsed away (a rose has no zero faces; explore anyway)
-        zeros = _zero_nonloop_edges(res.point)
-        carrier = collapse_zero_edges(res.point) if zeros else res.point
+        zeros = _zero_nonloop_edges(point)
+        carrier = collapse_zero_edges(point) if zeros else point
         neighbors: list[MarkedGraph] = [carrier] if zeros else []
         for v in carrier.vertices:
             if carrier.valence(v) >= 4:
                 neighbors.extend(expansions(carrier, v))
         neighbors.extend(transform(carrier, psi) for psi in gens)
-        best_move: MinResult | None = None
+        best_move: tuple[float, MarkedGraph] | None = None
         for nb in neighbors:
             if nb._topo.key in seen:
                 continue
             seen.add(nb._topo.key)
-            if solves >= budget:
+            if probes >= budget:
                 exhausted = True
                 break
-            try:
-                cand = min_on_topology(nb, current, eps)
-            except InfeasibleSpine:
+            cand = _probe(nb, current, eps)
+            if cand is None:
                 continue
-            solves += 1
-            if best_move is None or (cand.value, cand.point.key()) < (
-                best_move.value,
-                best_move.point.key(),
-            ):
+            probes += 1
+            if best_move is None or (cand[0], cand[1].key()) < (best_move[0], best_move[1].key()):
                 best_move = cand
-        if best_move is None or best_move.value >= res.value - 1e-9:
+        if best_move is None or best_move[0] >= value - 1e-9:
             break
-        res = best_move
+        value, point = best_move
         accepted += 1
 
-    point = res.point
-    certificate = res.certificate
     if _zero_nonloop_edges(point):
-        collapsed = collapse_zero_edges(point)
-        final = min_on_topology(collapsed, current, eps)
-        solves += 1
-        assert abs(final.value - res.value) <= 1e-9, "collapse changed the optimum"
-        point, certificate = final.point, final.certificate
+        point = collapse_zero_edges(point)
+    final = min_on_topology(point, current, eps)
+    assert abs(final.value - value) <= 1e-9, "collapse changed the optimum"
     return MinResult(
-        point=point,
-        value=res.value,
+        point=final.point,
+        value=value,
         topology_visits=accepted,
-        certificate=certificate,
+        certificate=final.certificate,
         eps=eps,
         local=True,
         budget_exhausted=exhausted,

@@ -9,6 +9,7 @@ Letters are signed integers (1 = a, -1 = a inverse).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 
 # --- free words -------------------------------------------------------------------
@@ -183,3 +184,63 @@ def rose_length(lengths, letters) -> float:
     """Cyclic length of a word on a rose: sum petal lengths along the
     cyclic reduction.  Independent of the package's crossing machinery."""
     return sum(lengths[abs(x) - 1] for x in o_cyclic_reduce(letters))
+
+
+# --- vertices of a spine simplex ---------------------------------------------------
+
+
+def o_cycle_rows(edges) -> list[tuple[int, ...]]:
+    """0/1 rows of the embedded cycles of a graph given as (u, v) pairs:
+    every nonempty edge subset that is connected and 2-regular."""
+    rows = []
+    for mask in range(1, 1 << len(edges)):
+        chosen = [e for i, e in enumerate(edges) if mask >> i & 1]
+        degree: dict = {}
+        for u, v in chosen:
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+        if any(d != 2 for d in degree.values()):
+            continue
+        reached = {chosen[0][0]}
+        grew = True
+        while grew:
+            grew = False
+            for u, v in chosen:
+                if (u in reached) != (v in reached):
+                    reached |= {u, v}
+                    grew = True
+        if len(reached) == len(degree):
+            rows.append(tuple(mask >> i & 1 for i in range(len(edges))))
+    return rows
+
+
+def _o_solve(matrix, rhs):
+    """Unique solution of a square Fraction system, or None if singular."""
+    m = len(matrix)
+    aug = [[Fraction(a) for a in r] + [Fraction(b)] for r, b in zip(matrix, rhs)]
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for r in range(m):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col] / aug[col][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return tuple(aug[r][m] / aug[r][r] for r in range(m))
+
+
+def o_region_vertices(n: int, rows, eps: Fraction) -> set[tuple[Fraction, ...]]:
+    """Vertices of {x >= 0, sum x = 1, row . x >= eps} by brute force: every
+    choice of n - 1 inequalities held tight, with the volume row, whose
+    unique solution is feasible."""
+    ineqs = [(tuple(int(i == j) for i in range(n)), Fraction(0)) for j in range(n)]
+    ineqs += [(tuple(row), eps) for row in rows]
+    found = set()
+    for tight in combinations(ineqs, n - 1):
+        x = _o_solve([(1,) * n] + [a for a, _ in tight], [Fraction(1)] + [b for _, b in tight])
+        if x is not None and all(
+            sum(a[i] * x[i] for i in range(n)) >= b for a, b in ineqs
+        ):
+            found.add(x)
+    return found

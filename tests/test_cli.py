@@ -46,8 +46,17 @@ def test_matches_golden(name):
         ["min", *MU_NU, "--eps", "-1"],
         ["min", *MU_NU, "--eps", "0"],
         ["axis", *MU_NU, "--from", "-1", "--to", "1", "--eps", "-0.05"],
+        ["dist", "--from", ROSE, "--to", ROSE, "--csv", ""],
     ],
-    ids=["empty-s-list", "no-ball-samples", "negative-ball-samples", "eps-negative", "eps-zero", "axis-eps"],
+    ids=[
+        "empty-s-list",
+        "no-ball-samples",
+        "negative-ball-samples",
+        "eps-negative",
+        "eps-zero",
+        "axis-eps",
+        "empty-csv-path",
+    ],
 )
 @pytest.mark.parametrize("form", ["human", "json"])
 def test_vacuous_input_exits_2(capsys, argv, form):

@@ -188,6 +188,14 @@ class TestMinimize:
         with pytest.raises(ValueError):
             minimize(full_support(), 0.05, bad)
 
+    def test_start_within_tolerance_of_empty_region(self):
+        # in_spine admits systole 0.5 at eps just above it, but THETA4's
+        # region is empty there: the descent raises as min_on_topology does
+        eps = 0.5 + 5e-10
+        assert in_spine(THETA4, eps)
+        with pytest.raises(InfeasibleSpine):
+            minimize(dual(w("a")), eps, THETA4)
+
     @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
     def test_nonpositive_eps_rejected(self, eps):
         with pytest.raises(ValueError, match="eps must be positive"):
