@@ -146,7 +146,7 @@ def _vertices(n: int, rows: tuple[int, ...], eps: float) -> tuple[int, tuple[tup
         if not verts:
             break
     den = math.lcm(*(sum(x) for x, _ in verts)) if verts else 1
-    return den, tuple(sorted(tuple(v * (den // sum(x)) for v in x) for x, _ in verts))
+    return den, tuple(tuple(v * (den // sum(x)) for v in x) for x, _ in verts)
 
 
 def _least_vertex(
