@@ -5,8 +5,11 @@ inequality failed on this input.  Code 3 is reserved for genuine check
 failures so CI can tell a science regression from a plumbing error.
 Bad input includes ``--json`` given together with ``--csv``, an empty
 ``--csv`` file name, an empty sample set (``check-minisline --s-list ""``,
-``ball-contract --n 0``) and a spine bound ``--eps`` that is not positive:
-each exits 2 instead of reporting a vacuous result.
+``ball-contract --n 0``), a spine bound ``--eps`` that is not positive,
+and non-finite numbers: ``nan`` or ``inf`` as an axis grid bound or step,
+a bound ``--b`` or a radius, a weight or an edge length, and an ``s``
+whose e^s overflows.  Each exits 2 instead of reporting a vacuous or
+meaningless result.
 
 Metric commands (dist, min, axis, project, the checks, ball-contract,
 tau) normalize input graphs to volume one on load; pure measurements
@@ -394,7 +397,7 @@ def _cmd_ball_contract(args) -> _Result:
     mu, nu = _load_pair(args)
     center = _load_graph(args.center, normalize=True)
     radii = _floats(args.radii) if args.radii else [args.radius]
-    if not radii or any(r < 0 for r in radii):
+    if not radii or not all(r >= 0 for r in radii):
         raise ValueError("need nonnegative radii")
     ax = axis(mu, nu, -3.0, 3.0, 0.5, args.eps, args.budget)
     results = [

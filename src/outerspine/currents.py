@@ -10,6 +10,7 @@ sequences produced by iwip_pair_approx.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -43,8 +44,8 @@ class RationalCurrent:
         for w, weight in atoms:
             if w.rank != rank:
                 raise ValueError("atom rank mismatch")
-            if weight < 0:
-                raise ValueError(f"negative weight {weight}")
+            if not 0 <= weight < math.inf:
+                raise ValueError(f"weight must be finite and nonnegative, not {weight}")
             if weight == 0:
                 continue
             key = canonical_representative(w).letters
@@ -100,9 +101,11 @@ def scale(nu: RationalCurrent, t: float) -> RationalCurrent:
 
 def exp_combination(mu: RationalCurrent, nu: RationalCurrent, s: float) -> RationalCurrent:
     """The current e^s mu + e^-s nu, materialized with rescaled weights."""
-    import math
-
-    return add(scale(mu, math.exp(s)), scale(nu, math.exp(-s)))
+    try:
+        up, down = math.exp(s), math.exp(-s)
+    except OverflowError:
+        raise ValueError(f"e^s or e^-s overflows at s={s}") from None
+    return add(scale(mu, up), scale(nu, down))
 
 
 def pairing(tree: MarkedGraph, nu: RationalCurrent) -> float:

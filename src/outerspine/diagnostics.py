@@ -46,36 +46,6 @@ class _DistCache:
 
 
 # ---------------------------------------------------------------------------
-# coarse geodesics
-
-
-@dataclass(frozen=True)
-class GeodesicDefect:
-    """Worst additive defect of a parametrized path against d_sym."""
-
-    defect: float
-    worst_pair: tuple[float, float]
-    n_points: int
-
-
-def coarse_defect(samples: Sequence[tuple[float, MarkedGraph]]) -> GeodesicDefect:
-    """max |d_sym(p_s, p_t) - (t - s)| over sampled parameter pairs."""
-    if len(samples) < 2:
-        raise ValueError("need at least two samples")
-    cache = _DistCache()
-    worst = 0.0
-    pair = (samples[0][0], samples[0][0])
-    for i in range(len(samples)):
-        for j in range(i + 1, len(samples)):
-            s, p = samples[i]
-            t, q = samples[j]
-            gap = abs(cache.d(p, q) - abs(t - s))
-            if gap > worst:
-                worst, pair = gap, (s, t)
-    return GeodesicDefect(defect=worst, worst_pair=pair, n_points=len(samples))
-
-
-# ---------------------------------------------------------------------------
 # minisline bounds
 
 
@@ -123,8 +93,8 @@ def check_minisline(
     taken at |s| since the pairing sum is symmetric under (s, mu, nu) ->
     (-s, nu, mu).
     """
-    if b < 1:
-        raise ValueError("b must be at least 1")
+    if not 1 <= b < math.inf:
+        raise ValueError(f"b must be finite and at least 1, not {b}")
     if not s_list:
         raise ValueError("need at least one s to check")
     start = start if start is not None else rose([1.0 / mu.rank] * mu.rank)
@@ -340,8 +310,8 @@ def check_contracting(
     Clause samples that cannot be realized leave the clause vacuously
     passed with vacuous=True and zero samples; failures carry witnesses.
     """
-    if b < 1:
-        raise ValueError("b must be at least 1")
+    if not 1 <= b < math.inf:
+        raise ValueError(f"b must be finite and at least 1, not {b}")
     cfg = config if config is not None else SamplerConfig()
     rng = random.Random(cfg.seed)
     ax = axis(mu, nu, -cfg.s_max, cfg.s_max, cfg.step, eps, cfg.budget)
@@ -567,39 +537,8 @@ def ball_projection_diameter(
     )
 
 
-@dataclass(frozen=True)
-class ThinGeodesicReport:
-    min_distance: float
-    at_index: int
-    n_points: int
-
-
-def thin_geodesic_check(
-    path: Sequence[MarkedGraph],
-    mu: RationalCurrent,
-    nu: RationalCurrent,
-    eps: float,
-    budget: int = 600,
-) -> ThinGeodesicReport:
-    """How close a path comes to the projection of its own starting point.
-
-    A path between points on opposite sides of a contracting line must pass
-    near the projection of its endpoints; the report carries the minimum
-    distance achieved and where.
-    """
-    if not path:
-        raise ValueError("empty path")
-    foot = project(path[0], mu, nu, eps, budget).point
-    best, at = math.inf, 0
-    for i, p in enumerate(path):
-        d = d_sym(p, foot)
-        if d < best:
-            best, at = d, i
-    return ThinGeodesicReport(min_distance=best, at_index=at, n_points=len(path))
-
-
 # ---------------------------------------------------------------------------
-# truncated axes and the overlap length tau
+# the overlap length tau
 
 
 def _hausdorff(
@@ -612,73 +551,6 @@ def _hausdorff(
     for q in qs:
         h = max(h, min(cache.d(q, p) for p in ps))
     return h
-
-
-@dataclass(frozen=True)
-class TruncatedAxis:
-    """The sampled axis cut down to the part that fellow-travels two
-    reference rays, one per end."""
-
-    axis: AxisSample
-    lo_index: int
-    hi_index: int
-    c: float
-    degenerate_low: bool
-    degenerate_high: bool
-
-    @property
-    def points(self) -> tuple[MarkedGraph, ...]:
-        return tuple(
-            p for _, p, _ in self.axis.samples[self.lo_index : self.hi_index + 1]
-        )
-
-    @property
-    def s_values(self) -> tuple[float, ...]:
-        return tuple(
-            s for s, _, _ in self.axis.samples[self.lo_index : self.hi_index + 1]
-        )
-
-
-def truncated_axis(
-    ax: AxisSample,
-    ref_low: Sequence[MarkedGraph],
-    ref_high: Sequence[MarkedGraph],
-    c: float,
-    cache: _DistCache | None = None,
-) -> TruncatedAxis:
-    """Truncate a sampled axis to the largest piece 2c-fellow-traveling
-    reference rays at both ends.
-
-    ref_high constrains the tail toward s -> +infinity, ref_low the head
-    toward s -> -infinity: each side keeps the longest run whose sampled
-    Hausdorff distance to the corresponding reference stays at most 2c.
-    A side with no admissible run at all is flagged degenerate and the
-    truncation keeps the single boundary sample there.
-    """
-    cache = cache if cache is not None else _DistCache()
-    n = len(ax.samples)
-    pts = [p for _, p, _ in ax.samples]
-    hi_start = n - 1
-    degenerate_high = True
-    for i in range(n):
-        if _hausdorff(pts[i:], list(ref_high), cache) <= 2 * c:
-            hi_start = i
-            degenerate_high = False
-            break
-    lo_end = 0
-    degenerate_low = True
-    for j in range(n - 1, -1, -1):
-        if _hausdorff(pts[: j + 1], list(ref_low), cache) <= 2 * c:
-            lo_end = j
-            degenerate_low = False
-            break
-    lo_index = hi_start if not degenerate_high else n - 1
-    hi_index = lo_end if not degenerate_low else 0
-    if lo_index > hi_index:
-        # the two runs do not meet; keep the middle sample as a degenerate cut
-        mid = (lo_index + hi_index) // 2
-        return TruncatedAxis(ax, mid, mid, c, True, True)
-    return TruncatedAxis(ax, lo_index, hi_index, c, degenerate_low, degenerate_high)
 
 
 def _ray(
@@ -715,36 +587,26 @@ def overlap_tau(
     axis_b: AxisSample,
     x: MarkedGraph,
     c: float,
-    origin_a: float | None = None,
-    origin_b: float | None = None,
 ) -> float:
     """Overlap length tau of two sampled axes as seen from x.
 
-    Splits each axis at the parameter of x's balance foot (or at the given
-    origins, e.g. truncation cuts) into two rays, pairs rays end-to-end
-    (high with high, low with low), and returns the larger of the two
-    maximal fellow-traveling interval lengths at tolerance 2c.  If an
-    explicit origin puts x's foot strictly beyond it on some axis, that
-    pairing contributes zero, matching the convention that a negative
-    split parameter truncates the overlap to nothing.
+    Splits each axis at the parameter of x's balance foot into two rays,
+    pairs rays end-to-end (high with high, low with low), and returns the
+    larger of the two maximal fellow-traveling interval lengths at
+    tolerance 2c.
     """
     if abs(axis_a.step - axis_b.step) > 1e-12:
         raise ValueError("axes must share the sampling step")
     cache = _DistCache()
     foot_a = balance_param(x, axis_a.mu, axis_a.nu)
     foot_b = balance_param(x, axis_b.mu, axis_b.nu)
-    oa = origin_a if origin_a is not None else foot_a
-    ob = origin_b if origin_b is not None else foot_b
-    step = axis_a.step
-    taus = []
-    for toward_high in (True, False):
-        sign = 1.0 if toward_high else -1.0
-        s1 = sign * (foot_a - oa)
-        s2 = sign * (foot_b - ob)
-        if s1 < -step / 2 or s2 < -step / 2:
-            taus.append(0.0)
-            continue
-        ra = _ray(axis_a, oa, toward_high)
-        rb = _ray(axis_b, ob, toward_high)
-        taus.append(_max_run(ra, rb, step, c, cache))
-    return max(taus)
+    return max(
+        _max_run(
+            _ray(axis_a, foot_a, toward_high),
+            _ray(axis_b, foot_b, toward_high),
+            axis_a.step,
+            c,
+            cache,
+        )
+        for toward_high in (True, False)
+    )

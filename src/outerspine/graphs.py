@@ -27,6 +27,7 @@ All values are immutable; every operation returns a fresh graph.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -45,8 +46,10 @@ class Edge:
     raw_length: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.length < 0:
-            raise ValueError(f"edge {self.id} has negative length")
+        if not 0 <= self.length < math.inf:
+            raise ValueError(
+                f"edge {self.id} needs a finite nonnegative length, not {self.length}"
+            )
 
 
 @dataclass(frozen=True)
@@ -201,9 +204,8 @@ class MarkedGraph:
     def edge(self, eid: str) -> Edge:
         return self.edges[self._topo.index[eid]]
 
-    def comarking_word(self, eid: str, sign: int = 1) -> Word:
-        w = self._topo.comarking[eid]
-        return w if sign > 0 else w.inverse()
+    def comarking_word(self, eid: str) -> Word:
+        return self._topo.comarking[eid]
 
     @property
     def volume(self) -> float:
@@ -292,18 +294,7 @@ class MarkedGraph:
                     f"marking inconsistency: generator {k} reads back as {got}"
                 )
 
-    # -- tree machinery ------------------------------------------------------
-
-    def path_from_base(self, v: str) -> tuple[OrientedEdge, ...]:
-        """Oriented tree path from the basepoint to ``v``."""
-        return self._topo.tree_paths[v]
-
-    def based_loop(self, eid: str, sign: int = 1) -> tuple[OrientedEdge, ...]:
-        """The based loop crossing ``eid`` once, closed up through the tree."""
-        e = self.edge(eid)
-        a, b = (e.src, e.dst) if sign > 0 else (e.dst, e.src)
-        back = _reverse(self.path_from_base(b))
-        return tuple(_tighten(self.path_from_base(a) + ((eid, sign),) + back))
+    # -- paths ---------------------------------------------------------------
 
     def word_along(self, path: Sequence[OrientedEdge]) -> Word:
         return self._topo.word_along(path)
@@ -447,8 +438,9 @@ def systole(g: MarkedGraph) -> tuple[float, LoopPath]:
     return best.length, best
 
 
-def in_spine(g: MarkedGraph, eps: float, tol: float = 1e-9) -> bool:
-    return systole(g)[0] >= eps - tol
+def in_spine(g: MarkedGraph, eps: float) -> bool:
+    """Systole at least ``eps``, up to a 1e-9 float tolerance."""
+    return systole(g)[0] >= eps - 1e-9
 
 
 # -- candidate loops ----------------------------------------------------------
@@ -743,13 +735,13 @@ def _split(g: MarkedGraph, v: str, new_v: str, new_e: str, moved: set[tuple[str,
     )
 
 
-def collapse_zero_edges(g: MarkedGraph, tol: float = 0.0) -> MarkedGraph:
-    """Collapse every non-loop edge of length <= tol (public spine points
+def collapse_zero_edges(g: MarkedGraph) -> MarkedGraph:
+    """Collapse every non-loop edge of length zero (public spine points
     keep all-positive lengths)."""
     while True:
         target = None
         for e in g.edges:
-            if e.length <= tol and e.src != e.dst:
+            if e.length == 0 and e.src != e.dst:
                 target = e.id
                 break
         if target is None:
@@ -793,17 +785,3 @@ def rose(lengths: Sequence[float], raw: Sequence[str] | None = None) -> MarkedGr
 def unit_rose(rank: int = 3) -> MarkedGraph:
     return rose([1.0 / rank] * rank)
 
-
-def parallel_graph(lengths: Sequence[float]) -> MarkedGraph:
-    """Two vertices joined by parallel edges (rank = len(lengths) - 1).
-
-    Marking: generator k runs along edge k+1 and back along edge 1.
-    """
-    m = len(lengths)
-    rank = m - 1
-    edges = [Edge(f"e{i+1}", "u", "w", float(lengths[i])) for i in range(m)]
-    marking = [((f"e{k+1}", 1), ("e1", -1)) for k in range(1, rank + 1)]
-    comarking = {"e1": Word(rank)}
-    for k in range(1, rank + 1):
-        comarking[f"e{k+1}"] = Word(rank, (k,))
-    return MarkedGraph(rank, edges, "u", marking, frozenset({"e1"}), comarking)

@@ -155,8 +155,7 @@ def _least_vertex(
     """The least (obj . v, v) over the region's vertices; None if empty.
 
     The lexicographically least point of the optimal face is a vertex, so
-    this is the value and point of ``solve_lp`` with tie-break order
-    0..n-1 on the same region.
+    this is the value and point of ``solve_lp`` on the same region.
     """
     den, verts = _vertices(n, rows, eps)
     if not verts:
@@ -172,9 +171,7 @@ def _max_systole(n: int, rows: tuple[int, ...]) -> tuple[Fraction, tuple[Fractio
     # variables: x_0..x_{n-1}, m; maximize m = minimize -m
     c = [0] * n + [-1]
     a_ge = [[row >> i & 1 for i in range(n)] + [-1] for row in rows]
-    sol = solve_lp(
-        c, [[1] * n + [0]], [1], a_ge, [0] * len(rows), tie_break_order=list(range(n))
-    )
+    sol = solve_lp(c, [[1] * n + [0]], [1], a_ge, [0] * len(rows))
     return -sol.value, sol.x[:n]
 
 
@@ -206,7 +203,6 @@ def min_on_topology(g: MarkedGraph, current: RationalCurrent, eps: float) -> Min
             [Fraction(1)],
             rows,
             [epsq] * len(rows),
-            tie_break_order=list(range(n)),
         )
     except Infeasible:
         best, lengths = max_systole_lengths(g)
@@ -353,6 +349,11 @@ class AxisSample:
         )
 
 
+# one descent per grid point, so a longer grid cannot finish, and building
+# a huge one exhausts memory before the first descent
+_MAX_GRID = 10_000
+
+
 def axis(
     mu: RationalCurrent,
     nu: RationalCurrent,
@@ -370,8 +371,12 @@ def axis(
     per-solve topology budget is spent on one grid step, not on walking
     the whole axis from the far end.
     """
+    if not all(math.isfinite(v) for v in (s_min, s_max, step)):
+        raise ValueError("need finite s_min, s_max and step")
     if step <= 0 or s_max < s_min:
         raise ValueError("need step > 0 and s_max >= s_min")
+    if (s_max - s_min) / step > _MAX_GRID:
+        raise ValueError(f"grid has more than {_MAX_GRID} steps")
     if start is None:
         start = rose([1.0 / mu.rank] * mu.rank)
     grid = []

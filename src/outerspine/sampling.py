@@ -16,7 +16,7 @@ import math
 import random
 from typing import Sequence
 
-from .currents import RationalCurrent, pairing
+from .currents import RationalCurrent
 from .graphs import (
     MarkedGraph,
     collapse_edge,
@@ -24,7 +24,6 @@ from .graphs import (
     in_spine,
     normalize_volume,
     rose,
-    systole,
     transform,
     with_lengths,
 )
@@ -166,7 +165,7 @@ def ball_points(
     symmetrized distance to the center stays at most the radius, so the
     samples approximate the walk-connected part of the metric ball.
     """
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError("radius must be nonnegative")
     if radius == 0:
         return [center] * max(n, 1) if n else []

@@ -180,16 +180,14 @@ def solve_lp(
     b_eq: Sequence = (),
     a_ge: Sequence[Sequence] = (),
     b_ge: Sequence = (),
-    tie_break_order: Sequence[int] | None = None,
 ) -> LpSolution:
     """Solve the LP; see the module docstring for the problem shape.
 
-    With ``tie_break_order`` (a permutation of the variable indices) the
-    optimal face is narrowed deterministically: variables are minimized one
-    at a time in that order with the objective and all earlier variables
-    pinned to their minima.  The result is the lexicographically smallest
-    optimal vertex, independent of constraint row order.  The duals always
-    certify the original objective.
+    A non-unique optimal face is narrowed deterministically: variables are
+    minimized one at a time in index order with the objective and all
+    earlier variables pinned to their minima.  The result is the
+    lexicographically smallest optimal vertex, independent of constraint
+    row order.  The duals always certify the original objective.
     """
     c = [_frac(v) for v in c]
     rows = [[_frac(v) for v in row] for row in a_eq]
@@ -204,7 +202,7 @@ def solve_lp(
             raise ValueError("constraint width does not match objective")
 
     sol = _solve_once(c, rows, rhs, kinds)
-    if tie_break_order is None or sol.unique:
+    if sol.unique:
         return sol
 
     nvars = len(c)
@@ -215,7 +213,7 @@ def solve_lp(
     pin_rhs.append(sol.value)
     pin_kinds.append("eq")
     best_x = sol.x
-    for col in tie_break_order:
+    for col in range(nvars):
         obj = [Fraction(0)] * nvars
         obj[col] = Fraction(1)
         sub = _solve_once(obj, pin_rows, pin_rhs, pin_kinds)

@@ -1,0 +1,21 @@
+"""Graph builders that only the tests use."""
+
+from typing import Sequence
+
+from outerspine.graphs import Edge, MarkedGraph
+from outerspine.words import Word
+
+
+def parallel_graph(lengths: Sequence[float]) -> MarkedGraph:
+    """Two vertices joined by parallel edges (rank = len(lengths) - 1).
+
+    Marking: generator k runs along edge k+1 and back along edge 1.
+    """
+    m = len(lengths)
+    rank = m - 1
+    edges = [Edge(f"e{i+1}", "u", "w", float(lengths[i])) for i in range(m)]
+    marking = [((f"e{k+1}", 1), ("e1", -1)) for k in range(1, rank + 1)]
+    comarking = {"e1": Word(rank)}
+    for k in range(1, rank + 1):
+        comarking[f"e{k+1}"] = Word(rank, (k,))
+    return MarkedGraph(rank, edges, "u", marking, frozenset({"e1"}), comarking)

@@ -47,6 +47,15 @@ def test_matches_golden(name):
         ["min", *MU_NU, "--eps", "0"],
         ["axis", *MU_NU, "--from", "-1", "--to", "1", "--eps", "-0.05"],
         ["dist", "--from", ROSE, "--to", ROSE, "--csv", ""],
+        ["axis", *MU_NU, "--from", "-1", "--to", "1", "--step", "nan"],
+        ["axis", *MU_NU, "--from", "-1", "--to", "inf"],
+        ["axis", *MU_NU, "--from", "0", "--to", "1e12", "--step", "1"],
+        ["min", *MU_NU, "--s", "1000"],
+        ["check-minisline", *MU_NU, "--b", "nan"],
+        ["check-contracting", *MU_NU, "--b", "nan"],
+        ["check-contracting", *MU_NU, "--fit-scale", "nan"],
+        ["check-contracting", *MU_NU, "--b", "2", "--s-max", "inf"],
+        ["ball-contract", *MU_NU, "--center", CENTER, "--radius", "nan"],
     ],
     ids=[
         "empty-s-list",
@@ -56,6 +65,15 @@ def test_matches_golden(name):
         "eps-zero",
         "axis-eps",
         "empty-csv-path",
+        "axis-nan-step",
+        "axis-inf-end",
+        "axis-huge-grid",
+        "min-exp-overflow",
+        "minisline-nan-b",
+        "contracting-nan-b",
+        "contracting-nan-fit-scale",
+        "contracting-inf-s-max",
+        "ball-nan-radius",
     ],
 )
 @pytest.mark.parametrize("form", ["human", "json"])

@@ -1,4 +1,4 @@
-"""Empirical certification: geodesic defect, minisline bounds, contraction."""
+"""Empirical certification: minisline bounds, contraction, ball projections, axis overlaps."""
 
 import math
 import random
@@ -12,11 +12,9 @@ from outerspine import (
     SamplerConfig,
     apply_to_current,
     axis,
-    balance_param,
     ball_projection_diameter,
     check_contracting,
     check_minisline,
-    coarse_defect,
     d_sym,
     dual,
     fit_B,
@@ -26,11 +24,8 @@ from outerspine import (
     power,
     project,
     scale,
-    spine_points,
-    thin_geodesic_check,
     transform,
     translate_axis,
-    truncated_axis,
 )
 from outerspine.sampling import jitter
 
@@ -97,39 +92,6 @@ def translates(ax6):
     )
     b = translate_axis(ax6, phi)
     return ax6, b, translate_axis(b, phi)
-
-
-def coarse_bound(b: float) -> float:
-    return 8 * math.log(b) + 2 * math.log(2)
-
-
-class TestCoarseDefect:
-    def test_two_points_at_matched_parameter(self):
-        p, q = spine_points(3, EPS, 11, 2)
-        d = d_sym(p, q)
-        rep = coarse_defect([(0.0, p), (d, q)])
-        assert rep.defect == 0.0
-        assert rep.n_points == 2
-
-    def test_constant_sequence_spans_parameter(self):
-        p = spine_points(3, EPS, 12, 1)[0]
-        rep = coarse_defect([(0.0, p), (0.4, p), (1.2, p)])
-        assert rep.defect == pytest.approx(1.2, abs=1e-12)
-        assert rep.worst_pair == (0.0, 1.2)
-
-    def test_reversal_with_negated_parameters(self, ax6):
-        samples = [(2 * s, p) for s, p, _ in ax6.samples]
-        flipped = [(-t, p) for t, p in reversed(samples)]
-        assert coarse_defect(samples).defect == coarse_defect(flipped).defect
-
-    def test_rejects_single_sample(self):
-        p = spine_points(3, EPS, 13, 1)[0]
-        with pytest.raises(ValueError):
-            coarse_defect([(0.0, p)])
-
-    def test_axis_reparametrization_within_coarse_bound(self, ax6, fit6):
-        rep = coarse_defect([(2 * s, p) for s, p, _ in ax6.samples])
-        assert rep.defect <= coarse_bound(fit6.value)
 
 
 class TestFitB:
@@ -303,64 +265,6 @@ class TestBallProjection:
         assert d_sym(foot, end) <= 2.0
 
 
-class TestThinGeodesic:
-    def test_rejects_empty_path(self, pair6):
-        with pytest.raises(ValueError):
-            thin_geodesic_check([], pair6.forward, pair6.backward, EPS)
-
-    def test_path_through_projection_hits_zero(self, pair6, ax6):
-        x0 = ax6.samples[ax6.nearest_index(0.0)][1]
-        start = transform(x0, power(TWIST_PAIR, 3))
-        foot = project(start, pair6.forward, pair6.backward, EPS).point
-        path = [start, foot] + list(ax6.points())[2:]
-        rep = thin_geodesic_check(path, pair6.forward, pair6.backward, EPS)
-        assert rep.min_distance == 0.0
-        assert rep.at_index == 1
-        assert rep.n_points == len(path)
-
-    def test_axis_path_within_coarse_constant(self, pair6, ax6, fit6):
-        rep = thin_geodesic_check(
-            list(ax6.points()), pair6.forward, pair6.backward, EPS
-        )
-        assert rep.n_points == 5
-        assert rep.min_distance <= coarse_bound(fit6.value)
-
-    def test_detour_stays_far(self, pair6, ax6):
-        detour = [transform(p, power(TWIST_PAIR, 3)) for p in ax6.points()]
-        rep = thin_geodesic_check(detour, pair6.forward, pair6.backward, EPS)
-        assert rep.min_distance > 3.0
-
-
-class TestTruncatedAxis:
-    def test_self_reference_keeps_full_axis(self, ax6):
-        pts = list(ax6.points())
-        tr = truncated_axis(ax6, pts, pts, 1.0)
-        assert (tr.lo_index, tr.hi_index) == (0, 4)
-        assert not tr.degenerate_low and not tr.degenerate_high
-        assert tr.points == ax6.points()
-        assert tr.s_values == ax6.s_values()
-
-    def test_zero_tolerance_degenerates(self, ax6):
-        phi = Automorphism.from_moves(
-            3, [NielsenMove("right_multiply", 2, 3, False)]
-        )
-        other = list(translate_axis(ax6, phi).points())
-        tr = truncated_axis(ax6, other, other, 0.0)
-        assert tr.degenerate_low and tr.degenerate_high
-        assert tr.lo_index == tr.hi_index == 2
-        assert len(tr.points) == 1
-
-    def test_shifted_rays_cut_reproducibly(self, ax6):
-        pts = list(ax6.points())
-        tight = truncated_axis(ax6, pts[:3], pts[2:], 0.05)
-        again = truncated_axis(ax6, pts[:3], pts[2:], 0.05)
-        assert (tight.lo_index, tight.hi_index) == (2, 2)
-        assert not tight.degenerate_low and not tight.degenerate_high
-        assert (again.lo_index, again.hi_index) == (tight.lo_index, tight.hi_index)
-        loose = truncated_axis(ax6, pts[:3], pts[2:], 10.0)
-        assert (loose.lo_index, loose.hi_index) == (0, 4)
-
-
 class TestOverlapTau:
     def test_self_overlap_full_ray(self, ax6):
         x0 = ax6.samples[ax6.nearest_index(0.0)][1]
@@ -376,11 +280,6 @@ class TestOverlapTau:
         x0 = ax6.samples[2][1]
         with pytest.raises(ValueError):
             overlap_tau(ax6, shrunk, x0, 1.0)
-
-    def test_blocked_origins_give_zero(self, ax6):
-        x0 = ax6.samples[ax6.nearest_index(0.0)][1]
-        foot = balance_param(x0, ax6.mu, ax6.nu)
-        assert overlap_tau(ax6, ax6, x0, 5.0, foot + 5, foot - 5) == 0.0
 
     def test_translated_triple_ultrametric(self, translates, ax6):
         # threshold values bracket the fellow-traveling scale of these

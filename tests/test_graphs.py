@@ -20,7 +20,6 @@ from outerspine import (
     expansions,
     in_spine,
     normalize_volume,
-    parallel_graph,
     parse_word,
     rescale,
     rose,
@@ -33,6 +32,7 @@ from outerspine import (
 from outerspine.graphs import collapse_zero_edges
 from outerspine.words import canonical_representative
 
+from builders import parallel_graph
 from oracles import conjugacy_classes, rose_length
 from record_float_pins import FIXTURE, KEPT, float_pins, pin_points
 

@@ -101,6 +101,36 @@ def test_wrong_inner_type_exits_2(tmp_path, capsys, obj, argv):
     assert_one_error_line(err)
 
 
+CURRENT_B = os.path.join(DATA, "current_b.json")
+
+
+def with_weight(weight):
+    return {"format": 1, "rank": 3, "atoms": [{"class": "a b", "weight": weight}]}
+
+
+def with_length(length):
+    return {**GRAPH, "edges": [{**GRAPH["edges"][0], "length": length}, *GRAPH["edges"][1:]]}
+
+
+@pytest.mark.parametrize(
+    "obj, argv",
+    [
+        (with_weight("inf"), ["pair", "--tree", ROSE, "--current", "INPUT"]),
+        (with_weight("nan"), ["pair", "--tree", ROSE, "--current", "INPUT"]),
+        (with_weight("inf"), ["min", "--mu", "INPUT", "--nu", CURRENT_B]),
+        (with_weight(1e308), ["min", "--mu", "INPUT", "--nu", CURRENT_B, "--s", "1"]),
+        (with_length("nan"), ["systole", "--graph", "INPUT"]),
+        (with_length("inf"), ["systole", "--graph", "INPUT"]),
+    ],
+    ids=["pair-inf-weight", "pair-nan-weight", "min-inf-weight", "min-weight-overflows",
+         "systole-nan-length", "systole-inf-length"],
+)
+def test_non_finite_number_exits_2(tmp_path, capsys, obj, argv):
+    rc, err = run(tmp_path, capsys, obj, argv)
+    assert rc == 2
+    assert_one_error_line(err)
+
+
 def test_non_basis_images_exit_2(tmp_path, capsys):
     obj = {"format": 1, "rank": 3, "images": ["a", "b", "a b a"]}
     rc, err = run(tmp_path, capsys, obj, ["iwip", "--phi", "INPUT", "--k", "3"])

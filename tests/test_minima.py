@@ -24,7 +24,6 @@ from outerspine import (
     min_on_topology,
     minimize,
     pairing,
-    parallel_graph,
     parse_word,
     project,
     scale,
@@ -35,6 +34,7 @@ from outerspine import (
 from outerspine.minima import _cycle_rows, _objective
 from outerspine.sampling import spine_points
 
+from builders import parallel_graph
 from oracles import grid_lp_min
 
 ROSE = unit_rose(3)

@@ -112,6 +112,10 @@ class TestBallPoints:
         with pytest.raises(ValueError):
             ball_points(ROSE, -1.0, 3, 1, EPS)
 
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError):
+            ball_points(ROSE, float("nan"), 3, 1, EPS, max_tries=3)
+
     def test_exhaustion_reported(self):
         with pytest.raises(SampleError):
             ball_points(ROSE, 0.05, 50, 1, EPS, max_tries=3)

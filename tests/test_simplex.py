@@ -43,7 +43,6 @@ def test_tie_break_is_lexicographic_minimum():
         b_eq=[1],
         a_ge=[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
         b_ge=[F(1, 10), F(1, 10), F(1, 10)],
-        tie_break_order=[0, 1, 2],
     )
     assert sol.x == (F(1, 10), F(1, 10), F(8, 10))
 
@@ -51,8 +50,8 @@ def test_tie_break_is_lexicographic_minimum():
 def test_tie_break_independent_of_row_order():
     rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     rhs = [F(1, 10)] * 3
-    a = solve_lp([1, 0, 0], [[1, 1, 1]], [1], rows, rhs, tie_break_order=[0, 1, 2])
-    b = solve_lp([1, 0, 0], [[1, 1, 1]], [1], rows[::-1], rhs, tie_break_order=[0, 1, 2])
+    a = solve_lp([1, 0, 0], [[1, 1, 1]], [1], rows, rhs)
+    b = solve_lp([1, 0, 0], [[1, 1, 1]], [1], rows[::-1], rhs)
     assert a.x == b.x
 
 

@@ -111,9 +111,7 @@ def test_least_vertex_is_the_lp_point(data, rank, eps):
     rows, _ = _cycle_rows(g)
     got = _least_vertex(obj, n, _row_masks(g), eps)
     try:
-        sol = solve_lp(
-            obj, [[1] * n], [1], rows, [Fraction(eps)] * len(rows), tie_break_order=range(n)
-        )
+        sol = solve_lp(obj, [[1] * n], [1], rows, [Fraction(eps)] * len(rows))
     except Infeasible:
         assert got is None
         return
