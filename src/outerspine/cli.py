@@ -8,8 +8,9 @@ Bad input includes ``--json`` given together with ``--csv``, an empty
 ``ball-contract --n 0``), a spine bound ``--eps`` that is not positive,
 and non-finite numbers: ``nan`` or ``inf`` as an axis grid bound or step,
 a bound ``--b`` or a radius, a weight or an edge length, and an ``s``
-whose e^s overflows.  Each exits 2 instead of reporting a vacuous or
-meaningless result.
+whose e^s overflows.  ``ball-contract --slack`` and ``tau --c`` must be
+finite and nonnegative, ``iwip --tol`` finite and positive.  Each exits 2
+instead of reporting a vacuous or meaningless result.
 
 Metric commands (dist, min, axis, project, the checks, ball-contract,
 tau) normalize input graphs to volume one on load; pure measurements
@@ -202,6 +203,8 @@ def _cmd_pair(args) -> _Result:
 
 
 def _cmd_iwip(args) -> _Result:
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"--tol must be finite and positive, not {args.tol}")
     phi = jsonio.load_automorphism(args.phi)
     base = _load_graph(args.base, normalize=True) if args.base else None
     seed = parse_word(args.seed, phi.rank)
@@ -394,6 +397,8 @@ def _cmd_check_contracting(args) -> _Result:
 
 
 def _cmd_ball_contract(args) -> _Result:
+    if not 0 <= args.slack < math.inf:
+        raise ValueError(f"--slack must be finite and nonnegative, not {args.slack}")
     mu, nu = _load_pair(args)
     center = _load_graph(args.center, normalize=True)
     radii = _floats(args.radii) if args.radii else [args.radius]
@@ -440,6 +445,8 @@ def _cmd_ball_contract(args) -> _Result:
 
 
 def _cmd_tau(args) -> _Result:
+    if not 0 <= args.c < math.inf:
+        raise ValueError(f"--c must be finite and nonnegative, not {args.c}")
     mu, nu = _load_pair(args)
     x = _load_graph(args.x, normalize=True)
     powers = _ints(args.powers)

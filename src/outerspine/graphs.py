@@ -5,22 +5,28 @@ A MarkedGraph is a finite connected metric graph of first Betti number
 with F_rank:
 
 * the marking sends each generator to a based edge loop, and
-* the comarking stores, per unoriented edge, the word that a homotopy
-  inverse of the marking reads along that edge (relative to a fixed
-  spanning tree whose edges carry the empty word).
+* the comarking stores, per edge, the word that a homotopy inverse of the
+  marking reads along that edge from its tail to its head.
 
 Reading comarking letters along any based loop therefore evaluates the
 homotopy inverse on that loop, and consistency means this evaluation
-returns ``x_k`` on the marking loop of ``x_k``.
+returns ``x_k`` on the marking loop of ``x_k``.  The homotopy inverse is
+defined only up to homotopy, so the comarking is fixed only up to gauge: a
+word ``h`` at a non-base vertex, appended to the words of the edges that
+enter it and prepended inverted to those that leave it, changes no based
+loop's reading.  Validation checks the read-back on every generator; with
+Betti number = rank this makes the read-back map onto F_rank, hence (free
+groups being Hopfian) an isomorphism; nothing more needs checking.
 
-A point is a marked topology plus lengths.  The private topology (edge
-endpoints, basepoint, marking, tree, comarking) fixes one simplex of Outer
-space and caches what does not depend on lengths: adjacency, tree and letter
-paths, embedded cycles, candidate loops.  ``edges`` carries one point's
-lengths, which are summed along those cached paths.  The constructor builds
-and validates a fresh topology, marking read-back included;
-``with_lengths``, ``rescale`` and ``normalize_volume`` share their source's
-topology and check only the lengths (no negative edge, positive volume).
+A point is its edges, lengths, basepoint and marking; the comarking is not
+part of its identity.  The private topology (everything but lengths)
+fixes one simplex of Outer space and caches what does not depend on
+lengths: adjacency, letter paths, embedded cycles, candidate loops.
+``edges`` carries one point's lengths, which are summed along those cached
+paths.  The constructor builds and validates a fresh topology, marking
+read-back included; ``with_lengths``, ``rescale`` and ``normalize_volume``
+share their source's topology and check only the lengths (no negative
+edge, positive volume).
 
 All values are immutable; every operation returns a fresh graph.
 """
@@ -88,23 +94,6 @@ def _reverse(path: tuple[OrientedEdge, ...]) -> tuple[OrientedEdge, ...]:
     return tuple((e, -s) for e, s in reversed(path))
 
 
-def _bfs_tree_paths(adj: dict, basepoint: str, tree: frozenset[str]) -> dict[str, tuple[OrientedEdge, ...]]:
-    """Oriented tree path from the basepoint to each vertex (BFS)."""
-    paths = {basepoint: ()}
-    frontier = [basepoint]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for eid, s, u in adj[v]:
-                if eid in tree and u not in paths:
-                    paths[u] = paths[v] + ((eid, s),)
-                    nxt.append(u)
-        frontier = nxt
-    if len(paths) != len(adj):
-        raise ValueError("tree does not span the graph")
-    return paths
-
-
 class _Topology:
     """The length-independent part of a marked graph: one open simplex.
 
@@ -112,11 +101,10 @@ class _Topology:
     shares its topology, so the derived tables below are built once.
     """
 
-    def __init__(self, rank, edges, basepoint, marking, tree, comarking):
+    def __init__(self, rank, edges, basepoint, marking, comarking):
         self.rank = rank
         self.basepoint = basepoint
         self.marking = tuple(tuple((e, s) for e, s in p) for p in marking)
-        self.tree = frozenset(tree)
         self.comarking = {e.id: comarking[e.id] for e in edges}
         self.index = {e.id: i for i, e in enumerate(edges)}
         self.ends = {e.id: (e.src, e.dst) for e in edges}
@@ -134,12 +122,7 @@ class _Topology:
             tuple((e.id, e.src, e.dst) for e in edges),
             basepoint,
             self.marking,
-            tuple(sorted(self.tree)),
         )
-
-    @cached_property
-    def tree_paths(self) -> dict[str, tuple[OrientedEdge, ...]]:
-        return _bfs_tree_paths(self.adj, self.basepoint, self.tree)
 
     @cached_property
     def letter_paths(self) -> dict[int, tuple[OrientedEdge, ...]]:
@@ -176,11 +159,10 @@ class MarkedGraph:
         edges: Iterable[Edge],
         basepoint: str,
         marking: Sequence[Sequence[OrientedEdge]],
-        tree: Iterable[str],
         comarking: dict[str, Word],
     ):
         edges = tuple(sorted(edges, key=lambda e: e.id))
-        self._init(_Topology(rank, edges, basepoint, marking, tree, comarking), edges)
+        self._init(_Topology(rank, edges, basepoint, marking, comarking), edges)
         self._validate()
 
     def _init(self, topo: _Topology, edges: tuple[Edge, ...]) -> None:
@@ -198,7 +180,6 @@ class MarkedGraph:
     rank = property(lambda self: self._topo.rank)
     basepoint = property(lambda self: self._topo.basepoint)
     marking = property(lambda self: self._topo.marking)
-    tree = property(lambda self: self._topo.tree)
     vertices = property(lambda self: self._topo.vertices)
 
     def edge(self, eid: str) -> Edge:
@@ -215,11 +196,14 @@ class MarkedGraph:
         return len(self._topo.adj[v])
 
     def key(self):
-        """Hashable identity: topology, lengths, basepoint, marking, tree."""
+        """Hashable identity: edges with their lengths, basepoint and marking.
+
+        The comarking is left out: it is fixed by the marking up to a change
+        of gauge at the non-base vertices, which no measurement sees."""
         if self._key is None:
-            rank, _, basepoint, marking, tree = self._topo.key
+            rank, _, basepoint, marking = self._topo.key
             edges = tuple((e.id, e.src, e.dst, e.length) for e in self.edges)
-            object.__setattr__(self, "_key", (rank, edges, basepoint, marking, tree))
+            object.__setattr__(self, "_key", (rank, edges, basepoint, marking))
         return self._key
 
     def __eq__(self, other):
@@ -262,16 +246,6 @@ class MarkedGraph:
                 raise ValueError(f"vertex {v!r} has valence {self.valence(v)} < 3")
         if self.volume <= 0:
             raise ValueError("total volume must be positive")
-        # spanning tree shape
-        if len(self.tree) != len(verts) - 1:
-            raise ValueError("tree edge count is not |V| - 1")
-        for eid in self.tree:
-            if eid not in t.index:
-                raise ValueError(f"tree edge {eid!r} not in graph")
-            if not t.comarking[eid]:
-                continue
-            raise ValueError(f"tree edge {eid!r} carries a nonempty word")
-        t.tree_paths  # raises if the tree does not span
         if len(self.marking) != self.rank:
             raise ValueError("marking must have one loop per generator")
         for k, path in enumerate(self.marking, start=1):
@@ -588,76 +562,39 @@ def with_lengths(g: MarkedGraph, lengths: dict[str, float]) -> MarkedGraph:
 # -- topology moves -------------------------------------------------------------
 
 
-def retree(g: MarkedGraph, tree: Iterable[str]) -> MarkedGraph:
-    """Re-express the comarking relative to another spanning tree.
-
-    The homotopy inverse is unchanged; the word of an edge is what the old
-    comarking reads along that edge's based loop in the new tree.
-    """
-    tree = frozenset(tree)
-    comarking: dict[str, Word] = {}
-    tree_paths = _bfs_tree_paths(g._topo.adj, g.basepoint, tree)
-    for e in g.edges:
-        if e.id in tree:
-            comarking[e.id] = Word(g.rank)
-        else:
-            loop = _tighten(tree_paths[e.src] + ((e.id, 1),) + _reverse(tree_paths[e.dst]))
-            comarking[e.id] = g.word_along(loop)
-    return MarkedGraph(g.rank, g.edges, g.basepoint, g.marking, tree, comarking)
-
-
-def _spanning_tree_containing(g: MarkedGraph, eid: str) -> frozenset[str]:
-    """Deterministic spanning tree through ``eid`` (greedy over sorted ids)."""
-    parent: dict[str, str] = {}
-
-    def find(v: str) -> str:
-        while parent.get(v, v) != v:
-            parent[v] = parent.get(parent[v], parent[v])
-            v = parent[v]
-        return v
-
-    tree = set()
-    order = [eid] + [e.id for e in g.edges if e.id != eid]
-    for f in order:
-        e = g.edge(f)
-        ra, rb = find(e.src), find(e.dst)
-        if ra != rb:
-            parent[ra] = rb
-            tree.add(f)
-    return frozenset(tree)
-
-
 def collapse_edge(g: MarkedGraph, eid: str) -> MarkedGraph:
     """Identify the endpoints of a non-loop edge and delete it.
 
     The edge length is treated as zero: callers collapse edges the length
     assignment has already driven to the floor, so loop lengths and the
-    Betti number are preserved.
+    Betti number are preserved.  If the edge carries a word ``w``, the
+    comarking is first re-gauged at its non-base end (by ``w^-1`` at the
+    head, or ``w`` at the tail when the head is the basepoint): entering
+    edges read ``u h``, leaving edges ``h^-1 u``, and the edge reads empty.
     """
     e = g.edge(eid)
     if e.src == e.dst:
         raise ValueError(f"edge {eid!r} is a loop; collapsing would drop the rank")
-    host = g if eid in g.tree else retree(g, _spanning_tree_containing(g, eid))
-    e = host.edge(eid)
+    w = g.comarking_word(eid)
+    v, h = (e.src, w) if e.dst == g.basepoint else (e.dst, w.inverse())
+    comarking = {}
+    for f in g.edges:
+        u = g.comarking_word(f.id)
+        if w and f.dst == v:
+            u = u * h
+        if w and f.src == v:
+            u = h.inverse() * u
+        comarking[f.id] = u
+    del comarking[eid]
     keep, drop = sorted((e.src, e.dst))
-    ren = lambda v: keep if v == drop else v
+    ren = lambda x: keep if x == drop else x
     edges = [
         Edge(f.id, ren(f.src), ren(f.dst), f.length, f.raw_length)
-        for f in host.edges
+        for f in g.edges
         if f.id != eid
     ]
-    marking = [
-        tuple(step for step in path if step[0] != eid) for path in host.marking
-    ]
-    comarking = {f.id: host.comarking_word(f.id) for f in host.edges if f.id != eid}
-    return MarkedGraph(
-        host.rank,
-        edges,
-        ren(host.basepoint),
-        marking,
-        host.tree - {eid},
-        comarking,
-    )
+    marking = [tuple(step for step in path if step[0] != eid) for path in g.marking]
+    return MarkedGraph(g.rank, edges, ren(g.basepoint), marking, comarking)
 
 
 def _fresh_names(g: MarkedGraph) -> tuple[str, str]:
@@ -730,9 +667,7 @@ def _split(g: MarkedGraph, v: str, new_v: str, new_e: str, moved: set[tuple[str,
 
     comarking = dict(g._topo.comarking)
     comarking[new_e] = Word(g.rank)
-    return MarkedGraph(
-        g.rank, edges, g.basepoint, marking, g.tree | {new_e}, comarking
-    )
+    return MarkedGraph(g.rank, edges, g.basepoint, marking, comarking)
 
 
 def collapse_zero_edges(g: MarkedGraph) -> MarkedGraph:
@@ -763,7 +698,7 @@ def transform(g: MarkedGraph, phi) -> MarkedGraph:
     inv = invert(phi)
     marking = [g.path_of(apply(inv, Word(g.rank, (k,)))) for k in range(1, g.rank + 1)]
     comarking = {e.id: apply(phi, g.comarking_word(e.id)) for e in g.edges}
-    return MarkedGraph(g.rank, g.edges, g.basepoint, marking, g.tree, comarking)
+    return MarkedGraph(g.rank, g.edges, g.basepoint, marking, comarking)
 
 
 # -- builders ---------------------------------------------------------------------
@@ -779,7 +714,7 @@ def rose(lengths: Sequence[float], raw: Sequence[str] | None = None) -> MarkedGr
     ]
     marking = [((names[i], 1),) for i in range(rank)]
     comarking = {names[i]: Word(rank, (i + 1,)) for i in range(rank)}
-    return MarkedGraph(rank, edges, "v", marking, frozenset(), comarking)
+    return MarkedGraph(rank, edges, "v", marking, comarking)
 
 
 def unit_rose(rank: int = 3) -> MarkedGraph:

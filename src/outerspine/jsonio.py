@@ -1,11 +1,13 @@
 """JSON (de)serialization for graphs, automorphisms and currents.
 
 Graph files carry rank, vertices, edges (id/from/to/length), basepoint and
-the marking as oriented-edge strings ("e1+", "e2-").  The comarking is not
-stored: it is recomputed on load by expressing each marking loop in the
-based-loop basis of a deterministic spanning tree and inverting that basis
-exactly by Stallings folding (words.invert_basis, no search budget), then
-verified exactly by the graph constructor.
+the marking as oriented-edge strings ("e1+", "e2-"): everything that
+identifies a point, so a saved and reloaded graph equals the original.  The
+comarking is not stored, since the marking fixes it up to gauge.  The
+loader builds one by expressing each marking loop in the based-loop basis
+of a deterministic spanning tree and inverting that basis exactly by
+Stallings folding (words.invert_basis, no search budget); the graph
+constructor then verifies it exactly.
 
 Edge lengths given as decimal strings round-trip bit-exactly; numeric
 lengths are re-emitted as their shortest float form.
@@ -153,7 +155,7 @@ def graph_from_obj(data: dict) -> MarkedGraph:
     inverse = invert_basis(basis_words)  # raises if the marking is no basis
     comarking = {eid: Word(rank) for eid in tree} | dict(zip(nontree, inverse))
 
-    return MarkedGraph(rank, edges, basepoint, marking_paths, tree, comarking)
+    return MarkedGraph(rank, edges, basepoint, marking_paths, comarking)
 
 
 def dump_graph(g: MarkedGraph, path: str) -> None:

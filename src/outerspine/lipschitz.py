@@ -50,22 +50,20 @@ def _require_spine_volume(g: MarkedGraph, name: str) -> None:
         )
 
 
-def d_L(x: MarkedGraph, y: MarkedGraph, *, normalized: bool = True) -> float:
+def d_L(x: MarkedGraph, y: MarkedGraph) -> float:
     """Non-symmetric Lipschitz distance log(stretch(x, y)).
 
-    With normalized=True (the spine-point contract) both inputs must have
-    volume one, which makes the value nonnegative.  normalized=False skips
-    the check for scale-law computations on unnormalized graphs.
+    Both inputs must have volume one (the spine-point contract), which
+    makes the value nonnegative.
     """
-    if normalized:
-        _require_spine_volume(x, "x")
-        _require_spine_volume(y, "y")
+    _require_spine_volume(x, "x")
+    _require_spine_volume(y, "y")
     return math.log(stretch(x, y).factor)
 
 
-def d_sym(x: MarkedGraph, y: MarkedGraph, *, normalized: bool = True) -> float:
+def d_sym(x: MarkedGraph, y: MarkedGraph) -> float:
     """Symmetrized distance d_L(x, y) + d_L(y, x)."""
-    return d_L(x, y, normalized=normalized) + d_L(y, x, normalized=normalized)
+    return d_L(x, y) + d_L(y, x)
 
 
 def sigma_scale(x: MarkedGraph, t: MarkedGraph) -> float:

@@ -66,19 +66,26 @@ class MinResult:
     budget_exhausted: bool = False
 
 
-def _objective(g: MarkedGraph, current: RationalCurrent) -> list[Fraction]:
+def _objective(g: MarkedGraph, current: RationalCurrent) -> tuple[list[int], int]:
+    """The pairing's cost per edge of ``g``, as integers over one scale.
+
+    Crossing counts are ints and each float weight is p / q exactly
+    (``as_integer_ratio``), so clearing the q's once gives exact integers.
+    """
     if g.rank != current.rank:
         raise ValueError("rank mismatch")
     if not current:
         raise ValueError("cannot minimize the zero current")
-    obj = [Fraction(0)] * len(g.edges)
-    for letters, weight in current.atoms:
+    ratios = [weight.as_integer_ratio() for _, weight in current.atoms]
+    scale = math.lcm(*(q for _, q in ratios))
+    cost = [0] * len(g.edges)
+    for (letters, _), (p, q) in zip(current.atoms, ratios):
         cv = crossing_vector(g, Word(g.rank, letters))
-        wq = Fraction(weight)
+        wi = p * (scale // q)
         for i, e in enumerate(g.edges):
             if cv[e.id]:
-                obj[i] += wq * cv[e.id]
-    return obj
+                cost[i] += wi * cv[e.id]
+    return cost, scale
 
 
 def _cycle_rows(g: MarkedGraph) -> tuple[list[list[Fraction]], list[LoopPath]]:
@@ -150,9 +157,10 @@ def _vertices(n: int, rows: tuple[int, ...], eps: float) -> tuple[int, tuple[tup
 
 
 def _least_vertex(
-    obj: list[Fraction], n: int, rows: tuple[int, ...], eps: float
+    cost: list[int], scale: int, n: int, rows: tuple[int, ...], eps: float
 ) -> tuple[Fraction, tuple[Fraction, ...]] | None:
-    """The least (obj . v, v) over the region's vertices; None if empty.
+    """The least (cost . v / scale, v) over the region's vertices; None if
+    the region is empty.
 
     The lexicographically least point of the optimal face is a vertex, so
     this is the value and point of ``solve_lp`` on the same region.
@@ -160,8 +168,6 @@ def _least_vertex(
     den, verts = _vertices(n, rows, eps)
     if not verts:
         return None
-    scale = math.lcm(*(o.denominator for o in obj))
-    cost = [int(o * scale) for o in obj]
     dot, best = min((sum(c * v for c, v in zip(cost, x)), x) for x in verts)
     return Fraction(dot, scale * den), tuple(Fraction(v, den) for v in best)
 
@@ -192,7 +198,8 @@ def min_on_topology(g: MarkedGraph, current: RationalCurrent, eps: float) -> Min
     Infeasibility (epsilon larger than the topology's best systole) raises
     InfeasibleSpine naming a cycle that cannot reach epsilon.
     """
-    obj = _objective(g, current)
+    cost, scale = _objective(g, current)
+    obj = [Fraction(c, scale) for c in cost]
     n = len(g.edges)
     rows, cycles = _cycle_rows(g)
     epsq = Fraction(eps)
@@ -230,7 +237,7 @@ def _zero_nonloop_edges(g: MarkedGraph) -> list[str]:
 def _probe(g: MarkedGraph, current: RationalCurrent, eps: float) -> tuple[float, MarkedGraph] | None:
     """The value and point ``min_on_topology`` finds on ``g``, read off its
     region's vertices without an LP; None when the region is empty."""
-    hit = _least_vertex(_objective(g, current), len(g.edges), _row_masks(g), eps)
+    hit = _least_vertex(*_objective(g, current), len(g.edges), _row_masks(g), eps)
     if hit is None:
         return None
     value, x = hit

@@ -18,4 +18,4 @@ def parallel_graph(lengths: Sequence[float]) -> MarkedGraph:
     comarking = {"e1": Word(rank)}
     for k in range(1, rank + 1):
         comarking[f"e{k+1}"] = Word(rank, (k,))
-    return MarkedGraph(rank, edges, "u", marking, frozenset({"e1"}), comarking)
+    return MarkedGraph(rank, edges, "u", marking, comarking)

@@ -17,6 +17,8 @@ with open(FIXTURE) as fh:
 MU_NU = ["--mu", os.path.join(DATA, "current_a.json"), "--nu", os.path.join(DATA, "current_b.json")]
 CENTER = os.path.join(DATA, "rose_half_quarter.json")
 ROSE = os.path.join(DATA, "rose3.json")
+TRIBONACCI = os.path.join(DATA, "tribonacci.json")
+BALL = ["ball-contract", *MU_NU, "--center", CENTER, "--radii", "0.1,0.2"]
 
 
 def test_goldens_cover_every_subcommand():
@@ -56,6 +58,15 @@ def test_matches_golden(name):
         ["check-contracting", *MU_NU, "--fit-scale", "nan"],
         ["check-contracting", *MU_NU, "--b", "2", "--s-max", "inf"],
         ["ball-contract", *MU_NU, "--center", CENTER, "--radius", "nan"],
+        [*BALL, "--slack", "nan"],
+        [*BALL, "--slack", "inf"],
+        [*BALL, "--slack", "-0.5"],
+        ["tau", *MU_NU, "--x", CENTER, "--c", "nan"],
+        ["tau", *MU_NU, "--x", CENTER, "--c", "inf"],
+        ["tau", *MU_NU, "--x", CENTER, "--c", "-1"],
+        ["iwip", "--phi", TRIBONACCI, "--tol", "nan"],
+        ["iwip", "--phi", TRIBONACCI, "--tol", "inf"],
+        ["iwip", "--phi", TRIBONACCI, "--tol", "0"],
     ],
     ids=[
         "empty-s-list",
@@ -74,6 +85,15 @@ def test_matches_golden(name):
         "contracting-nan-fit-scale",
         "contracting-inf-s-max",
         "ball-nan-radius",
+        "ball-nan-slack",
+        "ball-inf-slack",
+        "ball-negative-slack",
+        "tau-nan-c",
+        "tau-inf-c",
+        "tau-negative-c",
+        "iwip-nan-tol",
+        "iwip-inf-tol",
+        "iwip-zero-tol",
     ],
 )
 @pytest.mark.parametrize("form", ["human", "json"])

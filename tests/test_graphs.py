@@ -170,7 +170,6 @@ class TestCandidates:
             ],
             "u",
             [(("p", 1),), (("m", 1), ("q", 1), ("m", -1))],
-            frozenset({"m"}),
             {"p": Word(2, (1,)), "q": Word(2, (2,)), "m": Word(2)},
         )
         shapes = [crossing_vector(g, w)["m"] for _, w in candidates(g)]
@@ -206,7 +205,6 @@ class TestCollapseExpand:
             ],
             "u",
             [(("p", 1),), (("m", 1), ("q", 1), ("m", -1))],
-            frozenset({"m"}),
             {"p": Word(2, (1,)), "q": Word(2, (2,)), "m": Word(2)},
         )
 
@@ -231,6 +229,28 @@ class TestCollapseExpand:
             assert translation_length(g0, w)[0] == pytest.approx(
                 translation_length(g1, w)[0]
             )
+
+    @pytest.mark.parametrize("base", ["u", "w"])
+    def test_collapse_edge_carrying_a_word(self, base):
+        # e2 reads a, so collapsing it re-gauges its end that is not the
+        # basepoint: the head w when based at u, the tail u when based at w
+        g = parallel_graph([0.3, 0.0, 0.4, 0.3])
+        if base == "w":
+            g = MarkedGraph(
+                g.rank,
+                g.edges,
+                "w",
+                [(("e1", -1), (f"e{k + 1}", 1)) for k in range(1, g.rank + 1)],
+                {e.id: g.comarking_word(e.id) for e in g.edges},
+            )
+        assert g.comarking_word("e2") == Word(3, (1,))
+        h = collapse_edge(g, "e2")
+        assert len(h.vertices) == 1
+        assert [h.word_along(p) for p in h.marking] == [Word(3, (k,)) for k in (1, 2, 3)]
+        rng = random.Random(6)
+        for _ in range(40):
+            w = random_rose_word(rng, rng.randrange(1, 8))
+            assert translation_length(h, w)[0] == pytest.approx(translation_length(g, w)[0])
 
     def test_volume_preserved(self):
         g0 = self.barbell(0.0)
@@ -267,7 +287,6 @@ class TestMarkingConsistency:
                 [Edge("a", "v", "v", 1 / 3), Edge("b", "v", "v", 1 / 3), Edge("c", "v", "v", 1 / 3)],
                 "v",
                 [(("a", 1),), (("b", 1),), (("b", 1),)],  # c missing
-                frozenset(),
                 {"a": Word(3, (1,)), "b": Word(3, (2,)), "c": Word(3, (3,))},
             )
 
@@ -305,7 +324,6 @@ class TestRelength:
             [Edge(e.id, e.src, e.dst, lengths[e.id]) for e in g.edges],
             g.basepoint,
             g.marking,
-            g.tree,
             {e.id: g.comarking_word(e.id) for e in g.edges},
         )
         assert moved.key() == fresh.key()

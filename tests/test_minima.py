@@ -110,7 +110,8 @@ class TestMinOnTopology:
                 continue
             done += 1
             lp = min_on_topology(graph, cur, 0.1)
-            obj = [float(o) for o in _objective(graph, cur)]
+            cost, scale = _objective(graph, cur)
+            obj = [c / scale for c in cost]
             rows, _ = _cycle_rows(graph)
             grid = grid_lp_min(
                 obj, [[float(x) for x in row] for row in rows], 0.1, Fraction(1, 50)
@@ -128,7 +129,6 @@ class TestMinOnTopology:
             tuple(reversed(g.edges)),
             g.basepoint,
             g.marking,
-            g.tree,
             {e.id: g.comarking_word(e.id) for e in g.edges},
         )
         cur = add(dual(w("a b")), dual(w("c"), 0.5))

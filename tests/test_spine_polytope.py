@@ -106,10 +106,11 @@ def positive_currents(draw, rank):
 def test_least_vertex_is_the_lp_point(data, rank, eps):
     graphs = pool(rank)
     g = graphs[data.draw(st.integers(0, len(graphs) - 1))]
-    obj = _objective(g, data.draw(positive_currents(rank)))
+    cost, scale = _objective(g, data.draw(positive_currents(rank)))
     n = len(g.edges)
     rows, _ = _cycle_rows(g)
-    got = _least_vertex(obj, n, _row_masks(g), eps)
+    got = _least_vertex(cost, scale, n, _row_masks(g), eps)
+    obj = [Fraction(c, scale) for c in cost]
     try:
         sol = solve_lp(obj, [[1] * n], [1], rows, [Fraction(eps)] * len(rows))
     except Infeasible:
