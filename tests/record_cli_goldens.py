@@ -3,9 +3,9 @@
 Each case runs ``cli.main`` in-process three times, once per output form:
 plain (human lines), ``--csv out.csv`` and ``--json``.  The working
 directory is a fresh temporary directory holding a copy of the bundled
-``data/*.json`` as ``data/``, so the input paths in ``config.inputs`` and
-the files a run writes (``--csv``, ``--out``, ``--points-dir``) have the
-same names on every machine.  Per form the fixture keeps the exit code,
+``data/*.json`` and of ``tests/data/*.json`` as ``data/``, so the input
+paths in ``config.inputs`` and the files a run writes (``--csv``, ``--out``,
+``--points-dir``) have the same names on every machine.  Per form the fixture keeps the exit code,
 stdout, stderr and every file the run wrote, by name.
 
 ``tests/test_cli.py`` replays the fixture exactly.  Re-record only for a
@@ -26,6 +26,8 @@ from outerspine import cli
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "cli_goldens.json")
 DATA = os.path.join(os.path.dirname(cli.__file__), "data")
+# the k=6 iwip pair of tribonacci.json, as ``iwip --k 6`` computes it
+FIXTURES = os.path.join(os.path.dirname(__file__), "data")
 
 FORMS = {"human": [], "csv": ["--csv", "out.csv"], "json": ["--json"]}
 
@@ -33,6 +35,7 @@ _MU_NU = ["--mu", "data/current_a.json", "--nu", "data/current_b.json"]
 _ROSE = "data/rose3.json"
 _TREE = "data/rose_half_quarter.json"
 _PHI = "data/tribonacci.json"
+_IWIP6 = ["--mu", "data/mu6.json", "--nu", "data/nu6.json"]
 
 # name -> argv without the output-form flags; small sizes keep the replay fast
 CASES = {
@@ -45,6 +48,10 @@ CASES = {
     "pair": ["pair", "--tree", _TREE, "--current", "data/current_a.json"],
     "iwip": ["iwip", "--phi", _PHI, "--k", "6", "--base", _TREE],
     "min": ["min", *_MU_NU, "--s", "0.5", "--start", _TREE, "--out", "min.json"],
+    # the descent ends on zero-length edges and collapses them
+    "min-final-collapse": ["min", *_IWIP6, "--s", "-1"],
+    # the final topology's optimal face is more than one vertex
+    "min-tied-optimum": ["min", *_IWIP6, "--s", "-2"],
     "axis": ["axis", *_MU_NU, "--from", "-1", "--to", "1", "--step", "0.5", "--points-dir", "."],
     "project": ["project", "--tree", _TREE, *_MU_NU, "--out", "proj.json"],
     "check-minisline": ["check-minisline", *_MU_NU, "--b", "500", "--s-list", "1"],
@@ -89,6 +96,7 @@ def run_case(argv: list[str]) -> dict:
     """All three output forms of one case, each in the same fresh directory."""
     with tempfile.TemporaryDirectory() as workdir:
         shutil.copytree(DATA, os.path.join(workdir, "data"))
+        shutil.copytree(FIXTURES, os.path.join(workdir, "data"), dirs_exist_ok=True)
         return {form: run_form(argv + flags, workdir) for form, flags in FORMS.items()}
 
 
