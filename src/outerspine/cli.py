@@ -9,8 +9,10 @@ Bad input includes ``--json`` given together with ``--csv``, an empty
 and non-finite numbers: ``nan`` or ``inf`` as an axis grid bound or step,
 a bound ``--b`` or a radius, a weight or an edge length, and an ``s``
 whose e^s overflows.  ``ball-contract --slack`` and ``tau --c`` must be
-finite and nonnegative, ``iwip --tol`` finite and positive.  Each exits 2
-instead of reporting a vacuous or meaningless result.
+finite and nonnegative, ``iwip --tol`` finite and positive, and ``iwip
+--k`` and each ``tau --powers`` entry at most ``words.MAX_POWER`` in
+absolute value.  Each exits 2 instead of reporting a vacuous or
+meaningless result, or running for hours.
 
 Metric commands (dist, min, axis, project, the checks, ball-contract,
 tau) normalize input graphs to volume one on load; pure measurements
@@ -51,7 +53,7 @@ from .graphs import (
     unit_rose,
 )
 from .lipschitz import d_L, d_sym, stretch
-from .minima import axis, balance_param, minimize, project, translate_axis
+from .minima import axis, balance_param, certificate, minimize, project, translate_axis
 from .sampling import SampleError
 from .words import format_word, parse_word, power
 
@@ -251,7 +253,8 @@ def _cmd_min(args) -> _Result:
         if args.start
         else unit_rose(mu.rank)
     )
-    res = minimize(exp_combination(mu, nu, args.s), args.eps, start, args.budget)
+    current = exp_combination(mu, nu, args.s)
+    res = minimize(current, args.eps, start, args.budget)
     if args.out:
         jsonio.dump_graph(res.point, args.out)
     row = [_fmt(args.s), _fmt(res.value), _flag(res.local), _flag(res.budget_exhausted)]
@@ -267,7 +270,7 @@ def _cmd_min(args) -> _Result:
         "local": res.local,
         "budget_exhausted": res.budget_exhausted,
         "topology_visits": res.topology_visits,
-        "certificate": res.certificate,
+        "certificate": certificate(res.point, current, args.eps),
         "point": jsonio.graph_to_obj(res.point),
     }
     header = ["s", "value", "local", "budget_exhausted"]
@@ -455,12 +458,11 @@ def _cmd_tau(args) -> _Result:
     shift = jsonio.load_automorphism(args.shift) if args.shift else None
     if shift is None and any(p != 0 for p in powers):
         raise ValueError("nonzero powers need --shift")
+    maps = [power(shift, p) if p else None for p in powers]
     base = axis(
         mu, nu, getattr(args, "from"), args.to, args.step, args.eps, args.budget
     )
-    axes = [
-        base if p == 0 else translate_axis(base, power(shift, p)) for p in powers
-    ]
+    axes = [base if m is None else translate_axis(base, m) for m in maps]
     n = len(axes)
     taus = {
         (i, j): overlap_tau(axes[i], axes[j], x, args.c)

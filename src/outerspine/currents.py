@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 from .graphs import MarkedGraph, rose, translation_length, crossing_vector
 from .words import (
+    MAX_POWER,
     Automorphism,
     Word,
     apply,
@@ -172,8 +173,8 @@ def iwip_pair_approx(
     conjugacy class matters) and the same for the inverse; lambda estimates
     are length ratios on ``base`` (default: unit rose of the right rank).
     """
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
+    if not 0 <= k <= MAX_POWER:
+        raise ValueError(f"k must be in 0..{MAX_POWER}, got {k}")
     if not seed:
         raise ValueError("seed must be nontrivial")
     if base is None:

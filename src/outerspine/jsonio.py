@@ -117,6 +117,7 @@ def graph_from_obj(data: dict) -> MarkedGraph:
         edges.append(Edge(*ends, float(raw), raw if isinstance(raw, str) else None))
     basepoint = _typed(data["basepoint"], (str,), "'basepoint'")
     marking = _typed(data["marking"], (dict,), "'marking'")
+    ids = {e.id for e in edges}
     marking_paths = []
     for k in range(rank):
         name = _LETTER_NAMES[k]
@@ -124,6 +125,9 @@ def graph_from_obj(data: dict) -> MarkedGraph:
             raise ValueError(f"marking lacks generator {name!r}")
         path = _typed(marking[name], (list,), f"marking of {name!r}")
         marking_paths.append(tuple(_parse_step(s) for s in path))
+        for eid, _ in marking_paths[-1]:
+            if eid not in ids:
+                raise ValueError(f"marking of {name!r} steps on unknown edge {eid!r}")
 
     declared = {
         _typed(v, (str,), "vertex")
@@ -132,6 +136,8 @@ def graph_from_obj(data: dict) -> MarkedGraph:
     touched = {e.src for e in edges} | {e.dst for e in edges}
     if declared and declared != touched:
         raise ValueError("vertex list disagrees with edge endpoints")
+    if basepoint not in touched:
+        raise ValueError(f"basepoint {basepoint!r} is not a vertex")
 
     adj: dict[str, list[tuple[str, str]]] = {v: [] for v in sorted(touched)}
     for e in sorted(edges, key=lambda e: e.id):

@@ -4,12 +4,12 @@ Translation length is linear in edge lengths at fixed topology, so the
 restriction of T -> <T, current> to one simplex of the spine is a linear
 program: lengths on the volume-one simplex, one lower bound per embedded
 cycle.  Its feasible region depends only on the cycle rows and epsilon, and
-many topologies share one region, so the descent enumerates each region's
-vertices once (exactly, by double description) and probes a topology by
-its least vertex.  Minimization chains these probes through collapse and
-expansion moves, then solves the LP once on the final topology for the
-duals that certify it; the search is local by design and every result
-says so.
+many topologies share one region, so each region's vertices are enumerated
+once (exactly, by double description) and a topology's minimum is its
+region's least vertex.  Minimization chains these minima through collapse
+and expansion moves; the search is local by design and every result says
+so.  The simplex runs only for what vertices do not give: the duals of
+``certificate`` and the best systole of ``max_systole_lengths``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .graphs import (
     transform,
     with_lengths,
 )
-from .simplex import Infeasible, solve_lp
+from .simplex import solve_lp
 from .words import Word, elementary_automorphisms
 
 
@@ -46,21 +46,19 @@ class InfeasibleSpine(ValueError):
 
 @dataclass(frozen=True)
 class MinResult:
-    """Certified minimum of a current over (part of) the spine.
+    """Minimum of a current over (part of) the spine.
 
-    ``certificate`` holds the LP duals on the final topology: first the
-    volume-row dual, then one value per embedded cycle in enumeration
-    order.  ``topology_visits`` counts the topologies the descent accepted
-    (1 when the start was already optimal); the budget bounds feasible
-    probes, which are many more.  ``local`` records that the topology search
-    makes no global claim; ``budget_exhausted`` that it stopped on budget
-    rather than at a local optimum.
+    ``point`` is the least vertex of its topology's region, which
+    ``certificate`` certifies.  ``topology_visits`` counts the topologies
+    the descent accepted (1 when the start was already optimal); the budget
+    bounds feasible probes, which are many more.  ``local`` records that
+    the topology search makes no global claim; ``budget_exhausted`` that it
+    stopped on budget rather than at a local optimum.
     """
 
     point: MarkedGraph
     value: float
     topology_visits: int
-    certificate: tuple[float, ...]
     eps: float
     local: bool = True
     budget_exhausted: bool = False
@@ -157,13 +155,13 @@ def _vertices(n: int, rows: tuple[int, ...], eps: float) -> tuple[int, tuple[tup
 
 
 def _least_vertex(
-    cost: list[int], scale: int, n: int, rows: tuple[int, ...], eps: float
+    cost: list[int], scale: int, n: int, rows: tuple[int, ...], eps: float | Fraction
 ) -> tuple[Fraction, tuple[Fraction, ...]] | None:
     """The least (cost . v / scale, v) over the region's vertices; None if
     the region is empty.
 
     The lexicographically least point of the optimal face is a vertex, so
-    this is the value and point of ``solve_lp`` on the same region.
+    this is the LP's value and its lexicographically least optimal point.
     """
     den, verts = _vertices(n, rows, eps)
     if not verts:
@@ -174,11 +172,12 @@ def _least_vertex(
 
 @functools.cache
 def _max_systole(n: int, rows: tuple[int, ...]) -> tuple[Fraction, tuple[Fraction, ...]]:
-    # variables: x_0..x_{n-1}, m; maximize m = minimize -m
+    # variables: x_0..x_{n-1}, m; maximize m = minimize -m.  The region at
+    # eps = t* is the LP's optimal face; its least vertex is the point.
     c = [0] * n + [-1]
     a_ge = [[row >> i & 1 for i in range(n)] + [-1] for row in rows]
-    sol = solve_lp(c, [[1] * n + [0]], [1], a_ge, [0] * len(rows))
-    return -sol.value, sol.x[:n]
+    best = -solve_lp(c, [[1] * n + [0]], [1], a_ge, [0] * len(rows)).value
+    return best, _least_vertex([0] * n, 1, n, rows, best)[1]
 
 
 def max_systole_lengths(g: MarkedGraph) -> tuple[float, dict[str, float]]:
@@ -193,55 +192,47 @@ def max_systole_lengths(g: MarkedGraph) -> tuple[float, dict[str, float]]:
 
 
 def min_on_topology(g: MarkedGraph, current: RationalCurrent, eps: float) -> MinResult:
-    """Exact minimum of the pairing over this topology's spine simplex.
+    """Exact minimum of the pairing over this topology's spine simplex:
+    the least vertex of its region, lexicographically least among ties.
 
     Infeasibility (epsilon larger than the topology's best systole) raises
     InfeasibleSpine naming a cycle that cannot reach epsilon.
     """
-    cost, scale = _objective(g, current)
-    obj = [Fraction(c, scale) for c in cost]
-    n = len(g.edges)
-    rows, cycles = _cycle_rows(g)
-    epsq = Fraction(eps)
-    try:
-        sol = solve_lp(
-            obj,
-            [[Fraction(1)] * n],
-            [Fraction(1)],
-            rows,
-            [epsq] * len(rows),
-        )
-    except Infeasible:
+    hit = _least_vertex(*_objective(g, current), len(g.edges), _row_masks(g), eps)
+    if hit is None:
         best, lengths = max_systole_lengths(g)
         worst = min(
-            cycles, key=lambda c: sum(lengths[e] for e in set(c.edge_ids()))
+            embedded_cycles(g), key=lambda c: sum(lengths[e] for e in set(c.edge_ids()))
         )
         raise InfeasibleSpine(
             f"epsilon {eps} exceeds this topology's best systole {best:.6g}",
             worst,
-        ) from None
-    point = with_lengths(g, {e.id: float(sol.x[i]) for i, e in enumerate(g.edges)})
-    return MinResult(
-        point=point,
-        value=float(sol.value),
-        topology_visits=1,
-        certificate=tuple(float(d) for d in sol.duals),
-        eps=eps,
+        )
+    value, x = hit
+    point = with_lengths(g, {e.id: v for e, v in zip(g.edges, x)})
+    return MinResult(point=point, value=float(value), topology_visits=1, eps=eps)
+
+
+def certificate(g: MarkedGraph, current: RationalCurrent, eps: float) -> tuple[float, ...]:
+    """LP duals certifying ``min_on_topology`` on ``g``'s topology: first
+    the volume-row dual, then one value per embedded cycle in enumeration
+    order.  By strong duality the volume dual plus eps times the cycle
+    duals is the minimum.  The region must not be empty.
+    """
+    cost, scale = _objective(g, current)
+    rows, _ = _cycle_rows(g)
+    sol = solve_lp(
+        [Fraction(c, scale) for c in cost],
+        [[1] * len(g.edges)],
+        [1],
+        rows,
+        [Fraction(eps)] * len(rows),
     )
+    return tuple(float(d) for d in sol.duals)
 
 
 def _zero_nonloop_edges(g: MarkedGraph) -> list[str]:
     return [e.id for e in g.edges if e.length == 0.0 and e.src != e.dst]
-
-
-def _probe(g: MarkedGraph, current: RationalCurrent, eps: float) -> tuple[float, MarkedGraph] | None:
-    """The value and point ``min_on_topology`` finds on ``g``, read off its
-    region's vertices without an LP; None when the region is empty."""
-    hit = _least_vertex(*_objective(g, current), len(g.edges), _row_masks(g), eps)
-    if hit is None:
-        return None
-    value, x = hit
-    return float(value), with_lengths(g, {e.id: v for e, v in zip(g.edges, x)})
 
 
 def minimize(
@@ -254,13 +245,13 @@ def minimize(
 
     Each step takes the optimum on the current topology, collapses its
     zero-length edges, and probes that quotient, all its expansions, and
-    its translates under the elementary automorphisms, each by the least
-    vertex of its region; it moves only on strict improvement (> 1e-9), so
-    the descent terminates.  Expansions alone cannot walk along the axis of
-    an exponential pair (that takes a change of marking), which is what the
-    translates are for.  One LP on the final topology (collapsed when the
-    optimum has zero edges) supplies the certificate.  The result is a
-    certified local minimum unless the budget ran out first.
+    its translates under the elementary automorphisms with
+    ``min_on_topology``, skipping empty regions; it moves only on strict
+    improvement (> 1e-9), so the descent terminates.  Expansions alone
+    cannot walk along the axis of an exponential pair (that takes a change
+    of marking), which is what the translates are for.  An optimum with
+    zero-length edges is returned on its collapsed topology.  The result
+    is a local minimum unless the budget ran out first.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -269,10 +260,9 @@ def minimize(
     if not in_spine(start, eps):
         raise ValueError("start point is outside the epsilon-spine")
     gens = elementary_automorphisms(start.rank)
-    here = _probe(start, current, eps)
-    if here is None:  # in the spine only up to in_spine's tolerance
-        min_on_topology(start, current, eps)  # raises InfeasibleSpine
-    value, point = here
+    # raises InfeasibleSpine: in_spine's tolerance admits empty regions
+    here = min_on_topology(start, current, eps)
+    value, point = here.value, here.point
     probes = 1
     accepted = 1
     exhausted = False
@@ -287,7 +277,7 @@ def minimize(
             if carrier.valence(v) >= 4:
                 neighbors.extend(expansions(carrier, v))
         neighbors.extend(transform(carrier, psi) for psi in gens)
-        best_move: tuple[float, MarkedGraph] | None = None
+        moves: list[MinResult] = []
         for nb in neighbors:
             if nb._topo.key in seen:
                 continue
@@ -295,26 +285,25 @@ def minimize(
             if probes >= budget:
                 exhausted = True
                 break
-            cand = _probe(nb, current, eps)
-            if cand is None:
+            try:
+                moves.append(min_on_topology(nb, current, eps))
+            except InfeasibleSpine:
                 continue
             probes += 1
-            if best_move is None or (cand[0], cand[1].key()) < (best_move[0], best_move[1].key()):
-                best_move = cand
-        if best_move is None or best_move[0] >= value - 1e-9:
+        best = min(moves, key=lambda r: (r.value, r.point.key()), default=None)
+        if best is None or best.value >= value - 1e-9:
             break
-        value, point = best_move
+        value, point = best.value, best.point
         accepted += 1
 
     if _zero_nonloop_edges(point):
-        point = collapse_zero_edges(point)
-    final = min_on_topology(point, current, eps)
-    assert abs(final.value - value) <= 1e-9, "collapse changed the optimum"
+        final = min_on_topology(collapse_zero_edges(point), current, eps)
+        assert abs(final.value - value) <= 1e-9, "collapse changed the optimum"
+        point = final.point
     return MinResult(
-        point=final.point,
+        point=point,
         value=value,
         topology_visits=accepted,
-        certificate=final.certificate,
         eps=eps,
         local=True,
         budget_exhausted=exhausted,
@@ -439,7 +428,8 @@ def project(
 
     Balancing picks s* with t in Bal(e^s* mu, e^-s* nu); the minimum of
     that combination realizes the projection.  Deterministic through the
-    LP tie-breaks even though the true Pi is only coarsely well defined.
+    lexicographic tie-break even though the true Pi is only coarsely well
+    defined.
     """
     s_star = balance_param(t, mu, nu)
     return minimize(exp_combination(mu, nu, s_star), eps, t, budget)

@@ -13,7 +13,9 @@ The public entry point solves
 
 and returns the optimum, an optimal vertex, and dual values forming an
 optimality certificate (the tests check strong duality and dual
-feasibility against it).
+feasibility against it).  Which optimal vertex depends on the pivot path;
+callers that need one canonical point read it off the region's vertices
+(``minima._least_vertex``).
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ class LpSolution:
     value: Fraction
     x: tuple[Fraction, ...]
     duals: tuple[Fraction, ...]  # one per constraint row, equality rows first
-    unique: bool
 
 
 class _Tableau:
@@ -106,15 +107,29 @@ class _Tableau:
             self.pivot(leave, enter)
 
 
-def _solve_once(
-    c: list[Fraction],
-    rows: list[list[Fraction]],
-    rhs: list[Fraction],
-    kinds: list[str],
+def solve_lp(
+    c: Sequence,
+    a_eq: Sequence[Sequence] = (),
+    b_eq: Sequence = (),
+    a_ge: Sequence[Sequence] = (),
+    b_ge: Sequence = (),
 ) -> LpSolution:
+    """Solve the LP; see the module docstring for the problem shape."""
+    c = [_frac(v) for v in c]
+    rows = [[_frac(v) for v in row] for row in a_eq]
+    rhs = [_frac(v) for v in b_eq]
+    kinds = ["eq"] * len(rows)
+    for row, b in zip(a_ge, b_ge):
+        rows.append([_frac(v) for v in row])
+        rhs.append(_frac(b))
+        kinds.append("ge")
+    for row in rows:
+        if len(row) != len(c):
+            raise ValueError("constraint width does not match objective")
+
     nvars = len(c)
     nrows = len(rows)
-    nslack = sum(1 for k in kinds if k == "ge")
+    nslack = kinds.count("ge")
     art_lo = nvars + nslack
     ncols = art_lo + nrows
     zero = Fraction(0)
@@ -164,63 +179,4 @@ def _solve_once(
     # column (cost 0, original column +-e_i), adjusted for the sign flip
     red = tab.reduced_costs(cost)
     duals = tuple(-red[art_lo + i] * sign[i] for i in range(nrows))
-
-    # the vertex is unique iff every nonbasic structural or slack column
-    # has strictly positive reduced cost
-    basis_set = set(tab.basis)
-    unique = all(
-        red[j] > 0 for j in range(art_lo) if j not in basis_set
-    )
-    return LpSolution(value, tuple(x[:nvars]), duals, unique)
-
-
-def solve_lp(
-    c: Sequence,
-    a_eq: Sequence[Sequence] = (),
-    b_eq: Sequence = (),
-    a_ge: Sequence[Sequence] = (),
-    b_ge: Sequence = (),
-) -> LpSolution:
-    """Solve the LP; see the module docstring for the problem shape.
-
-    A non-unique optimal face is narrowed deterministically: variables are
-    minimized one at a time in index order with the objective and all
-    earlier variables pinned to their minima.  The result is the
-    lexicographically smallest optimal vertex, independent of constraint
-    row order.  The duals always certify the original objective.
-    """
-    c = [_frac(v) for v in c]
-    rows = [[_frac(v) for v in row] for row in a_eq]
-    rhs = [_frac(v) for v in b_eq]
-    kinds = ["eq"] * len(rows)
-    for row, b in zip(a_ge, b_ge):
-        rows.append([_frac(v) for v in row])
-        rhs.append(_frac(b))
-        kinds.append("ge")
-    for row in rows:
-        if len(row) != len(c):
-            raise ValueError("constraint width does not match objective")
-
-    sol = _solve_once(c, rows, rhs, kinds)
-    if sol.unique:
-        return sol
-
-    nvars = len(c)
-    pin_rows = list(rows)
-    pin_rhs = list(rhs)
-    pin_kinds = list(kinds)
-    pin_rows.append(list(c))
-    pin_rhs.append(sol.value)
-    pin_kinds.append("eq")
-    best_x = sol.x
-    for col in range(nvars):
-        obj = [Fraction(0)] * nvars
-        obj[col] = Fraction(1)
-        sub = _solve_once(obj, pin_rows, pin_rhs, pin_kinds)
-        best_x = sub.x
-        if sub.unique:
-            break
-        pin_rows.append(list(obj))
-        pin_rhs.append(sub.value)
-        pin_kinds.append("eq")
-    return LpSolution(sol.value, best_x, sol.duals, False)
+    return LpSolution(value, tuple(x[:nvars]), duals)

@@ -244,6 +244,12 @@ class NielsenMove:
 # cap within seconds instead of exhausting memory.
 MAX_LETTERS = 1 << 20
 
+# Largest exponent ``power`` and ``iwip_pair_approx`` take.  Each factor is
+# one more composition (and one more copy of the moves), so the work grows
+# with the exponent even when the words stay short; no bundled input or test
+# goes past 40.
+MAX_POWER = 10_000
+
 
 def _substitute(letters: Sequence[int], images: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
     """Substitute ``images`` into ``letters`` and freely reduce.
@@ -354,7 +360,10 @@ def invert(phi: Automorphism) -> Automorphism:
 
 
 def power(phi: Automorphism, k: int) -> Automorphism:
-    """phi^k for any integer k; negative powers use the carried inverse."""
+    """phi^k for any integer k with |k| <= MAX_POWER; negative powers use
+    the carried inverse."""
+    if abs(k) > MAX_POWER:
+        raise ValueError(f"power {k} exceeds {MAX_POWER} in absolute value")
     base = phi if k >= 0 else invert(phi)
     out = Automorphism.identity(phi.rank)
     for _ in range(abs(k)):

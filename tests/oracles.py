@@ -1,15 +1,19 @@
 """Independent cross-checks for the test suite.
 
 Everything here is reimplemented from scratch on plain ints, tuples and
-floats: brute enumeration, grid search, Newton iteration.  Nothing imports
-from outerspine, so a package bug cannot hide behind a shared helper.
-Letters are signed integers (1 = a, -1 = a inverse).
+floats: brute enumeration, grid search, Newton iteration.  Nothing else
+imports from outerspine, so a package bug cannot hide behind a shared
+helper.  The one exception is ``o_lex_least_point``, which drives the
+package's simplex; it checks the vertex enumeration, which shares no code
+with the simplex.  Letters are signed integers (1 = a, -1 = a inverse).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+
+from outerspine.simplex import solve_lp
 
 
 # --- free words -------------------------------------------------------------------
@@ -244,3 +248,17 @@ def o_region_vertices(n: int, rows, eps: Fraction) -> set[tuple[Fraction, ...]]:
         ):
             found.add(x)
     return found
+
+
+def o_lex_least_point(c, a_eq, b_eq, a_ge, b_ge) -> tuple[Fraction, ...]:
+    """The lexicographically least optimal point of the LP, by pinning:
+    solve it, then minimize each variable in index order with the objective
+    and every earlier variable fixed at its minimum.  Raises as ``solve_lp``
+    does."""
+    value = solve_lp(c, a_eq, b_eq, a_ge, b_ge).value
+    a_eq, b_eq = [*a_eq, c], [*b_eq, value]
+    for col in range(len(c)):
+        unit = [int(i == col) for i in range(len(c))]
+        x = solve_lp(unit, a_eq, b_eq, a_ge, b_ge).x
+        a_eq, b_eq = [*a_eq, unit], [*b_eq, x[col]]
+    return x

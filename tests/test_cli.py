@@ -8,8 +8,9 @@ import os
 
 import pytest
 
-from outerspine import cli
-from record_cli_goldens import CASES, DATA, FIXTURE, FORMS, run_case
+from outerspine import cli, exp_combination, jsonio
+from outerspine.minima import _objective, _row_masks, _vertices
+from record_cli_goldens import CASES, DATA, FIXTURE, FIXTURES, FORMS, run_case
 
 with open(FIXTURE) as fh:
     GOLDENS = json.load(fh)
@@ -37,6 +38,18 @@ def test_matches_golden(name):
     got = run_case(golden["argv"])
     for form in FORMS:
         assert got[form] == golden["forms"][form], form
+
+
+def test_tied_golden_prints_a_tie_break():
+    """The ``min-tied-optimum`` point is one of several optimal vertices of
+    its region, so the golden pins the lexicographic tie-break."""
+    body = json.loads(GOLDENS["min-tied-optimum"]["forms"]["json"]["stdout"])
+    g = jsonio.graph_from_obj(body["point"])
+    mu, nu = (jsonio.load_current(os.path.join(FIXTURES, f)) for f in ("mu6.json", "nu6.json"))
+    cost, _ = _objective(g, exp_combination(mu, nu, body["s"]))
+    _, verts = _vertices(len(g.edges), _row_masks(g), body["config"]["eps"])
+    dots = [sum(c * v for c, v in zip(cost, x)) for x in verts]
+    assert dots.count(min(dots)) > 1
 
 
 @pytest.mark.parametrize(
@@ -103,6 +116,28 @@ def test_vacuous_input_exits_2(capsys, argv, form):
     assert out == ""
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["iwip", "--k", "10001"],
+        ["tau", *MU_NU, "--x", CENTER, "--c", "1", "--powers", "0,10001"],
+        ["tau", *MU_NU, "--x", CENTER, "--c", "1", "--powers=0,-10001"],
+    ],
+    ids=["iwip-k", "tau-power", "tau-negative-power"],
+)
+def test_exponent_over_max_power_exits_2(tmp_path, capsys, argv):
+    # a transposition's powers stay short, so only the bound stops the
+    # work, which grows with the exponent
+    swap = tmp_path / "swap.json"
+    moves = [{"kind": "transpose", "target": "a", "by": "b"}]
+    swap.write_text(json.dumps({"rank": 3, "moves": moves}))
+    flag = "--phi" if argv[0] == "iwip" else "--shift"
+    assert cli.main([*argv, flag, str(swap)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "10000" in err and len(err.splitlines()) == 1
 
 
 def test_json_and_csv_exclude_each_other(tmp_path, capsys):

@@ -101,6 +101,21 @@ def test_wrong_inner_type_exits_2(tmp_path, capsys, obj, argv):
     assert_one_error_line(err)
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({**GRAPH, "basepoint": "w"}, "error: basepoint 'w' is not a vertex\n"),
+        (
+            {**GRAPH, "marking": {"a": ["a+"], "b": ["e9+"], "c": ["c+"]}},
+            "error: marking of 'b' steps on unknown edge 'e9'\n",
+        ),
+    ],
+    ids=["basepoint", "marking-edge"],
+)
+def test_graph_names_what_is_wrong(tmp_path, capsys, obj, message):
+    assert run(tmp_path, capsys, obj, ["systole", "--graph", "INPUT"]) == (2, message)
+
+
 CURRENT_B = os.path.join(DATA, "current_b.json")
 
 

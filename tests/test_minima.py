@@ -31,7 +31,7 @@ from outerspine import (
     translate_axis,
     unit_rose,
 )
-from outerspine.minima import _cycle_rows, _objective
+from outerspine.minima import _cycle_rows, _objective, certificate
 from outerspine.sampling import spine_points
 
 from builders import parallel_graph
@@ -85,10 +85,17 @@ class TestMinOnTopology:
     def test_duals_certify_value(self):
         cur = add(dual(w("a b"), 0.7), dual(w("c"), 1.2))
         res = min_on_topology(ROSE, cur, 0.1)
+        duals = certificate(res.point, cur, 0.1)
         # strong duality: value = dual . rhs = vol_dual*1 + sum(cycle_dual)*eps
-        certified = res.certificate[0] + 0.1 * sum(res.certificate[1:])
+        certified = duals[0] + 0.1 * sum(duals[1:])
         assert certified == pytest.approx(res.value, abs=1e-12)
-        assert all(d >= -1e-15 for d in res.certificate[1:])
+        assert all(d >= -1e-15 for d in duals[1:])
+        # dual feasibility: no edge's reduced cost is negative
+        cost, scale = _objective(ROSE, cur)
+        rows, _ = _cycle_rows(ROSE)
+        for i, c in enumerate(cost):
+            used = duals[0] + sum(d * float(row[i]) for d, row in zip(duals[1:], rows))
+            assert used <= c / scale + 1e-12
 
     def test_feasibility_of_returned_lengths(self):
         rng = random.Random(11)
@@ -206,7 +213,8 @@ class TestMinimize:
         cur = random_current(rng) or dual(w("a"))
         res = minimize(cur, 0.05, ROSE)
         assert in_spine(res.point, 0.05)
-        certified = res.certificate[0] + 0.05 * sum(res.certificate[1:])
+        duals = certificate(res.point, cur, 0.05)
+        certified = duals[0] + 0.05 * sum(duals[1:])
         assert certified == pytest.approx(res.value, abs=1e-9)
 
 

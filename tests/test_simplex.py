@@ -1,11 +1,15 @@
-"""Exact simplex solver against closed forms and random cross-checks."""
+"""Exact simplex solver against closed forms and random cross-checks, and
+the lexicographic tie-break of the least vertex against a pinning oracle."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from outerspine.minima import _least_vertex
 from outerspine.simplex import Infeasible, Unbounded, solve_lp
+
+from oracles import o_lex_least_point
 
 
 F = Fraction
@@ -36,23 +40,23 @@ def test_single_coordinate_objective():
 
 
 def test_tie_break_is_lexicographic_minimum():
-    # the optimal face is y + z = 9/10; tie-break pushes y to its minimum
-    sol = solve_lp(
-        [1, 0, 0],
-        a_eq=[[1, 1, 1]],
-        b_eq=[1],
-        a_ge=[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-        b_ge=[F(1, 10), F(1, 10), F(1, 10)],
-    )
-    assert sol.x == (F(1, 10), F(1, 10), F(8, 10))
+    # the optimal face is y + z = 9/10; the least vertex pushes y to its minimum
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    point = (F(1, 10), F(1, 10), F(8, 10))
+    assert o_lex_least_point([1, 0, 0], [[1, 1, 1]], [1], rows, [F(1, 10)] * 3) == point
+    assert _least_vertex([1, 0, 0], 1, 3, (1, 2, 4), F(1, 10)) == (F(1, 10), point)
 
 
 def test_tie_break_independent_of_row_order():
     rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     rhs = [F(1, 10)] * 3
-    a = solve_lp([1, 0, 0], [[1, 1, 1]], [1], rows, rhs)
-    b = solve_lp([1, 0, 0], [[1, 1, 1]], [1], rows[::-1], rhs)
-    assert a.x == b.x
+    a = o_lex_least_point([1, 0, 0], [[1, 1, 1]], [1], rows, rhs)
+    b = o_lex_least_point([1, 0, 0], [[1, 1, 1]], [1], rows[::-1], rhs)
+    assert a == b
+    masks = (1, 2, 4)
+    assert _least_vertex([1, 0, 0], 1, 3, masks, F(1, 10)) == _least_vertex(
+        [1, 0, 0], 1, 3, masks[::-1], F(1, 10)
+    )
 
 
 def test_infeasible_raises():

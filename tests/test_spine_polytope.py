@@ -1,5 +1,6 @@
-"""Spine polytopes: the vertex enumeration behind ``minimize``'s probes,
-its agreement with the LP it replaces, and the LP count of a descent."""
+"""Spine polytopes: the vertex enumeration behind ``min_on_topology`` and
+``max_systole_lengths``, its agreement with the simplex and with a pinning
+oracle, and the LP count of a descent (none)."""
 
 import functools
 import os
@@ -15,7 +16,7 @@ from outerspine.minima import _cycle_rows, _least_vertex, _objective, _row_masks
 from outerspine.simplex import Infeasible, solve_lp
 from outerspine.words import Word
 
-from oracles import o_cycle_rows, o_region_vertices
+from oracles import o_cycle_rows, o_lex_least_point, o_region_vertices
 
 DATA = os.path.join(os.path.dirname(minima.__file__), "data")
 # a loop, two pairs of parallel edges and one more edge on three vertices
@@ -111,16 +112,34 @@ def test_least_vertex_is_the_lp_point(data, rank, eps):
     rows, _ = _cycle_rows(g)
     got = _least_vertex(cost, scale, n, _row_masks(g), eps)
     obj = [Fraction(c, scale) for c in cost]
+    lp = (obj, [[1] * n], [1], rows, [Fraction(eps)] * len(rows))
     try:
-        sol = solve_lp(obj, [[1] * n], [1], rows, [Fraction(eps)] * len(rows))
+        sol = solve_lp(*lp)
     except Infeasible:
         assert got is None
         return
-    assert got == (sol.value, sol.x)
+    assert got == (sol.value, o_lex_least_point(*lp))
+
+
+def test_max_systole_point_is_the_lex_least_optimum():
+    regions = {(len(g.edges), _row_masks(g)) for g in pool(3)}
+    assert len(regions) > 5
+    small = 0
+    for n, rows in regions:
+        best, x = minima._max_systole(n, rows)
+        a_ge = [[row >> i & 1 for i in range(n)] + [-1] for row in rows]
+        lp = ([0] * n + [-1], [[1] * n + [0]], [1], a_ge, [0] * len(rows))
+        point = o_lex_least_point(*lp)
+        assert x == point[:n] and best == point[n]
+        if n <= 5:
+            small += 1
+            dense = [tuple(row >> i & 1 for i in range(n)) for row in rows]
+            assert x == min(o_region_vertices(n, dense, best))
+    assert small > 5
 
 
 def test_lp_count(monkeypatch):
-    """At most two LPs per descent, and one per region ``repair`` blends in."""
+    """No LP in a descent, and one per region ``repair`` blends in."""
     lps = []
     descents = []
     blends = []
@@ -145,11 +164,11 @@ def test_lp_count(monkeypatch):
     monkeypatch.setattr(sampling, "max_systole_lengths", counted_blend)
     mu = jsonio.load_current(os.path.join(DATA, "current_a.json"))
     nu = jsonio.load_current(os.path.join(DATA, "current_b.json"))
+    minima._max_systole.cache_clear()
     minima.minimize(mu, 0.05, rose([1 / 3] * 3))
     axis(mu, nu, -0.5, 0.5, 0.5, 0.05)
     assert len(descents) == 4
-    assert 0 < len(lps) <= 2 * len(descents)
-    del lps[:]
+    assert lps == []
     minima._max_systole.cache_clear()
     sampling.spine_points(3, 0.25, 0, 20)
     assert len(blends) > len(regions) > 0
