@@ -12,7 +12,9 @@ whose e^s overflows.  ``ball-contract --slack`` and ``tau --c`` must be
 finite and nonnegative, ``iwip --tol`` finite and positive, and ``iwip
 --k`` and each ``tau --powers`` entry at most ``words.MAX_POWER`` in
 absolute value.  Each exits 2 instead of reporting a vacuous or
-meaningless result, or running for hours.
+meaningless result, or running for hours.  The comma lists
+``--s-list``, ``--radii`` and ``--powers`` may start with a negative
+entry (``--powers -2,0``).
 
 Metric commands (dist, min, axis, project, the checks, ball-contract,
 tau) normalize input graphs to volume one on load; pure measurements
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass
 
@@ -681,9 +684,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# argparse takes a value such as "-2,0" for an option name (only one plain
+# negative number passes as a value), so main attaches a list option's
+# value to it as "--powers=-2,0" before parsing
+_LISTS = ("--s-list", "--radii", "--powers")
+
+
+def _attach_lists(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for a in argv:
+        if out and out[-1] in _LISTS and re.match(r"-[\d.]", a):
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_attach_lists(sys.argv[1:] if argv is None else argv))
         return _render(args, args.func(args))
     except SystemExit as e:
         return int(e.code) if e.code else 0

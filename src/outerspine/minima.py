@@ -8,8 +8,11 @@ many topologies share one region, so each region's vertices are enumerated
 once (exactly, by double description) and a topology's minimum is its
 region's least vertex.  Minimization chains these minima through collapse
 and expansion moves; the search is local by design and every result says
-so.  The simplex runs only for what vertices do not give: the duals of
-``certificate`` and the best systole of ``max_systole_lengths``.
+so.  A translate under an automorphism keeps its source's edges, so its
+region; ``minimize`` probes it on its source by pulling the current back
+through the automorphism, and builds the translate only when it moves
+there.  The simplex runs only for what vertices do not give: the duals
+of ``certificate`` and the best systole of ``max_systole_lengths``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .graphs import (
     with_lengths,
 )
 from .simplex import solve_lp
-from .words import Word, elementary_automorphisms
+from .words import Automorphism, Word, apply, elementary_automorphisms, invert
 
 
 class InfeasibleSpine(ValueError):
@@ -64,11 +67,16 @@ class MinResult:
     budget_exhausted: bool = False
 
 
-def _objective(g: MarkedGraph, current: RationalCurrent) -> tuple[list[int], int]:
+def _objective(
+    g: MarkedGraph, current: RationalCurrent, pull: Automorphism | None = None
+) -> tuple[list[int], int]:
     """The pairing's cost per edge of ``g``, as integers over one scale.
 
     Crossing counts are ints and each float weight is p / q exactly
     (``as_integer_ratio``), so clearing the q's once gives exact integers.
+    With ``pull`` = psi^-1 each atom w is crossed as pull(w): that is the
+    cost of ``transform(g, psi)`` in ``g``'s edge order, since the translate
+    measures w the way ``g`` measures psi^-1(w).
     """
     if g.rank != current.rank:
         raise ValueError("rank mismatch")
@@ -78,7 +86,8 @@ def _objective(g: MarkedGraph, current: RationalCurrent) -> tuple[list[int], int
     scale = math.lcm(*(q for _, q in ratios))
     cost = [0] * len(g.edges)
     for (letters, _), (p, q) in zip(current.atoms, ratios):
-        cv = crossing_vector(g, Word(g.rank, letters))
+        w = Word(g.rank, letters)
+        cv = crossing_vector(g, w if pull is None else apply(pull, w))
         wi = p * (scale // q)
         for i, e in enumerate(g.edges):
             if cv[e.id]:
@@ -235,6 +244,72 @@ def _zero_nonloop_edges(g: MarkedGraph) -> list[str]:
     return [e.id for e in g.edges if e.length == 0.0 and e.src != e.dst]
 
 
+def _probe(g: MarkedGraph, current: RationalCurrent, eps: float):
+    """A built neighbour's least vertex as (value, point key, build), or
+    None when its region is empty."""
+    try:
+        r = min_on_topology(g, current, eps)
+    except InfeasibleSpine:
+        return None
+    return r.value, r.point.key(), lambda: r.point
+
+
+def _probe_translate(
+    c: MarkedGraph,
+    psi: Automorphism,
+    pull: Automorphism,
+    marking: tuple,
+    current: RationalCurrent,
+    eps: float,
+):
+    """``_probe`` of ``transform(c, psi)``, read on ``c`` with no graph built.
+
+    The translate keeps ``c``'s edges, basepoint and adjacency, so its
+    cycle rows and region are ``c``'s; only its marking and cost differ.
+    ``build`` makes the translate through the validating constructor.
+    """
+    hit = _least_vertex(*_objective(c, current, pull), len(c.edges), _row_masks(c), eps)
+    if hit is None:
+        return None
+    value, x = hit
+    rank, edges, basepoint, _ = c._topo.key
+    key = (rank, tuple((*e, float(v)) for e, v in zip(edges, x)), basepoint, marking)
+
+    def build() -> MarkedGraph:
+        point = with_lengths(transform(c, psi), {e.id: v for e, v in zip(c.edges, x)})
+        assert point.key() == key, "a translate's probe disagrees with its graph"
+        return point
+
+    return float(value), key, build
+
+
+def _neighbor_probes(
+    carrier: MarkedGraph,
+    zeros: list[str],
+    gens: tuple[Automorphism, ...],
+    pulls: list[Automorphism],
+    current: RationalCurrent,
+    eps: float,
+):
+    """(topology key, probe) per neighbour of the carrier, in probe order:
+    the carrier itself when zero edges were collapsed, its expansions,
+    then its translates under ``gens`` (``pulls`` their inverses)."""
+    built = [carrier] if zeros else []
+    for v in carrier.vertices:
+        if carrier.valence(v) >= 4:
+            built.extend(expansions(carrier, v))
+    for g in built:
+        yield g._topo.key, functools.partial(_probe, g, current, eps)
+    rank, edges, basepoint, _ = carrier._topo.key
+    for psi, pull in zip(gens, pulls):
+        marking = tuple(
+            carrier.path_of(apply(pull, Word(rank, (k,)))) for k in range(1, rank + 1)
+        )
+        yield (rank, edges, basepoint, marking), functools.partial(
+            _probe_translate, carrier, psi, pull, marking, current, eps
+        )
+
+
 def minimize(
     current: RationalCurrent,
     eps: float,
@@ -245,13 +320,15 @@ def minimize(
 
     Each step takes the optimum on the current topology, collapses its
     zero-length edges, and probes that quotient, all its expansions, and
-    its translates under the elementary automorphisms with
-    ``min_on_topology``, skipping empty regions; it moves only on strict
-    improvement (> 1e-9), so the descent terminates.  Expansions alone
-    cannot walk along the axis of an exponential pair (that takes a change
-    of marking), which is what the translates are for.  An optimum with
-    zero-length edges is returned on its collapsed topology.  The result
-    is a local minimum unless the budget ran out first.
+    its translates under the elementary automorphisms for their least
+    vertices, skipping empty regions; it moves only on strict improvement
+    (> 1e-9), so the descent terminates.  Expansions alone cannot walk
+    along the axis of an exponential pair (that takes a change of
+    marking), which is what the translates are for.  A translate is
+    probed on the carrier itself, with the current pulled back through
+    the automorphism, and built only when the descent moves to it.  An
+    optimum with zero-length edges is returned on its collapsed topology.
+    The result is a local minimum unless the budget ran out first.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -260,6 +337,7 @@ def minimize(
     if not in_spine(start, eps):
         raise ValueError("start point is outside the epsilon-spine")
     gens = elementary_automorphisms(start.rank)
+    pulls = [invert(psi) for psi in gens]
     # raises InfeasibleSpine: in_spine's tolerance admits empty regions
     here = min_on_topology(start, current, eps)
     value, point = here.value, here.point
@@ -272,28 +350,23 @@ def minimize(
         # faces collapsed away (a rose has no zero faces; explore anyway)
         zeros = _zero_nonloop_edges(point)
         carrier = collapse_zero_edges(point) if zeros else point
-        neighbors: list[MarkedGraph] = [carrier] if zeros else []
-        for v in carrier.vertices:
-            if carrier.valence(v) >= 4:
-                neighbors.extend(expansions(carrier, v))
-        neighbors.extend(transform(carrier, psi) for psi in gens)
-        moves: list[MinResult] = []
-        for nb in neighbors:
-            if nb._topo.key in seen:
+        moves = []  # (value, point key, build) per feasible probe
+        for key, probe in _neighbor_probes(carrier, zeros, gens, pulls, current, eps):
+            if key in seen:
                 continue
-            seen.add(nb._topo.key)
+            seen.add(key)
             if probes >= budget:
                 exhausted = True
                 break
-            try:
-                moves.append(min_on_topology(nb, current, eps))
-            except InfeasibleSpine:
+            move = probe()
+            if move is None:
                 continue
             probes += 1
-        best = min(moves, key=lambda r: (r.value, r.point.key()), default=None)
-        if best is None or best.value >= value - 1e-9:
+            moves.append(move)
+        best = min(moves, key=lambda m: m[:2], default=None)
+        if best is None or best[0] >= value - 1e-9:
             break
-        value, point = best.value, best.point
+        value, point = best[0], best[2]()
         accepted += 1
 
     if _zero_nonloop_edges(point):

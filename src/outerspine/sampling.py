@@ -51,21 +51,24 @@ def repair(g: MarkedGraph, eps: float) -> MarkedGraph:
         raise SampleError(
             f"topology cannot reach systole {eps} (best {best:.6g})"
         )
-    base = {e.id: e.length for e in g.edges}
+    base = [e.length for e in g.edges]
+    goal = [target[e.id] for e in g.edges]
+    cycles = [order for _, order in g._topo.cycles]
 
-    def at(t: float) -> MarkedGraph:
-        return with_lengths(
-            g, {k: (1 - t) * base[k] + t * target[k] for k in base}
-        )
+    def at(t: float) -> list[float]:
+        return [(1 - t) * b + t * a for b, a in zip(base, goal)]
 
+    # in_spine on the blend's lengths, summed as embedded_cycles sums them,
+    # with no graph built per step
     lo, hi = 0.0, 1.0
     for _ in range(50):
         mid = (lo + hi) / 2
-        if in_spine(at(mid), eps):
+        x = at(mid)
+        if min(sum(x[i] for i in order) for order in cycles) >= eps - 1e-9:
             hi = mid
         else:
             lo = mid
-    return at(hi)
+    return with_lengths(g, {e.id: v for e, v in zip(g.edges, at(hi))})
 
 
 def jitter(g: MarkedGraph, rng: random.Random, scale: float, eps: float) -> MarkedGraph:

@@ -3,9 +3,11 @@
 Everything here is reimplemented from scratch on plain ints, tuples and
 floats: brute enumeration, grid search, Newton iteration.  Nothing else
 imports from outerspine, so a package bug cannot hide behind a shared
-helper.  The one exception is ``o_lex_least_point``, which drives the
-package's simplex; it checks the vertex enumeration, which shares no code
-with the simplex.  Letters are signed integers (1 = a, -1 = a inverse).
+helper.  The exceptions drive the package to check a shortcut against the
+plain procedure it replaced: ``o_lex_least_point`` solves on the simplex,
+which shares no code with the vertex enumeration; ``o_minimize`` and
+``o_repair`` build a graph for every point they look at.  Letters are
+signed integers (1 = a, -1 = a inverse).
 """
 
 from __future__ import annotations
@@ -13,7 +15,21 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from outerspine.graphs import (
+    collapse_zero_edges,
+    expansions,
+    in_spine,
+    transform,
+    with_lengths,
+)
+from outerspine.minima import (
+    InfeasibleSpine,
+    MinResult,
+    max_systole_lengths,
+    min_on_topology,
+)
 from outerspine.simplex import solve_lp
+from outerspine.words import elementary_automorphisms
 
 
 # --- free words -------------------------------------------------------------------
@@ -262,3 +278,72 @@ def o_lex_least_point(c, a_eq, b_eq, a_ge, b_ge) -> tuple[Fraction, ...]:
         x = solve_lp(unit, a_eq, b_eq, a_ge, b_ge).x
         a_eq, b_eq = [*a_eq, unit], [*b_eq, x[col]]
     return x
+
+
+# --- the descent and the spine repair, one graph per point ----------------------
+
+
+def o_minimize(current, eps: float, start, budget: int = 600) -> MinResult:
+    """``minimize`` as it was before translates were probed on the carrier:
+    every neighbour, translates included, is built and probed through
+    ``min_on_topology``.  Same order, ``seen`` set, budget and tie-break."""
+    if not in_spine(start, eps):
+        raise ValueError("start point is outside the epsilon-spine")
+    gens = elementary_automorphisms(start.rank)
+    here = min_on_topology(start, current, eps)
+    value, point = here.value, here.point
+    probes, accepted, exhausted = 1, 1, False
+    seen = {start._topo.key}
+
+    def zeros(g):
+        return [e.id for e in g.edges if e.length == 0.0 and e.src != e.dst]
+
+    while not exhausted:
+        carrier = collapse_zero_edges(point) if zeros(point) else point
+        neighbors = [carrier] if zeros(point) else []
+        for v in carrier.vertices:
+            if carrier.valence(v) >= 4:
+                neighbors.extend(expansions(carrier, v))
+        neighbors.extend(transform(carrier, psi) for psi in gens)
+        moves = []
+        for nb in neighbors:
+            if nb._topo.key in seen:
+                continue
+            seen.add(nb._topo.key)
+            if probes >= budget:
+                exhausted = True
+                break
+            try:
+                moves.append(min_on_topology(nb, current, eps))
+            except InfeasibleSpine:
+                continue
+            probes += 1
+        best = min(moves, key=lambda r: (r.value, r.point.key()), default=None)
+        if best is None or best.value >= value - 1e-9:
+            break
+        value, point = best.value, best.point
+        accepted += 1
+    if zeros(point):
+        point = min_on_topology(collapse_zero_edges(point), current, eps).point
+    return MinResult(point, value, accepted, eps, True, exhausted)
+
+
+def o_repair(g, eps: float):
+    """``repair`` by a graph per bisection step: 50 halvings of the blend
+    toward the systole-maximal lengths, each tested with ``in_spine``."""
+    if in_spine(g, eps):
+        return g
+    _, target = max_systole_lengths(g)
+    base = {e.id: e.length for e in g.edges}
+
+    def at(t):
+        return with_lengths(g, {k: (1 - t) * base[k] + t * target[k] for k in base})
+
+    lo, hi = 0.0, 1.0
+    for _ in range(50):
+        mid = (lo + hi) / 2
+        if in_spine(at(mid), eps):
+            hi = mid
+        else:
+            lo = mid
+    return at(hi)

@@ -140,6 +140,35 @@ def test_exponent_over_max_power_exits_2(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "10000" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, rc, read",
+    [
+        (
+            ["check-minisline", *MU_NU, "--b", "2", "--s-list", "-1,0,1"],
+            3,
+            lambda body: ",".join(f"{row['s']:g}" for row in body["rows"]),
+        ),
+        (
+            ["tau", *MU_NU, "--x", CENTER, "--c", "1", "--shift", TRIBONACCI, "--powers", "-1,0"],
+            0,
+            lambda body: ",".join(map(str, body["powers"])),
+        ),
+        (["ball-contract", *MU_NU, "--center", CENTER, "--radii", "-1,1"], 2, None),
+    ],
+    ids=["s-list", "powers", "radii"],
+)
+def test_list_option_takes_a_negative_first_entry(capsys, argv, rc, read):
+    """``--opt -1,0`` runs as ``--opt=-1,0`` does, not as an unknown option."""
+    assert cli.main([*argv, "--json"]) == rc
+    got = capsys.readouterr()
+    assert cli.main([*argv[:-2], f"{argv[-2]}={argv[-1]}", "--json"]) == rc
+    assert capsys.readouterr() == got
+    if read is None:
+        assert got.err == "error: need nonnegative radii\n"
+    else:
+        assert read(json.loads(got.out)) == argv[-1]
+
+
 def test_json_and_csv_exclude_each_other(tmp_path, capsys):
     csv_path = tmp_path / "out.csv"
     argv = ["dist", "--from", ROSE, "--to", CENTER, "--json", "--csv", str(csv_path)]

@@ -1,6 +1,7 @@
 """Per-topology LPs, descent over the spine, balance, axes, projection."""
 
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from outerspine import (
     MarkedGraph,
     NielsenMove,
     RationalCurrent,
+    Word,
     add,
     apply_to_current,
     axis,
@@ -31,14 +33,16 @@ from outerspine import (
     translate_axis,
     unit_rose,
 )
+from outerspine import jsonio, minima
 from outerspine.minima import _cycle_rows, _objective, certificate
 from outerspine.sampling import spine_points
 
 from builders import parallel_graph
-from oracles import grid_lp_min
+from oracles import grid_lp_min, o_minimize
 
 ROSE = unit_rose(3)
 THETA4 = parallel_graph([0.25] * 4)
+FIXTURES = os.path.join(os.path.dirname(__file__), "data")
 
 
 def w(text):
@@ -216,6 +220,52 @@ class TestMinimize:
         duals = certificate(res.point, cur, 0.05)
         certified = duals[0] + 0.05 * sum(duals[1:])
         assert certified == pytest.approx(res.value, abs=1e-9)
+
+
+    def test_matches_the_graph_per_translate_descent(self):
+        """Translates probed on the carrier give the descent that builds
+        every translate: same point, value, visits and budget flag."""
+        outcomes = set()
+        for seed in range(18):
+            rng = random.Random(seed)
+            rank = 4 if seed % 3 == 0 else 3
+            letters = [x for k in range(1, rank + 1) for x in (k, -k)]
+            # the rank-4 rose's systole is 1/4, so eps 0.3 is rank 3 only
+            eps = rng.choice((0.05, 0.1, 0.2, 0.3) if rank == 3 else (0.05, 0.1, 0.2))
+            for i, start in enumerate(spine_points(rank, eps, seed, 3)):
+                words = [
+                    Word(rank, [rng.choice(letters) for _ in range(rng.randrange(1, 7))])
+                    for _ in range(rng.randrange(1, 5))
+                ]
+                weighted = [(a, rng.randrange(1, 9) / rng.randrange(1, 5)) for a in words if a]
+                cur = RationalCurrent(rank, weighted) or dual(Word(rank, (1,)))
+                budget = 600 if i == 2 else rng.randrange(1, 41)
+                got = minimize(cur, eps, start, budget)
+                want = o_minimize(cur, eps, start, budget)
+                assert got.point.key() == want.point.key()
+                assert (got.value, got.topology_visits) == (want.value, want.topology_visits)
+                assert got.budget_exhausted == want.budget_exhausted
+                outcomes.add((rank, budget <= 40, got.budget_exhausted, got.topology_visits > 1))
+        # both ranks; small budgets that run out after moving; descents that end
+        assert {rank for rank, *_ in outcomes} == {3, 4}
+        assert (3, True, True, True) in outcomes and (4, True, True, True) in outcomes
+        assert any(not exhausted for _, _, exhausted, _ in outcomes)
+
+    def test_builds_only_the_translates_it_moves_to(self, monkeypatch):
+        built = []
+        build = minima.transform
+
+        def counted(g, phi):
+            built.append(1)
+            return build(g, phi)
+
+        monkeypatch.setattr(minima, "transform", counted)
+        mu, nu = (jsonio.load_current(os.path.join(FIXTURES, f)) for f in ("mu6.json", "nu6.json"))
+        for s in (-2, 0, 2):
+            built.clear()
+            res = minimize(exp_combination(mu, nu, s), 0.05, ROSE)
+            # one build per accepted translate; every descent here takes one
+            assert 1 <= len(built) <= res.topology_visits - 1
 
 
 class TestBalance:

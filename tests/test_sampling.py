@@ -1,5 +1,6 @@
 """Seeded spine samplers: reproducibility and constraint respect."""
 
+import math
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from outerspine import (
     dual,
     in_spine,
     invert,
+    max_systole_lengths,
     parse_word,
     systole,
     unit_rose,
@@ -26,6 +28,8 @@ from outerspine.sampling import (
     repair,
     spine_points,
 )
+
+from oracles import o_repair
 
 ROSE = unit_rose(3)
 EPS = 0.05
@@ -65,6 +69,22 @@ class TestRepair:
         assert fixed.volume == pytest.approx(1.0, abs=1e-12)
         # repair stops at the first admissible blend, near the boundary
         assert systole(fixed)[0] == pytest.approx(EPS, abs=1e-3)
+
+    def test_matches_the_graph_per_step_bisection(self):
+        rng = random.Random(3)
+        repaired = 0
+        for seed in range(6):
+            for rank in (3, 4):
+                for g in spine_points(rank, EPS, seed, 4):
+                    lengths = {e.id: e.length * math.exp(2 * rng.gauss(0, 1)) for e in g.edges}
+                    total = sum(lengths.values())
+                    thin = with_lengths(g, {k: v / total for k, v in lengths.items()})
+                    eps = rng.choice((0.05, 0.1, 0.15))
+                    if in_spine(thin, eps) or max_systole_lengths(thin)[0] < eps:
+                        continue
+                    assert repair(thin, eps).key() == o_repair(thin, eps).key()
+                    repaired += 1
+        assert repaired > 20
 
     def test_unreachable_epsilon(self):
         with pytest.raises(SampleError):
