@@ -539,7 +539,7 @@ def _add_common(p: argparse.ArgumentParser, eps: bool = True) -> None:
     form.add_argument("--csv", metavar="FILE", action=_CsvPath, help="write a CSV table to FILE")
     if eps:
         p.add_argument("--eps", type=float, default=0.05, help="spine bound")
-        p.add_argument("--budget", type=int, default=600, help="topology budget")
+        p.add_argument("--budget", type=int, default=600, help="feasible probes per descent")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -94,18 +94,24 @@ def _reverse(path: tuple[OrientedEdge, ...]) -> tuple[OrientedEdge, ...]:
     return tuple((e, -s) for e, s in reversed(path))
 
 
-class _Topology:
-    """The length-independent part of a marked graph: one open simplex.
+def _letter_paths(marking) -> dict[int, tuple[OrientedEdge, ...]]:
+    """The edge path of each signed letter under a marking."""
+    table = dict(enumerate(marking, start=1))
+    table.update((-k, _reverse(p)) for k, p in enumerate(marking, start=1))
+    return table
 
-    Every point reached from a constructed graph by changing lengths
-    shares its topology, so the derived tables below are built once.
-    """
 
-    def __init__(self, rank, edges, basepoint, marking, comarking):
-        self.rank = rank
-        self.basepoint = basepoint
-        self.marking = tuple(tuple((e, s) for e, s in p) for p in marking)
-        self.comarking = {e.id: comarking[e.id] for e in edges}
+def _topology_key(rank: int, edges, basepoint: str, marking) -> tuple:
+    """A topology's identity: rank, edge ends in edge order, basepoint and
+    marking; everything of a point but its lengths."""
+    return rank, tuple((e.id, e.src, e.dst) for e in edges), basepoint, marking
+
+
+class _Graph:
+    """The unmarked part of a topology: edge indices, edge ends, adjacency
+    and vertices.  Enough to enumerate embedded cycles (``_cycle_paths``)."""
+
+    def __init__(self, edges):
         self.index = {e.id: i for i, e in enumerate(edges)}
         self.ends = {e.id: (e.src, e.dst) for e in edges}
         adj: dict[str, list[tuple[str, int, str]]] = {}
@@ -116,19 +122,27 @@ class _Topology:
             adj[v].sort()
         self.adj = adj
         self.vertices = tuple(sorted(adj))
+
+
+class _Topology(_Graph):
+    """The length-independent part of a marked graph: one open simplex.
+
+    Every point reached from a constructed graph by changing lengths
+    shares its topology, so the derived tables below are built once.
+    """
+
+    def __init__(self, rank, edges, basepoint, marking, comarking):
+        super().__init__(edges)
+        self.rank = rank
+        self.basepoint = basepoint
+        self.marking = tuple(tuple((e, s) for e, s in p) for p in marking)
+        self.comarking = {e.id: comarking[e.id] for e in edges}
         # the identity of the LP a point poses: everything but lengths
-        self.key = (
-            rank,
-            tuple((e.id, e.src, e.dst) for e in edges),
-            basepoint,
-            self.marking,
-        )
+        self.key = _topology_key(rank, edges, basepoint, self.marking)
 
     @cached_property
     def letter_paths(self) -> dict[int, tuple[OrientedEdge, ...]]:
-        table = dict(enumerate(self.marking, start=1))
-        table.update((-k, _reverse(p)) for k, p in enumerate(self.marking, start=1))
-        return table
+        return _letter_paths(self.marking)
 
     def word_along(self, path: Sequence[OrientedEdge]) -> Word:
         letters: list[int] = []
@@ -614,8 +628,18 @@ def expansions(g: MarkedGraph, v: str) -> list[MarkedGraph]:
 
     One graph per partition of the edge ends at ``v`` into two sides of size
     at least two (each side below that would create a forbidden low-valence
-    vertex).  Collapsing the fresh edge recovers ``g`` exactly.
+    vertex), in ``_partitions`` order.  Collapsing the fresh edge recovers
+    ``g`` exactly.
     """
+    new_v, new_e = _fresh_names(g)
+    return [_split(g, v, new_v, new_e, moved) for moved in _partitions(g, v)]
+
+
+def _partitions(g: MarkedGraph, v: str):
+    """The edge ends at ``v`` that each splitting moves to the fresh
+    vertex, one set per partition into two sides of size at least two.
+    An end is (edge id, 0) for an edge's tail and (edge id, 1) for its
+    head; the side holding the first end stays at ``v``."""
     ends = []
     for e in g.edges:
         if e.src == v:
@@ -625,8 +649,6 @@ def expansions(g: MarkedGraph, v: str) -> list[MarkedGraph]:
     deg = len(ends)
     if deg < 4:
         raise ValueError(f"vertex {v!r} has valence {deg} < 4")
-    new_v, new_e = _fresh_names(g)
-    out = []
     first = ends[0]
     rest = ends[1:]
     for mask in range(1 << len(rest)):
@@ -634,11 +656,15 @@ def expansions(g: MarkedGraph, v: str) -> list[MarkedGraph]:
         side_w = set(ends) - side_v
         if len(side_v) < 2 or len(side_w) < 2:
             continue
-        out.append(_split(g, v, new_v, new_e, side_w))
-    return out
+        yield side_w
 
 
-def _split(g: MarkedGraph, v: str, new_v: str, new_e: str, moved: set[tuple[str, int]]) -> MarkedGraph:
+def _split_parts(
+    g: MarkedGraph, v: str, new_v: str, new_e: str, moved: set[tuple[str, int]]
+) -> tuple[tuple[Edge, ...], tuple[tuple[OrientedEdge, ...], ...]]:
+    """The edges, in id order, and the marking of ``_split``'s graph,
+    without building it: each marking path takes the fresh edge wherever
+    it passes between the two sides."""
     edges = []
     for e in g.edges:
         src = new_v if (e.id, 0) in moved else e.src
@@ -664,7 +690,11 @@ def _split(g: MarkedGraph, v: str, new_v: str, new_e: str, moved: set[tuple[str,
         if cur != g.basepoint:
             new_path.append((new_e, 1) if cur == v else (new_e, -1))
         marking.append(tuple(_tighten(new_path)))
+    return tuple(sorted(edges, key=lambda e: e.id)), tuple(marking)
 
+
+def _split(g: MarkedGraph, v: str, new_v: str, new_e: str, moved: set[tuple[str, int]]) -> MarkedGraph:
+    edges, marking = _split_parts(g, v, new_v, new_e, moved)
     comarking = dict(g._topo.comarking)
     comarking[new_e] = Word(g.rank)
     return MarkedGraph(g.rank, edges, g.basepoint, marking, comarking)

@@ -7,12 +7,16 @@ cycle.  Its feasible region depends only on the cycle rows and epsilon, and
 many topologies share one region, so each region's vertices are enumerated
 once (exactly, by double description) and a topology's minimum is its
 region's least vertex.  Minimization chains these minima through collapse
-and expansion moves; the search is local by design and every result says
-so.  A translate under an automorphism keeps its source's edges, so its
-region; ``minimize`` probes it on its source by pulling the current back
-through the automorphism, and builds the translate only when it moves
-there.  The simplex runs only for what vertices do not give: the duals
-of ``certificate`` and the best systole of ``max_systole_lengths``.
+and expansion moves and changes of marking; the search is local by design
+and every result says so.  ``minimize`` reads each neighbour off the
+carrier it stands on and builds only the one it moves to.  A translate
+under an automorphism keeps the carrier's edges, so its region; its cost
+is each atom's loop under the translated marking.  An expansion keeps
+every old edge's crossing count, its fresh edge is crossed once per turn
+between the two sides of the split, and its region comes from the cycles
+of the bare split.  The simplex runs only for what vertices do not give:
+the duals of ``certificate`` and the best systole of
+``max_systole_lengths``.
 """
 
 from __future__ import annotations
@@ -24,12 +28,21 @@ from fractions import Fraction
 
 from .currents import RationalCurrent, apply_to_current, exp_combination, pairing
 from .graphs import (
+    Edge,
     LoopPath,
     MarkedGraph,
+    OrientedEdge,
+    _cycle_paths,
+    _cyclic_tighten,
+    _fresh_names,
+    _Graph,
+    _letter_paths,
+    _partitions,
+    _split,
+    _split_parts,
+    _topology_key,
     collapse_zero_edges,
-    crossing_vector,
     embedded_cycles,
-    expansions,
     in_spine,
     rose,
     transform,
@@ -67,32 +80,72 @@ class MinResult:
     budget_exhausted: bool = False
 
 
-def _objective(
-    g: MarkedGraph, current: RationalCurrent, pull: Automorphism | None = None
-) -> tuple[list[int], int]:
-    """The pairing's cost per edge of ``g``, as integers over one scale.
+def _weights(current: RationalCurrent) -> tuple[list[int], int]:
+    """Each atom's weight as an integer over one scale.
 
-    Crossing counts are ints and each float weight is p / q exactly
-    (``as_integer_ratio``), so clearing the q's once gives exact integers.
-    With ``pull`` = psi^-1 each atom w is crossed as pull(w): that is the
-    cost of ``transform(g, psi)`` in ``g``'s edge order, since the translate
-    measures w the way ``g`` measures psi^-1(w).
+    Each float weight is p / q exactly (``as_integer_ratio``), so clearing
+    the q's once gives exact integers.
     """
-    if g.rank != current.rank:
-        raise ValueError("rank mismatch")
     if not current:
         raise ValueError("cannot minimize the zero current")
     ratios = [weight.as_integer_ratio() for _, weight in current.atoms]
     scale = math.lcm(*(q for _, q in ratios))
-    cost = [0] * len(g.edges)
-    for (letters, _), (p, q) in zip(current.atoms, ratios):
-        w = Word(g.rank, letters)
-        cv = crossing_vector(g, w if pull is None else apply(pull, w))
-        wi = p * (scale // q)
-        for i, e in enumerate(g.edges):
-            if cv[e.id]:
-                cost[i] += wi * cv[e.id]
-    return cost, scale
+    return [p * (scale // q) for p, q in ratios], scale
+
+
+def _atom_loops(marking, current: RationalCurrent) -> list[tuple[OrientedEdge, ...]]:
+    """Each atom's tight cyclic loop under ``marking``: its letters' paths
+    concatenated and cyclically tightened, the loop ``loop_of`` gives on a
+    graph with this marking."""
+    table = _letter_paths(marking)
+    return [
+        _cyclic_tighten([step for x in letters for step in table[x]])
+        for letters, _ in current.atoms
+    ]
+
+
+def _tally(loops, weights: list[int], index: dict[str, int]) -> list[int]:
+    """The weighted crossing count of each edge, in ``index`` order."""
+    cost = [0] * len(index)
+    for loop, w in zip(loops, weights):
+        for eid, _ in loop:
+            cost[index[eid]] += w
+    return cost
+
+
+def _objective(g: MarkedGraph, current: RationalCurrent) -> tuple[list[int], int]:
+    """The pairing's cost per edge of ``g``, as integers over one scale:
+    each edge's crossing count by each atom's loop, times its weight."""
+    if g.rank != current.rank:
+        raise ValueError("rank mismatch")
+    weights, scale = _weights(current)
+    return _tally(_atom_loops(g.marking, current), weights, g._topo.index), scale
+
+
+def _turns(c: MarkedGraph, loops, weights: list[int]) -> dict[str, list]:
+    """Per vertex of ``c``, the weighted turns of the loops there:
+    (weight, the edge end a loop comes in by, the end it leaves by), with
+    ends named as in ``_partitions``."""
+    ends = c._topo.ends
+    out: dict[str, list] = {}
+    for loop, w in zip(loops, weights):
+        for (a, sa), (b, sb) in zip(loop, loop[1:] + loop[:1]):
+            out.setdefault(ends[a][sa > 0], []).append((w, (a, int(sa > 0)), (b, int(sb < 0))))
+    return out
+
+
+def _expansion_cost(
+    base: dict[str, int], turns: list, edges: tuple[Edge, ...], new_e: str, moved: set
+) -> list[int]:
+    """The cost of a splitting in its edge order, read off the carrier.
+
+    Collapsing the fresh edge maps tight loops to tight loops, so every old
+    edge keeps its carrier cost ``base``.  A loop crosses the fresh edge
+    once per turn at the split vertex whose two ends lie on different sides
+    (Whitehead 1936; Culler and Vogtmann 1986).
+    """
+    fresh = sum(w for w, a, b in turns if (a in moved) != (b in moved))
+    return [fresh if e.id == new_e else base[e.id] for e in edges]
 
 
 def _cycle_rows(g: MarkedGraph) -> tuple[list[list[Fraction]], list[LoopPath]]:
@@ -104,10 +157,20 @@ def _cycle_rows(g: MarkedGraph) -> tuple[list[list[Fraction]], list[LoopPath]]:
     return rows, cycles
 
 
+def _masks(cycles) -> tuple[int, ...]:
+    return tuple(sorted(sum(1 << i for i in set(order)) for _, order in cycles))
+
+
 def _row_masks(g: MarkedGraph) -> tuple[int, ...]:
     """The cycle rows as bitmasks over edge indices, sorted: with the edge
     count, the key of every region this topology poses."""
-    return tuple(sorted(sum(1 << i for i in set(order)) for _, order in g._topo.cycles))
+    return _masks(g._topo.cycles)
+
+
+def _split_rows(edges: tuple[Edge, ...]) -> tuple[int, ...]:
+    """``_row_masks`` of a graph with these edges, from the bare graph:
+    cycles need no marking, so nothing is validated or built."""
+    return _masks(_cycle_paths(_Graph(edges)))
 
 
 # -- spine polytopes ----------------------------------------------------------
@@ -254,59 +317,89 @@ def _probe(g: MarkedGraph, current: RationalCurrent, eps: float):
     return r.value, r.point.key(), lambda: r.point
 
 
-def _probe_translate(
-    c: MarkedGraph,
-    psi: Automorphism,
-    pull: Automorphism,
-    marking: tuple,
-    current: RationalCurrent,
-    eps: float,
-):
-    """``_probe`` of ``transform(c, psi)``, read on ``c`` with no graph built.
-
-    The translate keeps ``c``'s edges, basepoint and adjacency, so its
-    cycle rows and region are ``c``'s; only its marking and cost differ.
-    ``build`` makes the translate through the validating constructor.
-    """
-    hit = _least_vertex(*_objective(c, current, pull), len(c.edges), _row_masks(c), eps)
+def _read_off(key: tuple, cost: list[int], scale: int, rows: tuple[int, ...], eps: float, build):
+    """``_probe`` of a neighbour read off its topology key, cost and rows,
+    with no graph built.  The returned build makes the point by
+    ``build(lengths)``, which goes through the validating constructor, and
+    checks that it is the point the probe read."""
+    hit = _least_vertex(cost, scale, len(cost), rows, eps)
     if hit is None:
         return None
     value, x = hit
-    rank, edges, basepoint, _ = c._topo.key
-    key = (rank, tuple((*e, float(v)) for e, v in zip(edges, x)), basepoint, marking)
+    rank, edges, basepoint, marking = key
+    point_key = (rank, tuple((*e, float(v)) for e, v in zip(edges, x)), basepoint, marking)
 
-    def build() -> MarkedGraph:
-        point = with_lengths(transform(c, psi), {e.id: v for e, v in zip(c.edges, x)})
-        assert point.key() == key, "a translate's probe disagrees with its graph"
+    def make() -> MarkedGraph:
+        point = build({e[0]: v for e, v in zip(edges, x)})
+        assert point.key() == point_key, "a probe disagrees with its graph"
         return point
 
-    return float(value), key, build
+    return float(value), point_key, make
+
+
+def _probe_expansion(c, v, new_v, new_e, moved, edges, key, base, turns, scale, eps):
+    """``_probe`` of ``_split(c, v, new_v, new_e, moved)``, whose edges are
+    ``edges``: the cost is read off the carrier's loops, the rows off the
+    bare split."""
+    cost = _expansion_cost(base, turns, edges, new_e, moved)
+    return _read_off(
+        key, cost, scale, _split_rows(edges), eps,
+        lambda lengths: with_lengths(_split(c, v, new_v, new_e, moved), lengths),
+    )
+
+
+def _probe_translate(c, psi, key, current, weights, scale, rows, eps):
+    """``_probe`` of ``transform(c, psi)``, whose topology key is ``key``.
+
+    The translate keeps ``c``'s edges, basepoint and adjacency, so its
+    cycle rows and region are ``c``'s; only its marking and cost differ,
+    and the cost is the crossing count of each atom's loop under the
+    translate's marking.
+    """
+    cost = _tally(_atom_loops(key[3], current), weights, c._topo.index)
+    return _read_off(
+        key, cost, scale, rows, eps,
+        lambda lengths: with_lengths(transform(c, psi), lengths),
+    )
 
 
 def _neighbor_probes(
     carrier: MarkedGraph,
     zeros: list[str],
     gens: tuple[Automorphism, ...],
-    pulls: list[Automorphism],
+    images: list[tuple[Word, ...]],
     current: RationalCurrent,
     eps: float,
 ):
     """(topology key, probe) per neighbour of the carrier, in probe order:
     the carrier itself when zero edges were collapsed, its expansions,
-    then its translates under ``gens`` (``pulls`` their inverses)."""
-    built = [carrier] if zeros else []
-    for v in carrier.vertices:
-        if carrier.valence(v) >= 4:
-            built.extend(expansions(carrier, v))
-    for g in built:
-        yield g._topo.key, functools.partial(_probe, g, current, eps)
+    then its translates under ``gens`` (``images``: the generators' images
+    under each one's inverse).  Only the carrier is a built graph; every
+    other probe is read off the carrier, and its key comes first, so a
+    topology already seen costs no more than its key."""
+    if zeros:
+        yield carrier._topo.key, functools.partial(_probe, carrier, current, eps)
     rank, edges, basepoint, _ = carrier._topo.key
-    for psi, pull in zip(gens, pulls):
-        marking = tuple(
-            carrier.path_of(apply(pull, Word(rank, (k,)))) for k in range(1, rank + 1)
-        )
-        yield (rank, edges, basepoint, marking), functools.partial(
-            _probe_translate, carrier, psi, pull, marking, current, eps
+    weights, scale = _weights(current)
+    loops = _atom_loops(carrier.marking, current)
+    base = dict(zip(carrier._topo.index, _tally(loops, weights, carrier._topo.index)))
+    turns = _turns(carrier, loops, weights)
+    new_v, new_e = _fresh_names(carrier)
+    for v in carrier.vertices:
+        if carrier.valence(v) < 4:
+            continue
+        for moved in _partitions(carrier, v):
+            split_edges, marking = _split_parts(carrier, v, new_v, new_e, moved)
+            key = _topology_key(rank, split_edges, basepoint, marking)
+            yield key, functools.partial(
+                _probe_expansion, carrier, v, new_v, new_e, moved, split_edges, key,
+                base, turns.get(v, []), scale, eps,
+            )
+    rows = _row_masks(carrier)
+    for psi, imgs in zip(gens, images):
+        key = (rank, edges, basepoint, tuple(carrier.path_of(w) for w in imgs))
+        yield key, functools.partial(
+            _probe_translate, carrier, psi, key, current, weights, scale, rows, eps
         )
 
 
@@ -324,11 +417,11 @@ def minimize(
     vertices, skipping empty regions; it moves only on strict improvement
     (> 1e-9), so the descent terminates.  Expansions alone cannot walk
     along the axis of an exponential pair (that takes a change of
-    marking), which is what the translates are for.  A translate is
-    probed on the carrier itself, with the current pulled back through
-    the automorphism, and built only when the descent moves to it.  An
-    optimum with zero-length edges is returned on its collapsed topology.
-    The result is a local minimum unless the budget ran out first.
+    marking), which is what the translates are for.  Expansions and
+    translates are probed on the carrier (``_neighbor_probes``) and built
+    only when the descent moves to one.  An optimum with zero-length edges
+    is returned on its collapsed topology.  The result is a local minimum
+    unless the budget, a count of feasible probes, ran out first.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -337,7 +430,8 @@ def minimize(
     if not in_spine(start, eps):
         raise ValueError("start point is outside the epsilon-spine")
     gens = elementary_automorphisms(start.rank)
-    pulls = [invert(psi) for psi in gens]
+    generators = [Word(start.rank, (k,)) for k in range(1, start.rank + 1)]
+    images = [tuple(apply(invert(psi), x) for x in generators) for psi in gens]
     # raises InfeasibleSpine: in_spine's tolerance admits empty regions
     here = min_on_topology(start, current, eps)
     value, point = here.value, here.point
@@ -351,7 +445,7 @@ def minimize(
         zeros = _zero_nonloop_edges(point)
         carrier = collapse_zero_edges(point) if zeros else point
         moves = []  # (value, point key, build) per feasible probe
-        for key, probe in _neighbor_probes(carrier, zeros, gens, pulls, current, eps):
+        for key, probe in _neighbor_probes(carrier, zeros, gens, images, current, eps):
             if key in seen:
                 continue
             seen.add(key)
@@ -436,9 +530,9 @@ def axis(
     """Sample Min(e^s mu + e^-s nu) on a grid, warm-starting each solve.
 
     Solves middle-out: the grid point nearest s = 0 is solved from
-    ``start`` and each further point from its inward neighbor, so the
-    per-solve topology budget is spent on one grid step, not on walking
-    the whole axis from the far end.
+    ``start`` and each further point from its inward neighbor, so each
+    descent's budget of feasible probes is spent on one grid step, not on
+    walking the whole axis from the far end.
     """
     if not all(math.isfinite(v) for v in (s_min, s_max, step)):
         raise ValueError("need finite s_min, s_max and step")

@@ -284,9 +284,11 @@ def o_lex_least_point(c, a_eq, b_eq, a_ge, b_ge) -> tuple[Fraction, ...]:
 
 
 def o_minimize(current, eps: float, start, budget: int = 600) -> MinResult:
-    """``minimize`` as it was before translates were probed on the carrier:
-    every neighbour, translates included, is built and probed through
-    ``min_on_topology``.  Same order, ``seen`` set, budget and tie-break."""
+    """``minimize`` with every neighbour built: the collapsed carrier, each
+    expansion (``expansions``) and each translate (``transform``) is a
+    validated graph probed through ``min_on_topology``.  The reference for
+    the descent's read-offs on the carrier, expansions and translates
+    alike.  Same order, ``seen`` set, budget and tie-break."""
     if not in_spine(start, eps):
         raise ValueError("start point is outside the epsilon-spine")
     gens = elementary_automorphisms(start.rank)

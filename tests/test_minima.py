@@ -1,5 +1,6 @@
 """Per-topology LPs, descent over the spine, balance, axes, projection."""
 
+import functools
 import math
 import os
 import random
@@ -33,8 +34,21 @@ from outerspine import (
     translate_axis,
     unit_rose,
 )
-from outerspine import jsonio, minima
-from outerspine.minima import _cycle_rows, _objective, certificate
+from outerspine import graphs, jsonio, minima
+from outerspine.graphs import _fresh_names, _partitions, _split_parts, crossing_vector, expansions
+from outerspine.minima import (
+    _atom_loops,
+    _cycle_rows,
+    _expansion_cost,
+    _neighbor_probes,
+    _objective,
+    _probe,
+    _row_masks,
+    _split_rows,
+    _tally,
+    _turns,
+    certificate,
+)
 from outerspine.sampling import spine_points
 
 from builders import parallel_graph
@@ -266,6 +280,137 @@ class TestMinimize:
             res = minimize(exp_combination(mu, nu, s), 0.05, ROSE)
             # one build per accepted translate; every descent here takes one
             assert 1 <= len(built) <= res.topology_visits - 1
+
+    def test_builds_only_the_expansions_it_moves_to(self, monkeypatch):
+        splits, translates = [], []
+
+        def counting(log, build):
+            def counted(*args):
+                log.append(1)
+                return build(*args)
+
+            return counted
+
+        # the splitting in graphs, and the name a descent may hold of it
+        split = counting(splits, graphs._split)
+        monkeypatch.setattr(graphs, "_split", split)
+        monkeypatch.setattr(minima, "_split", split, raising=False)
+        monkeypatch.setattr(minima, "transform", counting(translates, minima.transform))
+        mu, nu = (jsonio.load_current(os.path.join(FIXTURES, f)) for f in ("mu6.json", "nu6.json"))
+        expanded = 0
+        for s in (-2, 0, 2):
+            splits.clear()
+            translates.clear()
+            res = minimize(exp_combination(mu, nu, s), 0.05, ROSE)
+            # one build per accepted move: the accepted moves that are not
+            # translates are expansions
+            assert len(splits) <= res.topology_visits - 1 - len(translates)
+            expanded += len(splits)
+        assert expanded >= 1
+
+    def test_matches_the_oracle_when_the_budget_runs_out_in_expansions(self, monkeypatch):
+        """Budgets that run out among a step's expansions stop the probed
+        descent where the graph-per-neighbour descent stops."""
+        probes = minima._neighbor_probes
+        last, log = [], []
+
+        def logged(expansion, probe):
+            move = probe()
+            log.append((expansion, move is not None))
+            return move
+
+        def recording(carrier, *args):
+            for key, probe in probes(carrier, *args):
+                # an expansion has one edge more than its carrier
+                last[:] = [len(key[1]) > len(carrier.edges)]
+                yield key, functools.partial(logged, last[0], probe)
+
+        monkeypatch.setattr(minima, "_neighbor_probes", recording)
+        found = {3: 0, 4: 0}
+        moved = 0
+        for seed in range(8):
+            rng = random.Random(seed)
+            rank = 3 + seed % 2
+            letters = [x for k in range(1, rank + 1) for x in (k, -k)]
+            start = spine_points(rank, 0.05, seed, 1)[0]
+            words = [
+                Word(rank, [rng.choice(letters) for _ in range(rng.randrange(2, 9))])
+                for _ in range(3)
+            ]
+            cur = RationalCurrent(rank, [(a, rng.randrange(1, 9) / 4) for a in words if a])
+            log.clear()
+            minimize(cur, 0.05, start, 10**6)
+            # budget b stops a descent at its first probe after b - 1
+            # feasible ones; keep the b whose stopping probe is an expansion
+            inside, feasible = [], 0
+            for i, (expansion, ok) in enumerate(log):
+                if expansion and (i == 0 or log[i - 1][1]):
+                    inside.append(feasible + 1)
+                feasible += ok
+            for budget in sorted(set(inside[:1] + inside[-1:])):
+                res = minimize(cur, 0.05, start, budget)
+                assert res.budget_exhausted and last[0]
+                want = o_minimize(cur, 0.05, start, budget)
+                assert res.point.key() == want.point.key()
+                assert (res.value, res.topology_visits) == (want.value, want.topology_visits)
+                assert want.budget_exhausted
+                found[rank] += 1
+                moved += res.topology_visits > 1
+        # at both ranks, and after the descent has moved
+        assert found[3] and found[4] and moved
+
+
+class TestExpansionProbe:
+    """An expansion read off its carrier against the expansion built."""
+
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_reads_what_the_built_expansion_measures(self, rank):
+        rng = random.Random(rank)
+        letters = [x for k in range(1, rank + 1) for x in (k, -k)]
+        level = spine_points(rank, 0.05, 7 * rank, 6)
+        carriers = level + [
+            h for g in level for v in g.vertices if g.valence(v) >= 4 for h in expansions(g, v)[:4]
+        ]
+        triples = 0
+        for c in carriers:
+            words = [
+                Word(rank, [rng.choice(letters) for _ in range(rng.randrange(1, 9))])
+                for _ in range(4)
+            ]
+            cur = RationalCurrent(rank, [(a, 1.0) for a in words if a]) or dual(Word(rank, (1,)))
+            loops = _atom_loops(c.marking, cur)
+            atoms = [Word(rank, a) for a, _ in cur.atoms]
+            counts = [crossing_vector(c, a) for a in atoms]
+            for loop, cv in zip(loops, counts):
+                assert _tally([loop], [1], c._topo.index) == [cv[e.id] for e in c.edges]
+            turns = [_turns(c, [loop], [1]) for loop in loops]
+            built = [h for v in c.vertices if c.valence(v) >= 4 for h in expansions(c, v)]
+            new_v, new_e = _fresh_names(c)
+            splits = [
+                (v, moved)
+                for v in c.vertices
+                if c.valence(v) >= 4
+                for moved in _partitions(c, v)
+            ]
+            assert len(splits) == len(built)
+            for (v, moved), h in zip(splits, built):
+                edges, _ = _split_parts(c, v, new_v, new_e, moved)
+                assert _split_rows(edges) == _row_masks(h)
+                for a, cv, turn in zip(atoms, counts, turns):
+                    # old edges keep their counts; the fresh edge counts the
+                    # loop's turns at v between the two sides
+                    rule = _expansion_cost(cv, turn.get(v, []), edges, new_e, moved)
+                    assert rule == [crossing_vector(h, a)[e.id] for e in h.edges]
+                    triples += 1
+            # the probes' keys and least vertices are the built graphs'
+            probes = list(_neighbor_probes(c, [], (), [], cur, 0.05))
+            assert [key for key, _ in probes] == [h._topo.key for h in built]
+            for (_, probe), h in zip(probes, built):
+                got, want = probe(), _probe(h, cur, 0.05)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got[:2] == want[:2]
+        assert triples > 1000
 
 
 class TestBalance:
