@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import MarkedGraph, rose, translation_length, crossing_vector
+from .graphs import MarkedGraph, _weigh, crossing_vector, rose, translation_length
 from .words import (
     MAX_POWER,
     Automorphism,
@@ -110,12 +110,18 @@ def exp_combination(mu: RationalCurrent, nu: RationalCurrent, s: float) -> Ratio
 
 
 def pairing(tree: MarkedGraph, nu: RationalCurrent) -> float:
-    """Length pairing: weighted sum of translation lengths of the atoms."""
+    """Length pairing: weighted sum of translation lengths of the atoms.
+
+    Each atom's crossing counts are kept on the tree's topology, so every
+    point of its simplex only weighs them with its lengths, in the edge
+    order ``translation_length`` sums in.
+    """
     if tree.rank != nu.rank:
         raise ValueError("rank mismatch")
+    crossings = tree._topo.crossings
     out = 0.0
     for letters, weight in nu.atoms:
-        out += weight * translation_length(tree, Word(nu.rank, letters))[0]
+        out += weight * _weigh(crossings(letters), tree.edges)
     return out
 
 

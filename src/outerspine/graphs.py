@@ -19,12 +19,16 @@ Betti number = rank this makes the read-back map onto F_rank, hence (free
 groups being Hopfian) an isomorphism; nothing more needs checking.
 
 A point is its edges, lengths, basepoint and marking; the comarking is not
-part of its identity.  The private topology (everything but lengths)
-fixes one simplex of Outer space and caches what does not depend on
-lengths: adjacency, letter paths, embedded cycles, candidate loops.
-``edges`` carries one point's lengths, which are summed along those cached
-paths.  The constructor builds and validates a fresh topology, marking
-read-back included; ``with_lengths``, ``rescale`` and ``normalize_volume``
+part of its identity.  Three layers keep combinatorics apart from
+lengths.  The private unmarked graph holds edge ends, adjacency and what
+they alone fix: embedded cycles and candidate loop paths.  The private
+topology is a marking of it (basepoint, marking, comarking, letter paths,
+the candidates' class words and their order, the crossing counts of
+paired current atoms) and fixes one simplex of Outer space.  ``edges``
+carries one point's lengths, which are summed along those cached paths.
+The constructor builds and validates a fresh graph and topology, marking
+read-back included; ``transform`` keeps its source's graph and validates
+the new topology; ``with_lengths``, ``rescale`` and ``normalize_volume``
 share their source's topology and check only the lengths (no negative
 edge, positive volume).
 
@@ -101,17 +105,26 @@ def _letter_paths(marking) -> dict[int, tuple[OrientedEdge, ...]]:
     return table
 
 
+def _shape(edges) -> tuple:
+    """The unmarked graph's identity: edge ends in edge order."""
+    return tuple((e.id, e.src, e.dst) for e in edges)
+
+
 def _topology_key(rank: int, edges, basepoint: str, marking) -> tuple:
     """A topology's identity: rank, edge ends in edge order, basepoint and
     marking; everything of a point but its lengths."""
-    return rank, tuple((e.id, e.src, e.dst) for e in edges), basepoint, marking
+    return rank, _shape(edges), basepoint, marking
 
 
 class _Graph:
     """The unmarked part of a topology: edge indices, edge ends, adjacency
-    and vertices.  Enough to enumerate embedded cycles (``_cycle_paths``)."""
+    and vertices, and what they alone fix, its embedded cycles and
+    candidate loop paths.  Every topology on this graph (its translates
+    under ``transform`` and their relengthings) shares it, so each is
+    enumerated once."""
 
     def __init__(self, edges):
+        self.shape = _shape(edges)
         self.index = {e.id: i for i, e in enumerate(edges)}
         self.ends = {e.id: (e.src, e.dst) for e in edges}
         adj: dict[str, list[tuple[str, int, str]]] = {}
@@ -123,22 +136,38 @@ class _Graph:
         self.adj = adj
         self.vertices = tuple(sorted(adj))
 
+    @cached_property
+    def cycles(self) -> list[tuple[tuple[OrientedEdge, ...], tuple[int, ...]]]:
+        """Embedded cycles: (canonical path, edge indices in DFS order)."""
+        return [
+            (_canonical_cycle(path), tuple(self.index[e] for e, _ in path))
+            for path in _cycle_paths(self)
+        ]
 
-class _Topology(_Graph):
-    """The length-independent part of a marked graph: one open simplex.
+    @cached_property
+    def candidates(self) -> list[tuple[tuple[OrientedEdge, ...], tuple[int, ...]]]:
+        """Candidate loop paths (see ``candidates``): (path, edge indices)."""
+        return _candidate_paths(self)
+
+
+class _Topology:
+    """A marking of an unmarked graph: one open simplex of Outer space.
 
     Every point reached from a constructed graph by changing lengths
     shares its topology, so the derived tables below are built once.
     """
 
-    def __init__(self, rank, edges, basepoint, marking, comarking):
-        super().__init__(edges)
+    def __init__(self, rank, graph: _Graph, basepoint, marking, comarking):
+        self.graph = graph
         self.rank = rank
         self.basepoint = basepoint
         self.marking = tuple(tuple((e, s) for e, s in p) for p in marking)
-        self.comarking = {e.id: comarking[e.id] for e in edges}
+        self.comarking = {eid: comarking[eid] for eid in graph.index}
         # the identity of the LP a point poses: everything but lengths
-        self.key = _topology_key(rank, edges, basepoint, self.marking)
+        self.key = (rank, graph.shape, basepoint, self.marking)
+        self._counts: dict[tuple[int, ...], list[int]] = {}
+
+    index = property(lambda self: self.graph.index)
 
     @cached_property
     def letter_paths(self) -> dict[int, tuple[OrientedEdge, ...]]:
@@ -152,12 +181,42 @@ class _Topology(_Graph):
         return Word(self.rank, letters)
 
     @cached_property
-    def cycles(self) -> list[tuple[tuple[OrientedEdge, ...], tuple[int, ...]]]:
-        return _cycle_paths(self)
+    def candidates(self) -> list[tuple[int, Word]]:
+        """Each of the graph's candidate paths, by its position there, with
+        the class word it reads (``canonical_representative``), sorted by
+        word length, then spelling."""
+        words = [canonical_representative(self.word_along(p)) for p, _ in self.graph.candidates]
+        return sorted(enumerate(words), key=lambda c: (len(c[1]), spelling_key(c[1])))
 
-    @cached_property
-    def candidates(self) -> list[tuple[tuple[OrientedEdge, ...], tuple[int, ...], Word]]:
-        return _candidate_paths(self)
+    def crossings(self, letters: tuple[int, ...]) -> list[int]:
+        """Edge crossing counts, in edge order, of the tight loop of a
+        reduced word's letters; kept for the next point of this simplex.
+        Only ``pairing`` asks, for its current's atoms: a table of every
+        measured word would keep long iterates alive."""
+        counts = self._counts.get(letters)
+        if counts is None:
+            path = _cyclic_tighten([step for x in letters for step in self.letter_paths[x]])
+            counts = self._counts[letters] = _crossings(path, self.graph.index)
+        return counts
+
+
+def _crossings(path: Sequence[OrientedEdge], index: dict[str, int]) -> list[int]:
+    """How often ``path`` crosses each edge, in edge order."""
+    counts = [0] * len(index)
+    for eid, _ in path:
+        counts[index[eid]] += 1
+    return counts
+
+
+def _weigh(counts: Sequence[int], edges: Sequence[Edge]) -> float:
+    """The length of a loop with these crossing counts, summed in edge
+    order, not path order: conjugate words rotate the path, and float
+    addition must not see the rotation."""
+    length = 0.0
+    for c, e in zip(counts, edges):
+        if c:
+            length += c * e.length
+    return length
 
 
 class MarkedGraph:
@@ -174,9 +233,14 @@ class MarkedGraph:
         basepoint: str,
         marking: Sequence[Sequence[OrientedEdge]],
         comarking: dict[str, Word],
+        *,
+        _graph: _Graph | None = None,
     ):
+        # _graph (private): the unmarked graph of these edges, shared by a
+        # translate with its source instead of rebuilt
         edges = tuple(sorted(edges, key=lambda e: e.id))
-        self._init(_Topology(rank, edges, basepoint, marking, comarking), edges)
+        graph = _Graph(edges) if _graph is None else _graph
+        self._init(_Topology(rank, graph, basepoint, marking, comarking), edges)
         self._validate()
 
     def _init(self, topo: _Topology, edges: tuple[Edge, ...]) -> None:
@@ -194,7 +258,7 @@ class MarkedGraph:
     rank = property(lambda self: self._topo.rank)
     basepoint = property(lambda self: self._topo.basepoint)
     marking = property(lambda self: self._topo.marking)
-    vertices = property(lambda self: self._topo.vertices)
+    vertices = property(lambda self: self._topo.graph.vertices)
 
     def edge(self, eid: str) -> Edge:
         return self.edges[self._topo.index[eid]]
@@ -207,7 +271,7 @@ class MarkedGraph:
         return sum(e.length for e in self.edges)
 
     def valence(self, v: str) -> int:
-        return len(self._topo.adj[v])
+        return len(self._topo.graph.adj[v])
 
     def key(self):
         """Hashable identity: edges with their lengths, basepoint and marking.
@@ -235,7 +299,7 @@ class MarkedGraph:
     # -- validation ---------------------------------------------------------
 
     def _validate(self) -> None:
-        t = self._topo
+        t = self._topo.graph
         if not self.edges:
             raise ValueError("graph has no edges")
         verts = self.vertices
@@ -292,16 +356,7 @@ class MarkedGraph:
     def loop_of(self, w: Word) -> LoopPath:
         """Tightened cyclic loop representing the conjugacy class of ``w``."""
         path = _cyclic_tighten(self._marked_path(w))
-        # sum crossings in canonical edge order, not path order: conjugate
-        # words rotate the path, and float addition must not see the rotation
-        counts: dict[str, int] = {}
-        for eid, _ in path:
-            counts[eid] = counts.get(eid, 0) + 1
-        length = 0.0
-        for e in self.edges:
-            if e.id in counts:
-                length += counts[e.id] * e.length
-        return LoopPath(path, length)
+        return LoopPath(path, _weigh(_crossings(path, self._topo.index), self.edges))
 
     def path_of(self, w: Word) -> tuple[OrientedEdge, ...]:
         """Tightened based path of ``w`` through the marking (no cyclic move)."""
@@ -340,9 +395,7 @@ def crossing_vector(g: MarkedGraph, w: Word) -> dict[str, int]:
     the translation length is the inner product with any length vector.
     """
     length, loop = translation_length(g, w)
-    counts = {e.id: 0 for e in g.edges}
-    for eid, _ in loop.path:
-        counts[eid] += 1
+    counts = {e.id: c for e, c in zip(g.edges, _crossings(loop.path, g._topo.index))}
     assert (
         abs(sum(counts[e.id] * e.length for e in g.edges) - length) <= 1e-9 * (1 + length)
     ), "crossing counts disagree with translation length"
@@ -361,12 +414,14 @@ def embedded_cycles(g: MarkedGraph) -> list[LoopPath]:
     embedded cycles only; this enumeration is exact and finite.
     """
     if g._cycles is None:
-        object.__setattr__(g, "_cycles", g._loops(g._topo.cycles))
+        object.__setattr__(g, "_cycles", g._loops(g._topo.graph.cycles))
     return g._cycles
 
 
-def _cycle_paths(t: _Topology) -> list[tuple[tuple[OrientedEdge, ...], tuple[int, ...]]]:
-    """Embedded cycles: (canonical path, edge indices in DFS order)."""
+def _cycle_paths(t: _Graph) -> list[tuple[OrientedEdge, ...]]:
+    """Embedded cycles as the depth-first search finds them, one per edge
+    set, sorted by edge set; ``_Graph.cycles`` puts them in canonical
+    form."""
     found: dict[frozenset[str], tuple[OrientedEdge, ...]] = {}
     order = {v: i for i, v in enumerate(t.vertices)}
 
@@ -397,10 +452,7 @@ def _cycle_paths(t: _Topology) -> list[tuple[tuple[OrientedEdge, ...], tuple[int
 
     for v in t.vertices:
         dfs(v, v, [], {v})
-    return [
-        (_canonical_cycle(found[k]), tuple(t.index[e] for e, _ in found[k]))
-        for k in sorted(found, key=lambda k: tuple(sorted(k)))
-    ]
+    return [found[k] for k in sorted(found, key=lambda k: tuple(sorted(k)))]
 
 
 def _canonical_cycle(path: tuple[OrientedEdge, ...]) -> tuple[OrientedEdge, ...]:
@@ -434,7 +486,7 @@ def in_spine(g: MarkedGraph, eps: float) -> bool:
 # -- candidate loops ----------------------------------------------------------
 
 
-def _rotate_to(path: tuple[OrientedEdge, ...], vertex: str, t: _Topology) -> tuple[OrientedEdge, ...]:
+def _rotate_to(path: tuple[OrientedEdge, ...], vertex: str, t: _Graph) -> tuple[OrientedEdge, ...]:
     cur = _path_vertices(path, t)
     for i, v in enumerate(cur[:-1]):
         if v == vertex:
@@ -442,7 +494,7 @@ def _rotate_to(path: tuple[OrientedEdge, ...], vertex: str, t: _Topology) -> tup
     raise ValueError(f"cycle does not pass through {vertex!r}")
 
 
-def _path_vertices(path: Sequence[OrientedEdge], t: _Topology) -> list[str]:
+def _path_vertices(path: Sequence[OrientedEdge], t: _Graph) -> list[str]:
     """Vertex itinerary of an oriented path, length len(path)+1."""
     if not path:
         return []
@@ -463,30 +515,33 @@ def candidates(g: MarkedGraph) -> list[tuple[LoopPath, Word]]:
     meeting at exactly one vertex; barbell (two vertex-disjoint embedded
     circles joined by an embedded arc, traversed twice).  Every candidate
     crosses each edge at most twice.  One representative per unoriented free
-    homotopy class is returned (key: ``canonical_representative`` of the
-    comarking word, unique up to rotation and inversion), each paired with
-    that word.
+    homotopy class is returned, each paired with that class's
+    ``canonical_representative`` word, in word order (length, then
+    spelling).
     """
     if g._candidates is None:
+        paths = g._topo.graph.candidates
         cands = g._topo.candidates
-        out = [(loop, word) for loop, (_, _, word) in zip(g._loops(cands), cands)]
-        object.__setattr__(g, "_candidates", out)
+        loops = g._loops(paths[i] for i, _ in cands)
+        object.__setattr__(g, "_candidates", [(loop, w) for loop, (_, w) in zip(loops, cands)])
     return g._candidates
 
 
-def _candidate_paths(t: _Topology) -> list[tuple[tuple[OrientedEdge, ...], tuple[int, ...], Word]]:
-    """Candidate loops (see candidates): (path, edge indices, class word)."""
-    out: list[tuple[tuple[OrientedEdge, ...], tuple[int, ...], Word]] = []
-    seen: set[tuple[int, ...]] = set()
+def _candidate_paths(t: _Graph) -> list[tuple[tuple[OrientedEdge, ...], tuple[int, ...]]]:
+    """Candidate loop paths (see candidates): (path, edge indices), in the
+    order they are found.  Every candidate is a cyclically reduced loop,
+    and on a graph these correspond one to one to conjugacy classes, so a
+    path is kept unless an earlier one is the same cyclic path up to
+    rotation and reversal: one per unoriented class, with no word built."""
+    out: list[tuple[tuple[OrientedEdge, ...], tuple[int, ...]]] = []
+    seen: set[tuple[OrientedEdge, ...]] = set()
 
     def emit(path: tuple[OrientedEdge, ...]):
-        word = canonical_representative(t.word_along(path))
-        key = word.letters
-        assert key, "candidate loop is null homotopic"
+        key = _canonical_cycle(path)
         if key in seen:
             return
         seen.add(key)
-        out.append((path, tuple(t.index[e] for e, _ in path), word))
+        out.append((path, tuple(t.index[e] for e, _ in path)))
 
     circles = [path for path, _ in t.cycles]
     verts = [set(_path_vertices(p, t)[:-1]) for p in circles]
@@ -513,12 +568,10 @@ def _candidate_paths(t: _Topology) -> list[tuple[tuple[OrientedEdge, ...], tuple
                     b = _rotate_to(circles[j], w, t)
                     emit(a + arc + b + _reverse(arc))
                     emit(a + arc + _reverse(b) + _reverse(arc))
-
-    out.sort(key=lambda c: (len(c[2]), spelling_key(c[2])))
     return out
 
 
-def _connecting_arcs(t: _Topology, va: set[str], vb: set[str]):
+def _connecting_arcs(t: _Graph, va: set[str], vb: set[str]):
     """Embedded arcs from ``va`` to ``vb`` with interior avoiding both."""
     arcs = []
 
@@ -724,11 +777,13 @@ def transform(g: MarkedGraph, phi) -> MarkedGraph:
     does: the image graph measures a word w the way ``g`` measures
     phi^-1(w).  Together with the current action this gives the exact
     equivariance pairing(transform(g, phi), nu) = pairing(g, phi^-1 nu).
+    The image keeps ``g``'s unmarked graph, so its cycles and candidate
+    paths; the constructor validates its new topology as any other.
     """
     inv = invert(phi)
     marking = [g.path_of(apply(inv, Word(g.rank, (k,)))) for k in range(1, g.rank + 1)]
     comarking = {e.id: apply(phi, g.comarking_word(e.id)) for e in g.edges}
-    return MarkedGraph(g.rank, g.edges, g.basepoint, marking, comarking)
+    return MarkedGraph(g.rank, g.edges, g.basepoint, marking, comarking, _graph=g._topo.graph)
 
 
 # -- builders ---------------------------------------------------------------------

@@ -2,9 +2,14 @@
 
 The minimal Lipschitz constant of a marked homotopy equivalence X -> Y
 equals the largest ratio translation_length(Y, w) / length_X(gamma) over
-the candidates gamma of X; d_L is its log and d_sym symmetrizes.  No
-optimal map is ever constructed; the witness candidate doubles as the cycle
-of maximal dilatation wherever the diagnostics need one.
+the candidates gamma of X (Francaviglia and Martino 2011); d_L is its log
+and d_sym symmetrizes.  The candidates are paths of X's unmarked graph,
+enumerated once per graph.  A pair is measured through the change of
+marking: each edge of X goes once to its tightened path in Y, and a
+candidate's loop in Y is its edges' images, cyclically tightened.  Only
+``stretch``'s report builds the candidates' words.  No optimal map is ever
+constructed; the witness candidate doubles as the cycle of maximal
+dilatation wherever the diagnostics need one.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import MarkedGraph, candidates, translation_length
+from .graphs import MarkedGraph, _crossings, _cyclic_tighten, _reverse, _weigh
 from .words import Word
 
 
@@ -23,23 +28,44 @@ class StretchReport:
     per_candidate: tuple[tuple[Word, float], ...]
 
 
+def _ratios(x: MarkedGraph, y: MarkedGraph) -> list[float]:
+    """The stretch in ``y`` of each candidate path of ``x``, in the order
+    of x's graph.
+
+    Edge e of x goes to ``y.path_of`` the word x's comarking reads along
+    it.  A candidate's images, concatenated and cyclically tightened, are
+    the loop ``loop_of`` gives for the candidate's word up to rotation and
+    reversal, so its crossing counts, and its length summed in edge order,
+    are the same.
+    """
+    if x.rank != y.rank:
+        raise ValueError(f"rank mismatch: {x.rank} != {y.rank}")
+    images = {}
+    for e in x.edges:
+        path = y.path_of(x.comarking_word(e.id))
+        images[e.id, 1], images[e.id, -1] = path, _reverse(path)
+    lengths = [e.length for e in x.edges]
+    index = y._topo.index
+    out = []
+    for path, order in x._topo.graph.candidates:
+        den = sum(lengths[i] for i in order)
+        if den == 0:
+            raise ValueError("a candidate loop of the source graph has length 0")
+        loop = _cyclic_tighten([step for oriented in path for step in images[oriented]])
+        out.append(_weigh(_crossings(loop, index), y.edges) / den)
+    return out
+
+
 def stretch(x: MarkedGraph, y: MarkedGraph) -> StretchReport:
     """Maximal stretch of candidate loops of ``x`` measured in ``y``.
 
     Ties are broken by canonical word order (length, then letters), which
     candidates() already sorts by, so the witness is deterministic.
     """
-    if x.rank != y.rank:
-        raise ValueError(f"rank mismatch: {x.rank} != {y.rank}")
-    per = []
-    best: tuple[float, Word] | None = None
-    for loop, word in candidates(x):
-        ratio = translation_length(y, word)[0] / loop.length
-        per.append((word, ratio))
-        if best is None or ratio > best[0]:
-            best = (ratio, word)
-    assert best is not None
-    return StretchReport(best[0], best[1], tuple(per))
+    ratios = _ratios(x, y)
+    per = tuple((word, ratios[i]) for i, word in x._topo.candidates)
+    witness, factor = max(per, key=lambda p: p[1])
+    return StretchReport(factor, witness, per)
 
 
 def _require_spine_volume(g: MarkedGraph, name: str) -> None:
@@ -58,7 +84,7 @@ def d_L(x: MarkedGraph, y: MarkedGraph) -> float:
     """
     _require_spine_volume(x, "x")
     _require_spine_volume(y, "y")
-    return math.log(stretch(x, y).factor)
+    return math.log(max(_ratios(x, y)))
 
 
 def d_sym(x: MarkedGraph, y: MarkedGraph) -> float:
@@ -71,4 +97,4 @@ def sigma_scale(x: MarkedGraph, t: MarkedGraph) -> float:
 
     Scale-covariant, so no volume requirement.
     """
-    return 1.0 / stretch(x, t).factor
+    return 1.0 / max(_ratios(x, t))

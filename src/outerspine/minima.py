@@ -49,7 +49,7 @@ from .graphs import (
     with_lengths,
 )
 from .simplex import solve_lp
-from .words import Automorphism, Word, apply, elementary_automorphisms, invert
+from .words import Automorphism, Word, elementary_automorphisms
 
 
 class InfeasibleSpine(ValueError):
@@ -126,7 +126,7 @@ def _turns(c: MarkedGraph, loops, weights: list[int]) -> dict[str, list]:
     """Per vertex of ``c``, the weighted turns of the loops there:
     (weight, the edge end a loop comes in by, the end it leaves by), with
     ends named as in ``_partitions``."""
-    ends = c._topo.ends
+    ends = c._topo.graph.ends
     out: dict[str, list] = {}
     for loop, w in zip(loops, weights):
         for (a, sa), (b, sb) in zip(loop, loop[1:] + loop[:1]):
@@ -157,20 +157,23 @@ def _cycle_rows(g: MarkedGraph) -> tuple[list[list[Fraction]], list[LoopPath]]:
     return rows, cycles
 
 
-def _masks(cycles) -> tuple[int, ...]:
-    return tuple(sorted(sum(1 << i for i in set(order)) for _, order in cycles))
+def _masks(orders) -> tuple[int, ...]:
+    """Each cycle's edge set as a bitmask over edge indices, sorted."""
+    return tuple(sorted(sum(1 << i for i in set(order)) for order in orders))
 
 
 def _row_masks(g: MarkedGraph) -> tuple[int, ...]:
     """The cycle rows as bitmasks over edge indices, sorted: with the edge
     count, the key of every region this topology poses."""
-    return _masks(g._topo.cycles)
+    return _masks(order for _, order in g._topo.graph.cycles)
 
 
 def _split_rows(edges: tuple[Edge, ...]) -> tuple[int, ...]:
-    """``_row_masks`` of a graph with these edges, from the bare graph:
-    cycles need no marking, so nothing is validated or built."""
-    return _masks(_cycle_paths(_Graph(edges)))
+    """``_row_masks`` of a graph with these edges, from the bare graph's
+    cycle search: rows need no marking and no canonical cycle, so nothing
+    is validated or built."""
+    bare = _Graph(edges)
+    return _masks([bare.index[e] for e, _ in path] for path in _cycle_paths(bare))
 
 
 # -- spine polytopes ----------------------------------------------------------
@@ -403,6 +406,15 @@ def _neighbor_probes(
         )
 
 
+@functools.cache
+def _elementary(rank: int) -> tuple[tuple[Automorphism, ...], tuple[tuple[Word, ...], ...]]:
+    """The elementary automorphisms of F_rank, each with the images of the
+    generators under its inverse, read off ``inverse_images``; built on
+    first use, once per rank."""
+    gens = elementary_automorphisms(rank)
+    return gens, tuple(tuple(Word(rank, img) for img in psi.inverse_images) for psi in gens)
+
+
 def minimize(
     current: RationalCurrent,
     eps: float,
@@ -429,9 +441,7 @@ def minimize(
         raise ValueError(f"eps must be positive, not {eps}")
     if not in_spine(start, eps):
         raise ValueError("start point is outside the epsilon-spine")
-    gens = elementary_automorphisms(start.rank)
-    generators = [Word(start.rank, (k,)) for k in range(1, start.rank + 1)]
-    images = [tuple(apply(invert(psi), x) for x in generators) for psi in gens]
+    gens, images = _elementary(start.rank)
     # raises InfeasibleSpine: in_spine's tolerance admits empty regions
     here = min_on_topology(start, current, eps)
     value, point = here.value, here.point

@@ -53,7 +53,7 @@ def repair(g: MarkedGraph, eps: float) -> MarkedGraph:
         )
     base = [e.length for e in g.edges]
     goal = [target[e.id] for e in g.edges]
-    cycles = [order for _, order in g._topo.cycles]
+    cycles = [order for _, order in g._topo.graph.cycles]
 
     def at(t: float) -> list[float]:
         return [(1 - t) * b + t * a for b, a in zip(base, goal)]

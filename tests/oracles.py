@@ -6,7 +6,9 @@ imports from outerspine, so a package bug cannot hide behind a shared
 helper.  The exceptions drive the package to check a shortcut against the
 plain procedure it replaced: ``o_lex_least_point`` solves on the simplex,
 which shares no code with the vertex enumeration; ``o_minimize`` and
-``o_repair`` build a graph for every point they look at.  Letters are
+``o_repair`` build a graph for every point they look at; ``o_candidates``
+keeps one candidate path per class by its word, and ``o_stretch``
+measures each candidate's word with ``translation_length``.  Letters are
 signed integers (1 = a, -1 = a inverse).
 """
 
@@ -16,10 +18,16 @@ from fractions import Fraction
 from itertools import combinations
 
 from outerspine.graphs import (
+    LoopPath,
+    _connecting_arcs,
+    _path_vertices,
+    _reverse,
+    _rotate_to,
     collapse_zero_edges,
     expansions,
     in_spine,
     transform,
+    translation_length,
     with_lengths,
 )
 from outerspine.minima import (
@@ -29,7 +37,7 @@ from outerspine.minima import (
     min_on_topology,
 )
 from outerspine.simplex import solve_lp
-from outerspine.words import elementary_automorphisms
+from outerspine.words import canonical_representative, elementary_automorphisms, spelling_key
 
 
 # --- free words -------------------------------------------------------------------
@@ -278,6 +286,65 @@ def o_lex_least_point(c, a_eq, b_eq, a_ge, b_ge) -> tuple[Fraction, ...]:
         x = solve_lp(unit, a_eq, b_eq, a_ge, b_ge).x
         a_eq, b_eq = [*a_eq, unit], [*b_eq, x[col]]
     return x
+
+
+# --- candidate loops and the stretch, one word per candidate --------------------
+
+
+def o_candidates(g) -> list:
+    """``candidates`` with one path kept per class by its word: each shape
+    is read along the comarking and put in ``canonical_representative``
+    form, the first path of each word is kept, and the list is sorted by
+    word length, then spelling.  Lengths are summed in path order."""
+    t = g._topo.graph
+    found: dict[tuple[int, ...], tuple] = {}
+
+    def emit(path):
+        word = canonical_representative(g.word_along(path))
+        assert word, "candidate loop is null homotopic"
+        found.setdefault(word.letters, (path, word))
+
+    circles = [path for path, _ in t.cycles]
+    verts = [set(_path_vertices(p, t)[:-1]) for p in circles]
+    eids = [{e for e, _ in p} for p in circles]
+    for p in circles:
+        emit(p)
+    for i, j in combinations(range(len(circles)), 2):
+        if eids[i] & eids[j]:
+            continue
+        common = verts[i] & verts[j]
+        if len(common) == 1:
+            v = min(common)
+            a, b = _rotate_to(circles[i], v, t), _rotate_to(circles[j], v, t)
+            emit(a + b)
+            emit(a + _reverse(b))
+        elif not common:
+            for arc in _connecting_arcs(t, verts[i], verts[j]):
+                ends = _path_vertices(arc, t)
+                a, b = _rotate_to(circles[i], ends[0], t), _rotate_to(circles[j], ends[-1], t)
+                emit(a + arc + b + _reverse(arc))
+                emit(a + arc + _reverse(b) + _reverse(arc))
+    lengths = {e.id: e.length for e in g.edges}
+    out = [
+        (LoopPath(path, sum(lengths[e] for e, _ in path)), word)
+        for path, word in found.values()
+    ]
+    return sorted(out, key=lambda c: (len(c[1]), spelling_key(c[1])))
+
+
+def o_stretch(x, y) -> tuple:
+    """``stretch`` by words: (factor, witness, per_candidate), each of
+    ``o_candidates(x)``'s words measured in ``y`` by ``translation_length``
+    and divided by its loop's length in ``x``; the first largest ratio in
+    word order is the witness."""
+    per = []
+    best = None
+    for loop, word in o_candidates(x):
+        ratio = translation_length(y, word)[0] / loop.length
+        per.append((word, ratio))
+        if best is None or ratio > best[0]:
+            best = (ratio, word)
+    return best[0], best[1], tuple(per)
 
 
 # --- the descent and the spine repair, one graph per point ----------------------

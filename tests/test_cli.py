@@ -178,3 +178,25 @@ def test_json_and_csv_exclude_each_other(tmp_path, capsys):
     assert "[--json | --csv FILE]" in err
     assert "argument --csv: not allowed with argument --json" in err
     assert not csv_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--from", "{zero}", "--to", ROSE], ["--from", ROSE, "--to", "{zero}", "--sym"]],
+    ids=["forward", "backward"],
+)
+@pytest.mark.parametrize("form", ["human", "json"])
+def test_dist_from_a_zero_length_loop_exits_2(tmp_path, capsys, argv, form):
+    """A candidate loop of length 0 has no stretch; that is bad input,
+    whichever direction of the distance meets it."""
+    with open(ROSE) as fh:
+        obj = json.load(fh)
+    next(e for e in obj["edges"] if e["id"] == "a")["length"] = "0"
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps(obj))
+    argv = [a.format(zero=zero) for a in argv]
+    assert cli.main(["dist", *argv, *FORMS[form]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert err == "error: a candidate loop of the source graph has length 0\n"

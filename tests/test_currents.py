@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from outerspine import (
@@ -27,7 +27,9 @@ from outerspine import (
     rose,
     scale,
     transform,
+    translation_length,
     unit_rose,
+    with_lengths,
 )
 from outerspine.sampling import spine_points
 
@@ -135,6 +137,37 @@ class TestPairing:
             ]
             nu = RationalCurrent(3, atoms)
             assert pairing(g, nu) >= eps * nu.total_weight() - 1e-12
+
+
+    @given(
+        i=st.integers(0, 11),
+        xs=st.lists(st.floats(0.01, 1.0), min_size=9, max_size=9),
+        atoms=st.lists(
+            st.tuples(st.lists(st.integers(-4, 4), min_size=1, max_size=14), weights_st),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_is_the_weighted_translation_lengths(self, i, xs, atoms):
+        """On relengthed points, which share the topology's crossing
+        counts, the pairing is exactly the sum of weighted translation
+        lengths, summed in atom order."""
+        g = PAIRING_POINTS[i]
+        words = [
+            Word(g.rank, [x for x in letters if 0 < abs(x) <= g.rank]) for letters, _ in atoms
+        ]
+        nu_atoms = [(v, weight) for v, (_, weight) in zip(words, atoms) if v]
+        assume(nu_atoms)
+        nu = RationalCurrent(g.rank, nu_atoms)
+        for h in (g, with_lengths(g, {e.id: x for e, x in zip(g.edges, xs)})):
+            want = 0.0
+            for letters, weight in nu.atoms:
+                want += weight * translation_length(h, Word(g.rank, letters))[0]
+            assert pairing(h, nu) == want
+
+
+PAIRING_POINTS = spine_points(3, 0.05, 13, 6) + spine_points(4, 0.05, 13, 6)
 
 
 class TestCombinations:

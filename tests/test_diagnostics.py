@@ -27,6 +27,7 @@ from outerspine import (
     transform,
     translate_axis,
 )
+from outerspine import graphs
 from outerspine.sampling import jitter
 
 EPS = 0.05
@@ -217,6 +218,27 @@ class TestCheckContracting:
         assert not clause.passed
         assert "pairing ratio" in clause.witness
         assert rep.clause(3).margin < 0
+
+    def test_enumerates_candidates_once_per_unmarked_graph(self, pair6, monkeypatch):
+        """Translates share their source's unmarked graph, so candidate
+        paths are enumerated once per graph, and a shape again only when a
+        graph of that shape is built afresh (a rose, a collapse).  This run
+        enumerates 10 times over 8 shapes; once per marking it was 159."""
+        seen = []
+        enumerate_paths = graphs._candidate_paths
+
+        def spy(t):
+            seen.append(t)
+            return enumerate_paths(t)
+
+        monkeypatch.setattr(graphs, "_candidate_paths", spy)
+        cfg = SamplerConfig(
+            seed=1, s_max=1.0, step=0.5, n_far=3, n_sigma=4, n_balanced=1, shift=TRIB
+        )
+        check_contracting(pair6.forward, pair6.backward, 8.0, EPS, cfg)
+        shapes = {tuple(sorted(t.ends.items())) for t in seen}
+        assert len({id(t) for t in seen}) == len(seen)
+        assert len(seen) <= 2 * len(shapes)
 
 
 class TestBallProjection:

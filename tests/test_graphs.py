@@ -30,10 +30,11 @@ from outerspine import (
     with_lengths,
 )
 from outerspine.graphs import collapse_zero_edges
-from outerspine.words import canonical_representative
+from outerspine.sampling import spine_points
+from outerspine.words import canonical_representative, elementary_automorphisms
 
 from builders import parallel_graph
-from oracles import conjugacy_classes, rose_length
+from oracles import conjugacy_classes, o_candidates, rose_length
 from record_float_pins import FIXTURE, KEPT, float_pins, pin_points
 
 ROSE = unit_rose(3)
@@ -175,6 +176,20 @@ class TestCandidates:
         shapes = [crossing_vector(g, w)["m"] for _, w in candidates(g)]
         assert 2 in shapes
 
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_match_the_word_deduplicated_list(self, rank):
+        """Deduplicating paths up to rotation and reversal keeps the paths
+        that deduplicating by class word keeps: same paths, lengths and
+        words, in the same order, under many markings of each graph."""
+        gens = elementary_automorphisms(rank)
+        for g in spine_points(rank, 0.05, seed=rank, n=12):
+            for h in [g] + [transform(g, psi) for psi in gens[::5]]:
+                assert candidates(h) == o_candidates(h)
+
+    def test_match_the_word_deduplicated_list_on_small_graphs(self):
+        for g in (ROSE, parallel_graph([0.25] * 4), *pin_points()):
+            assert candidates(g) == o_candidates(g)
+
 
 class TestScaling:
     def test_normalize_volume(self):
@@ -297,6 +312,13 @@ class TestMarkingConsistency:
         g = rose([0.5, 0.3, 0.2])
         for psi in elementary_automorphisms(3)[:12]:
             assert systole(transform(g, psi))[0] == pytest.approx(systole(g)[0])
+
+    def test_transform_shares_the_unmarked_graph(self):
+        g = pin_points()[0]
+        for psi in elementary_automorphisms(3)[:6]:
+            h = transform(g, psi)
+            assert h._topo.graph is g._topo.graph
+            assert h._topo is not g._topo
 
     def test_transform_moves_lengths_of_words(self):
         from outerspine import Automorphism, NielsenMove, invert

@@ -7,6 +7,7 @@ import pytest
 
 from outerspine import (
     Word,
+    compose,
     d_L,
     d_sym,
     format_word,
@@ -20,9 +21,10 @@ from outerspine import (
     translation_length,
     unit_rose,
 )
+from outerspine.diagnostics import _twist_pairs
 from outerspine.words import elementary_automorphisms
 
-from oracles import reduced_words
+from oracles import o_stretch, reduced_words
 
 X = unit_rose(3)
 Y = rose([0.5, 0.25, 0.25])
@@ -107,3 +109,44 @@ class TestSigmaScale:
     def test_scaled_copy_stretches_exactly_one(self):
         b = sigma_scale(X, Y)
         assert stretch(X, rescale(Y, b)).factor == pytest.approx(1.0)
+
+
+def _pairs(rank: int, seed: int):
+    """Every ordered pair of seeded spine points, and (x, transform(x, psi))
+    for each twist pair doubled as ``_far_points`` doubles it, up to its
+    4000-letter guard."""
+    pts = spine_points(rank, 0.05, seed=seed, n=5)
+    pairs = [(x, y) for x in pts for y in pts]
+    x = pts[0]
+    for phi in _twist_pairs(rank):
+        psi = phi
+        for _ in range(24):
+            if sum(len(img) for img in psi.images) > 4000:
+                break
+            pairs.append((x, transform(x, psi)))
+            psi = compose(psi, psi)
+    return pairs
+
+
+class TestChangeOfMarking:
+    """Distances measured through the change of marking equal, float for
+    float, the stretch of every candidate's word measured in the target."""
+
+    @pytest.mark.parametrize("rank, seed", [(3, 2), (3, 9), (4, 2)])
+    def test_equals_the_word_stretch(self, rank, seed):
+        for x, y in _pairs(rank, seed):
+            fwd, bwd = o_stretch(x, y), o_stretch(y, x)
+            rep = stretch(x, y)
+            assert (rep.factor, rep.witness, rep.per_candidate) == fwd
+            assert d_L(x, y) == math.log(fwd[0])
+            assert d_sym(x, y) == math.log(fwd[0]) + math.log(bwd[0])
+            assert sigma_scale(x, y) == 1.0 / fwd[0]
+            assert sigma_scale(y, rescale(x, 2.5)) == 1.0 / o_stretch(y, rescale(x, 2.5))[0]
+
+    def test_zero_length_candidate_raises(self):
+        zero = rose([0.0, 0.5, 0.5])
+        with pytest.raises(ValueError, match="length 0"):
+            stretch(zero, X)
+        with pytest.raises(ValueError, match="length 0"):
+            d_sym(X, zero)
+        assert stretch(X, zero).factor == pytest.approx(1.5)
