@@ -19,6 +19,7 @@ from .words import (
     MAX_POWER,
     Automorphism,
     Word,
+    _reduced_word,
     apply,
     canonical_representative,
     cyclic_reduce,
@@ -34,7 +35,12 @@ class RationalCurrent:
     Atoms are stored canonically: cyclically reduced, one spelling per class
     under rotation and inversion (preferring a over a' over b, so dual("a")
     prints as a), pairwise distinct, weights > 0 (zero weights are dropped,
-    equal classes merge).
+    equal classes merge), sorted by length, then spelling.
+
+    The constructor puts each atom in ``canonical_representative`` form.
+    ``scale`` and ``add`` start from atoms already canonical, so they only
+    merge and sort them (``_from_canonical``), under the same weight rules:
+    each weight finite and nonnegative, else ValueError, and zero dropped.
     """
 
     rank: int
@@ -45,25 +51,20 @@ class RationalCurrent:
         for w, weight in atoms:
             if w.rank != rank:
                 raise ValueError("atom rank mismatch")
-            if not 0 <= weight < math.inf:
-                raise ValueError(f"weight must be finite and nonnegative, not {weight}")
-            if weight == 0:
+            if not _counts(weight):
                 continue
             key = canonical_representative(w).letters
             if not key:
                 raise ValueError("trivial class cannot carry weight")
             merged[key] = merged.get(key, 0.0) + weight
+        self._set(rank, merged)
+
+    def _set(self, rank: int, merged: dict[tuple[int, ...], float]) -> None:
+        atoms = tuple(merged.items())
+        if len(atoms) > 1:  # one atom is sorted, and its key may be long
+            atoms = tuple(sorted(atoms, key=lambda kv: (len(kv[0]), spelling_key(kv[0]))))
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(
-            self,
-            "atoms",
-            tuple(
-                sorted(
-                    merged.items(),
-                    key=lambda kv: (len(kv[0]), spelling_key(Word(rank, kv[0]))),
-                )
-            ),
-        )
+        object.__setattr__(self, "atoms", atoms)
 
     def __bool__(self) -> bool:
         return bool(self.atoms)
@@ -72,14 +73,34 @@ class RationalCurrent:
         return sum(w for _, w in self.atoms)
 
     def classes(self) -> tuple[Word, ...]:
-        return tuple(Word(self.rank, letters) for letters, _ in self.atoms)
+        return tuple(_reduced_word(self.rank, letters) for letters, _ in self.atoms)
 
     def __str__(self) -> str:
         from .words import format_word
 
         return " + ".join(
-            f"{w:g}*[{format_word(Word(self.rank, ls))}]" for ls, w in self.atoms
+            f"{w:g}*[{format_word(_reduced_word(self.rank, ls))}]" for ls, w in self.atoms
         )
+
+
+def _counts(weight: float) -> bool:
+    """Whether an atom of this weight is kept: raises ValueError unless the
+    weight is finite and nonnegative, and drops a zero."""
+    if not 0 <= weight < math.inf:
+        raise ValueError(f"weight must be finite and nonnegative, not {weight}")
+    return weight != 0
+
+
+def _from_canonical(rank: int, atoms: Iterable[tuple[tuple[int, ...], float]]) -> RationalCurrent:
+    """The current of atoms already in canonical form, merged and sorted
+    under the constructor's weight rules, with no class recomputed."""
+    merged: dict[tuple[int, ...], float] = {}
+    for key, weight in atoms:
+        if _counts(weight):
+            merged[key] = merged.get(key, 0.0) + weight
+    nu = object.__new__(RationalCurrent)
+    nu._set(rank, merged)
+    return nu
 
 
 def dual(w: Word, weight: float = 1.0) -> RationalCurrent:
@@ -90,14 +111,15 @@ def dual(w: Word, weight: float = 1.0) -> RationalCurrent:
 def add(mu: RationalCurrent, nu: RationalCurrent) -> RationalCurrent:
     if mu.rank != nu.rank:
         raise ValueError("rank mismatch")
-    pairs = [(Word(mu.rank, ls), w) for ls, w in mu.atoms + nu.atoms]
-    return RationalCurrent(mu.rank, pairs)
+    return _from_canonical(mu.rank, mu.atoms + nu.atoms)
 
 
 def scale(nu: RationalCurrent, t: float) -> RationalCurrent:
+    """``t nu``; a weight that overflows raises ValueError, one that
+    underflows to zero is dropped."""
     if t <= 0:
         raise ValueError(f"scale must be positive, got {t}")
-    return RationalCurrent(nu.rank, [(Word(nu.rank, ls), w * t) for ls, w in nu.atoms])
+    return _from_canonical(nu.rank, [(ls, w * t) for ls, w in nu.atoms])
 
 
 def exp_combination(mu: RationalCurrent, nu: RationalCurrent, s: float) -> RationalCurrent:
@@ -138,7 +160,7 @@ def apply_to_current(phi: Automorphism, nu: RationalCurrent) -> RationalCurrent:
     if phi.rank != nu.rank:
         raise ValueError("rank mismatch")
     return RationalCurrent(
-        nu.rank, [(apply(phi, Word(nu.rank, ls)), w) for ls, w in nu.atoms]
+        nu.rank, [(apply(phi, _reduced_word(nu.rank, ls)), w) for ls, w in nu.atoms]
     )
 
 
@@ -316,7 +338,7 @@ def positivity_check(
 
     probe = rose([1.0] * rank)
     atom_crossings = [
-        (crossing_vector(probe, Word(rank, letters)), weight)
+        (crossing_vector(probe, _reduced_word(rank, letters)), weight)
         for letters, weight in both.atoms
     ]
     suspicious = False

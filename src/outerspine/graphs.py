@@ -27,10 +27,11 @@ the candidates' class words and their order, the crossing counts of
 paired current atoms) and fixes one simplex of Outer space.  ``edges``
 carries one point's lengths, which are summed along those cached paths.
 The constructor builds and validates a fresh graph and topology, marking
-read-back included; ``transform`` keeps its source's graph and validates
-the new topology; ``with_lengths``, ``rescale`` and ``normalize_volume``
-share their source's topology and check only the lengths (no negative
-edge, positive volume).
+read-back included; ``transform`` keeps its source's graph, already
+validated, and checks only the basepoint and the new marking;
+``with_lengths``, ``rescale`` and ``normalize_volume`` share their
+source's topology and check only the lengths (no negative edge, positive
+volume).
 
 All values are immutable; every operation returns a fresh graph.
 """
@@ -40,9 +41,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
-from .words import Word, apply, canonical_representative, invert, spelling_key
+from .words import (
+    Word,
+    _reduced_word,
+    apply,
+    canonical_representative,
+    free_reduce,
+    spelling_key,
+)
 
 OrientedEdge = tuple[str, int]  # (edge id, +1 along src->dst, -1 against)
 
@@ -89,9 +98,12 @@ def _tighten(path: Sequence[OrientedEdge]) -> list[OrientedEdge]:
 
 def _cyclic_tighten(path: Sequence[OrientedEdge]) -> tuple[OrientedEdge, ...]:
     p = _tighten(path)
-    while len(p) >= 2 and p[0][0] == p[-1][0] and p[0][1] == -p[-1][1]:
-        p = p[1:-1]
-    return tuple(p)
+    # peel matching end pairs by index and slice once, as cyclic_reduce does
+    i, j = 0, len(p) - 1
+    while i < j and p[i][0] == p[j][0] and p[i][1] == -p[j][1]:
+        i += 1
+        j -= 1
+    return tuple(p[i : j + 1])
 
 
 def _reverse(path: tuple[OrientedEdge, ...]) -> tuple[OrientedEdge, ...]:
@@ -178,7 +190,8 @@ class _Topology:
         for eid, s in path:
             w = self.comarking[eid]
             letters.extend(w.letters if s > 0 else (-x for x in reversed(w.letters)))
-        return Word(self.rank, letters)
+        # comarking words are Words of this rank (checked by _validate)
+        return _reduced_word(self.rank, free_reduce(letters))
 
     @cached_property
     def candidates(self) -> list[tuple[int, Word]]:
@@ -236,12 +249,13 @@ class MarkedGraph:
         *,
         _graph: _Graph | None = None,
     ):
-        # _graph (private): the unmarked graph of these edges, shared by a
-        # translate with its source instead of rebuilt
+        # _graph (private): the unmarked graph of these edges and lengths,
+        # already validated, shared by a translate with its source instead
+        # of rebuilt; only the new marking is checked then
         edges = tuple(sorted(edges, key=lambda e: e.id))
         graph = _Graph(edges) if _graph is None else _graph
         self._init(_Topology(rank, graph, basepoint, marking, comarking), edges)
-        self._validate()
+        self._validate(marking_only=_graph is not None)
 
     def _init(self, topo: _Topology, edges: tuple[Edge, ...]) -> None:
         object.__setattr__(self, "edges", edges)
@@ -298,7 +312,40 @@ class MarkedGraph:
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self) -> None:
+    def _validate(self, marking_only: bool = False) -> None:
+        """Check the graph (connected, Betti number = rank, valence at least
+        3, positive volume) unless ``marking_only``, then the basepoint, the
+        comarking's rank and every marking loop's read-back."""
+        t = self._topo.graph
+        if not marking_only:
+            self._validate_graph()
+        elif self.basepoint not in t.adj:
+            raise ValueError(f"basepoint {self.basepoint!r} is not a vertex")
+        if any(w.rank != self.rank for w in self._topo.comarking.values()):
+            raise ValueError(f"comarking words must have rank {self.rank}")
+        if len(self.marking) != self.rank:
+            raise ValueError("marking must have one loop per generator")
+        for k, path in enumerate(self.marking, start=1):
+            if not path:
+                raise ValueError(f"marking of generator {k} is empty")
+            cur = self.basepoint
+            for eid, s in path:
+                ends = t.ends.get(eid)
+                if ends is None or s not in (1, -1):
+                    raise ValueError(f"marking step ({eid!r},{s}) is malformed")
+                start, end = ends if s > 0 else ends[::-1]
+                if start != cur:
+                    raise ValueError(f"marking of generator {k} is not a path")
+                cur = end
+            if cur != self.basepoint:
+                raise ValueError(f"marking of generator {k} is not a loop")
+            got = self.word_along(path)
+            if got.letters != (k,):
+                raise ValueError(
+                    f"marking inconsistency: generator {k} reads back as {got}"
+                )
+
+    def _validate_graph(self) -> None:
         t = self._topo.graph
         if not self.edges:
             raise ValueError("graph has no edges")
@@ -324,27 +371,6 @@ class MarkedGraph:
                 raise ValueError(f"vertex {v!r} has valence {self.valence(v)} < 3")
         if self.volume <= 0:
             raise ValueError("total volume must be positive")
-        if len(self.marking) != self.rank:
-            raise ValueError("marking must have one loop per generator")
-        for k, path in enumerate(self.marking, start=1):
-            if not path:
-                raise ValueError(f"marking of generator {k} is empty")
-            cur = self.basepoint
-            for eid, s in path:
-                ends = t.ends.get(eid)
-                if ends is None or s not in (1, -1):
-                    raise ValueError(f"marking step ({eid!r},{s}) is malformed")
-                start, end = ends if s > 0 else ends[::-1]
-                if start != cur:
-                    raise ValueError(f"marking of generator {k} is not a path")
-                cur = end
-            if cur != self.basepoint:
-                raise ValueError(f"marking of generator {k} is not a loop")
-            got = self.word_along(path)
-            if got.letters != (k,):
-                raise ValueError(
-                    f"marking inconsistency: generator {k} reads back as {got}"
-                )
 
     # -- paths ---------------------------------------------------------------
 
@@ -363,11 +389,7 @@ class MarkedGraph:
         return tuple(_tighten(self._marked_path(w)))
 
     def _marked_path(self, w: Word) -> list[OrientedEdge]:
-        table = self._topo.letter_paths
-        raw: list[OrientedEdge] = []
-        for x in w.letters:
-            raw.extend(table[x])
-        return raw
+        return list(chain.from_iterable(map(self._topo.letter_paths.__getitem__, w.letters)))
 
     def _loops(self, entries) -> list[LoopPath]:
         """LoopPaths of cached (path, edge indices, ...) entries, each length
@@ -530,17 +552,15 @@ def candidates(g: MarkedGraph) -> list[tuple[LoopPath, Word]]:
 def _candidate_paths(t: _Graph) -> list[tuple[tuple[OrientedEdge, ...], tuple[int, ...]]]:
     """Candidate loop paths (see candidates): (path, edge indices), in the
     order they are found.  Every candidate is a cyclically reduced loop,
-    and on a graph these correspond one to one to conjugacy classes, so a
-    path is kept unless an earlier one is the same cyclic path up to
-    rotation and reversal: one per unoriented class, with no word built."""
+    and on a graph these correspond one to one to conjugacy classes.  No
+    two emitted paths are the same cyclic path up to rotation and
+    reversal: circles differ in their edge sets, a bouquet or barbell is
+    no circle and differs from any other in its edges or in the direction
+    it runs its second circle, and distinct arcs differ in their edges.
+    So each path is its own unoriented class, with no word built."""
     out: list[tuple[tuple[OrientedEdge, ...], tuple[int, ...]]] = []
-    seen: set[tuple[OrientedEdge, ...]] = set()
 
     def emit(path: tuple[OrientedEdge, ...]):
-        key = _canonical_cycle(path)
-        if key in seen:
-            return
-        seen.add(key)
         out.append((path, tuple(t.index[e] for e, _ in path)))
 
     circles = [path for path, _ in t.cycles]
@@ -778,10 +798,12 @@ def transform(g: MarkedGraph, phi) -> MarkedGraph:
     phi^-1(w).  Together with the current action this gives the exact
     equivariance pairing(transform(g, phi), nu) = pairing(g, phi^-1 nu).
     The image keeps ``g``'s unmarked graph, so its cycles and candidate
-    paths; the constructor validates its new topology as any other.
+    paths; the constructor checks only its basepoint and new marking.
     """
-    inv = invert(phi)
-    marking = [g.path_of(apply(inv, Word(g.rank, (k,)))) for k in range(1, g.rank + 1)]
+    if phi.rank != g.rank:
+        raise ValueError(f"rank mismatch: {phi.rank} != {g.rank}")
+    # generator k is marked by the path of phi^-1(x_k), which phi carries
+    marking = [g.path_of(_reduced_word(g.rank, img)) for img in phi.inverse_images]
     comarking = {e.id: apply(phi, g.comarking_word(e.id)) for e in g.edges}
     return MarkedGraph(g.rank, g.edges, g.basepoint, marking, comarking, _graph=g._topo.graph)
 

@@ -25,6 +25,7 @@ from .words import (
     Automorphism,
     NielsenMove,
     Word,
+    _reduced_word,
     format_word,
     invert_basis,
     parse_word,
@@ -239,7 +240,7 @@ def load_automorphism(path: str) -> Automorphism:
 
 def current_to_obj(nu: RationalCurrent) -> dict:
     atoms = [
-        {"class": format_word(Word(nu.rank, letters)), "weight": weight}
+        {"class": format_word(_reduced_word(nu.rank, letters)), "weight": weight}
         for letters, weight in nu.atoms
     ]
     return {"format": FORMAT, "rank": nu.rank, "atoms": atoms}

@@ -49,7 +49,7 @@ from .graphs import (
     with_lengths,
 )
 from .simplex import solve_lp
-from .words import Automorphism, Word, elementary_automorphisms
+from .words import Automorphism, Word, _reduced_word, elementary_automorphisms
 
 
 class InfeasibleSpine(ValueError):
@@ -412,7 +412,7 @@ def _elementary(rank: int) -> tuple[tuple[Automorphism, ...], tuple[tuple[Word, 
     generators under its inverse, read off ``inverse_images``; built on
     first use, once per rank."""
     gens = elementary_automorphisms(rank)
-    return gens, tuple(tuple(Word(rank, img) for img in psi.inverse_images) for psi in gens)
+    return gens, tuple(tuple(_reduced_word(rank, img) for img in psi.inverse_images) for psi in gens)
 
 
 def minimize(

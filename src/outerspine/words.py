@@ -8,12 +8,25 @@ An automorphism is a pair of image tuples, its own and its inverse's,
 whether it comes from Nielsen moves or from images; ``invert_basis``
 inverts images exactly by Stallings folding.  Everything here is immutable
 and pure.
+
+Each reduced word is checked once.  The public ``Word(...)`` range-checks
+and freely reduces whatever it is given: parsed text, JSON, user code.
+Code that already holds letters in range and freely reduced builds its
+word with ``_reduced_word``, which checks nothing: ``apply`` (the
+substitution reduced), the slices of ``cyclic_reduce``, the rotation of
+``canonical_representative``, ``Word.inverse``, ``Word.__mul__`` (which
+cancels only at the junction), ``Automorphism.image_words`` and
+``invert_basis``; elsewhere ``minima``'s elementary images, a topology's
+``word_along`` (which reduces) and ``jsonio``'s current output.  Their
+trust rests on one checked invariant: an ``Automorphism``'s images and
+inverse images are range-checked and reduced once, when it is made.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -31,14 +44,15 @@ def _check_letters(rank: int, letters: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-def free_reduce(letters: Sequence[int]) -> tuple[int, ...]:
+def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
     """Delete adjacent inverse pairs until none remain (stack pass)."""
     stack: list[int] = []
+    push, pop = stack.append, stack.pop
     for x in letters:
         if stack and stack[-1] == -x:
-            stack.pop()
+            pop()
         else:
-            stack.append(x)
+            push(x)
     return tuple(stack)
 
 
@@ -50,8 +64,11 @@ def _inverse(letters: Sequence[int]) -> tuple[int, ...]:
 class Word:
     """A freely reduced word in F_rank.
 
-    The constructor reduces its input, so ``Word(3, [1, 2, -2, 3])`` equals
-    ``Word(3, [1, 3])``.  Words compare and hash by (rank, letters).
+    The constructor checks every letter's range and reduces its input, so
+    ``Word(3, [1, 2, -2, 3])`` equals ``Word(3, [1, 3])``.  Internal code
+    holding letters already in range and reduced uses ``_reduced_word``
+    instead (see the module docstring).  Words compare and hash by (rank,
+    letters).
     """
 
     rank: int
@@ -73,16 +90,30 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} != {other.rank}")
-        return Word(self.rank, self.letters + other.letters)
+        # both factors are reduced, so only the junction can cancel
+        a, b = self.letters, other.letters
+        i, n = 0, min(len(a), len(b))
+        while i < n and a[-1 - i] == -b[i]:
+            i += 1
+        return _reduced_word(self.rank, a[: len(a) - i] + b[i:])
 
     def inverse(self) -> "Word":
-        return Word(self.rank, _inverse(self.letters))
+        return _reduced_word(self.rank, _inverse(self.letters))
 
     def __str__(self) -> str:
         return format_word(self)
 
     def __repr__(self) -> str:
         return f"Word({self.rank}, {format_word(self)!r})"
+
+
+def _reduced_word(rank: int, letters: tuple[int, ...]) -> Word:
+    """The word of ``letters``, which the caller guarantees are a tuple of
+    letters in range for ``rank`` and freely reduced; nothing is checked."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "rank", rank)
+    object.__setattr__(w, "letters", letters)
+    return w
 
 
 def parse_word(text: str, rank: int) -> Word:
@@ -128,7 +159,7 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     while i < j and letters[i] == -letters[j]:
         i += 1
         j -= 1
-    return Word(w.rank, letters[i : j + 1]), Word(w.rank, letters[:i])
+    return _reduced_word(w.rank, letters[i : j + 1]), _reduced_word(w.rank, letters[:i])
 
 
 def _least_rotation(s: Sequence[int]) -> int:
@@ -158,13 +189,18 @@ def _least_rotation(s: Sequence[int]) -> int:
     return i
 
 
-def spelling_key(w: Word) -> tuple[int, ...]:
+# a letter's place in printed order: a, a', b, b', ... -> 2, 3, 4, 5, ...
+_SPELLED = {s * k: 2 * k + (s < 0) for k in range(1, MAX_RANK + 1) for s in (1, -1)}
+
+
+def spelling_key(w: Word | Sequence[int]) -> tuple[int, ...]:
     """Sort key matching printed order: a < a' < b < b' < ...
 
-    Raw letter tuples put all inverses before all positives, which is the
-    wrong order for human-facing tie-breaks (witness words, CLI listings).
+    Takes a word or its letters.  Raw letter tuples put all inverses before
+    all positives, which is the wrong order for human-facing tie-breaks
+    (witness words, CLI listings).
     """
-    return tuple(2 * abs(x) + (x < 0) for x in w.letters)
+    return tuple(map(_SPELLED.__getitem__, w))
 
 
 def canonical_representative(w: Word) -> Word:
@@ -185,14 +221,15 @@ def canonical_representative(w: Word) -> Word:
     if not letters:
         return core
     best_spelled = None
-    for base in (letters, tuple(-x for x in reversed(letters))):
-        spelled = tuple(2 * abs(x) + (x < 0) for x in base)
+    for base in (letters, _inverse(letters)):
+        spelled = spelling_key(base)
         i = _least_rotation(spelled)
         rot = spelled[i:] + spelled[:i]
         if best_spelled is None or rot < best_spelled:
             best_spelled = rot
             best_letters = base[i:] + base[:i]
-    return Word(w.rank, best_letters)
+    # a rotation of a cyclically reduced word is reduced
+    return _reduced_word(w.rank, best_letters)
 
 
 # --- automorphisms ---------------------------------------------------------
@@ -251,37 +288,37 @@ MAX_LETTERS = 1 << 20
 MAX_POWER = 10_000
 
 
-def _substitute(letters: Sequence[int], images: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
-    """Substitute ``images`` into ``letters`` and freely reduce.
+def _signed(images: Iterable[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
+    """The image of every signed letter, given those of x_1, x_2, ..."""
+    table = dict(enumerate(images, 1))
+    table.update([(-k, _inverse(img)) for k, img in table.items()])
+    return table
+
+
+def _substitute(letters: Sequence[int], table: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
+    """Substitute the images of a ``_signed`` table into ``letters`` and
+    freely reduce.
 
     Raises ValueError, before building anything, when the unreduced result
     would exceed MAX_LETTERS letters.
     """
     # a cheap upper bound first; the exact count only when it is exceeded
-    if len(letters) * max(map(len, images.values())) > MAX_LETTERS:
-        size = sum(
-            (letters.count(k) + letters.count(-k)) * len(img) for k, img in images.items()
-        )
+    if len(letters) * max(map(len, table.values())) > MAX_LETTERS:
+        size = sum(letters.count(x) * len(img) for x, img in table.items())
         if size > MAX_LETTERS:
             raise ValueError(
                 f"word too long: substitution would produce {size} letters "
                 f"(cap {MAX_LETTERS})"
             )
-    out: list[int] = []
-    for x in letters:
-        if x > 0:
-            out.extend(images[x])
-        else:
-            out.extend(map(operator.neg, reversed(images[-x])))
-    return free_reduce(out)
+    return free_reduce(chain.from_iterable(map(table.__getitem__, letters)))
 
 
 def _replay(rank: int, moves: Sequence[NielsenMove]) -> tuple[tuple[int, ...], ...]:
     """Images of the generators after applying ``moves`` left to right."""
     images = [(k,) for k in range(1, rank + 1)]
     for m in moves:
-        tables = m.letter_images(rank)
-        images = [_substitute(img, tables) for img in images]
+        table = _signed(m.letter_images(rank).values())
+        images = [_substitute(img, table) for img in images]
     return tuple(images)
 
 
@@ -298,12 +335,26 @@ class Automorphism:
 
     Two automorphisms are equal when they have the same rank and images,
     whatever their factorizations.
+
+    Both image tuples are checked once, here: one per generator, each
+    freely reduced with letters in range.  ``apply``, ``compose`` and
+    ``image_words`` trust them from then on.
     """
 
     rank: int
     images: tuple[tuple[int, ...], ...]
     inverse_images: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     moves: tuple[NielsenMove, ...] | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        for side in (self.images, self.inverse_images):
+            if len(side) != self.rank:
+                raise ValueError(f"need {self.rank} images, got {len(side)}")
+            # the distinct letters, so the per-letter test runs O(rank) times
+            _check_letters(self.rank, set(chain.from_iterable(side)))
+            for img in side:
+                if any(map(operator.eq, img, map(operator.neg, img[1:]))):
+                    raise ValueError(f"image {img} is not freely reduced")
 
     @staticmethod
     def identity(rank: int) -> "Automorphism":
@@ -328,8 +379,16 @@ class Automorphism:
             rank, tuple(w.letters for w in images), tuple(v.letters for v in inverse)
         )
 
+    @cached_property
+    def _table(self) -> dict[int, tuple[int, ...]]:
+        return _signed(self.images)
+
+    @cached_property
+    def _inverse_table(self) -> dict[int, tuple[int, ...]]:
+        return _signed(self.inverse_images)
+
     def image_words(self) -> tuple[Word, ...]:
-        return tuple(Word(self.rank, img) for img in self.images)
+        return tuple(_reduced_word(self.rank, img) for img in self.images)
 
     def __call__(self, w: Word) -> Word:
         return apply(self, w)
@@ -338,18 +397,16 @@ class Automorphism:
 def apply(phi: Automorphism, w: Word) -> Word:
     if phi.rank != w.rank:
         raise ValueError(f"rank mismatch: {phi.rank} != {w.rank}")
-    return Word(w.rank, _substitute(w.letters, dict(enumerate(phi.images, 1))))
+    return _reduced_word(w.rank, _substitute(w.letters, phi._table))
 
 
 def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
     """phi after psi: apply(compose(phi, psi), w) == apply(phi, apply(psi, w))."""
     if phi.rank != psi.rank:
         raise ValueError(f"rank mismatch: {phi.rank} != {psi.rank}")
-    tables = dict(enumerate(phi.images, 1))
-    images = tuple(_substitute(img, tables) for img in psi.images)
+    images = tuple(_substitute(img, phi._table) for img in psi.images)
     # (phi psi)^-1 = psi^-1 phi^-1
-    tables = dict(enumerate(psi.inverse_images, 1))
-    inverse = tuple(_substitute(img, tables) for img in phi.inverse_images)
+    inverse = tuple(_substitute(img, psi._inverse_table) for img in phi.inverse_images)
     moves = None if phi.moves is None or psi.moves is None else psi.moves + phi.moves
     return Automorphism(phi.rank, images, inverse, moves)
 
@@ -468,10 +525,10 @@ def invert_basis(words: Sequence[Word]) -> tuple[Word, ...]:
 
     if len(star) != 1 or len(edges) != n:
         raise ValueError("words do not form a basis")
-    out = [Word(n, y) for _, _, _, y in sorted(edges.values(), key=operator.itemgetter(2))]
+    # every y-word is reduced and spelled in letters 1..n
+    out = [_reduced_word(n, y) for _, _, _, y in sorted(edges.values(), key=operator.itemgetter(2))]
     # certify W_k(V) = x_k, reducing as the letters stream in
-    table = {j: v.letters for j, v in enumerate(out, 1)}
-    table.update({-j: _inverse(v) for j, v in table.items()})
+    table = _signed(v.letters for v in out)
     for k, w in enumerate(words, 1):
         if free_reduce(chain.from_iterable(map(table.__getitem__, w.letters))) != (k,):
             raise ValueError("basis inversion failed verification")

@@ -8,15 +8,20 @@ plain procedure it replaced: ``o_lex_least_point`` solves on the simplex,
 which shares no code with the vertex enumeration; ``o_minimize`` and
 ``o_repair`` build a graph for every point they look at; ``o_candidates``
 keeps one candidate path per class by its word, and ``o_stretch``
-measures each candidate's word with ``translation_length``.  Letters are
-signed integers (1 = a, -1 = a inverse).
+measures each candidate's word with ``translation_length``;
+``o_scale``, ``o_add`` and ``o_exp_combination`` rebuild every atom as a
+checked ``Word`` and put it in canonical form again, as the current
+operations did before they trusted their atoms.  Letters are signed
+integers (1 = a, -1 = a inverse).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
+from outerspine.currents import RationalCurrent
 from outerspine.graphs import (
     LoopPath,
     _connecting_arcs,
@@ -37,7 +42,7 @@ from outerspine.minima import (
     min_on_topology,
 )
 from outerspine.simplex import solve_lp
-from outerspine.words import canonical_representative, elementary_automorphisms, spelling_key
+from outerspine.words import Word, canonical_representative, elementary_automorphisms, spelling_key
 
 
 # --- free words -------------------------------------------------------------------
@@ -62,6 +67,20 @@ def o_cyclic_reduce(letters) -> tuple[int, ...]:
     while len(w) >= 2 and w[0] == -w[-1]:
         w = w[1:-1]
     return tuple(w)
+
+
+def o_cyclic_tighten(path) -> tuple:
+    """An oriented edge path, tightened, then trimmed one matching end pair
+    at a time (quadratic in the trimmed length)."""
+    p: list = []
+    for step in path:
+        if p and p[-1][0] == step[0] and p[-1][1] == -step[1]:
+            p.pop()
+        else:
+            p.append(step)
+    while len(p) >= 2 and p[0][0] == p[-1][0] and p[0][1] == -p[-1][1]:
+        p = p[1:-1]
+    return tuple(p)
 
 
 def o_class_key(letters) -> tuple[int, ...]:
@@ -416,3 +435,22 @@ def o_repair(g, eps: float):
         else:
             lo = mid
     return at(hi)
+
+
+# --- current operations, each atom re-canonicalized ------------------------------
+
+
+def o_scale(nu, t: float):
+    if t <= 0:
+        raise ValueError(f"scale must be positive, got {t}")
+    return RationalCurrent(nu.rank, [(Word(nu.rank, ls), w * t) for ls, w in nu.atoms])
+
+
+def o_add(mu, nu):
+    if mu.rank != nu.rank:
+        raise ValueError("rank mismatch")
+    return RationalCurrent(mu.rank, [(Word(mu.rank, ls), w) for ls, w in mu.atoms + nu.atoms])
+
+
+def o_exp_combination(mu, nu, s: float):
+    return o_add(o_scale(mu, math.exp(s)), o_scale(nu, math.exp(-s)))

@@ -33,7 +33,7 @@ from outerspine import (
 )
 from outerspine.sampling import spine_points
 
-from oracles import newton_root
+from oracles import newton_root, o_add, o_exp_combination, o_scale, o_spelling_rep
 
 ROSE = unit_rose(3)
 
@@ -322,3 +322,46 @@ class TestPositivityCheck:
         assert rep.suspicious
         assert rep.vanishing_direction == "c"
         assert not rep.passed
+
+
+@st.composite
+def current_pairs(draw):
+    """Two currents of one rank in 2..4, with conjugate and repeated atoms."""
+    rank = draw(st.integers(2, 4))
+    alphabet = [s * k for k in range(1, rank + 1) for s in (1, -1)]
+    atom = st.tuples(st.lists(st.sampled_from(alphabet), min_size=1, max_size=12), weights_st)
+
+    def current():
+        words = [(Word(rank, letters), weight) for letters, weight in draw(st.lists(atom, max_size=5))]
+        return RationalCurrent(rank, [(v, weight) for v, weight in words if v])
+
+    return current(), current()
+
+
+class TestCanonicalAtoms:
+    """scale, add and exp_combination merge atoms already canonical; they
+    equal the path that rebuilds and re-canonicalizes every atom."""
+
+    @given(current_pairs(), st.floats(0.01, 100.0), st.floats(-20.0, 20.0))
+    @settings(max_examples=80, deadline=None)
+    def test_match_the_recanonicalizing_path(self, pair, t, s):
+        mu, nu = pair
+        got = [scale(mu, t), add(mu, nu), add(mu, mu), exp_combination(mu, nu, s)]
+        assert got == [o_scale(mu, t), o_add(mu, nu), o_add(mu, mu), o_exp_combination(mu, nu, s)]
+        for c in got:
+            # canonical atoms, in length then spelling order, weights > 0
+            keys = [(len(ls), tuple(2 * abs(x) + (x < 0) for x in ls)) for ls, _ in c.atoms]
+            assert keys == sorted(set(keys))
+            assert all(ls == o_spelling_rep(ls) and weight > 0 for ls, weight in c.atoms)
+
+    def test_scale_raises_on_overflow(self):
+        with pytest.raises(ValueError, match="finite"):
+            scale(dual(w("a b"), 1e300), 1e10)
+        with pytest.raises(ValueError, match="finite"):
+            exp_combination(dual(w("a"), 1e300), dual(w("b")), 100.0)
+
+    def test_scale_drops_an_underflowing_weight(self):
+        nu = add(dual(w("a"), 1e-300), dual(w("b")))
+        got = scale(nu, 1e-30)
+        assert got.atoms == (((2,), 1e-30),)
+        assert got == o_scale(nu, 1e-30)

@@ -29,12 +29,17 @@ from outerspine import (
     unit_rose,
     with_lengths,
 )
-from outerspine.graphs import collapse_zero_edges
-from outerspine.sampling import spine_points
-from outerspine.words import canonical_representative, elementary_automorphisms
+from outerspine.graphs import (
+    _candidate_paths,
+    _canonical_cycle,
+    _cyclic_tighten,
+    collapse_zero_edges,
+)
+from outerspine.sampling import random_automorphism, spine_points
+from outerspine.words import canonical_representative, elementary_automorphisms, invert
 
 from builders import parallel_graph
-from oracles import conjugacy_classes, o_candidates, rose_length
+from oracles import conjugacy_classes, o_candidates, o_cyclic_tighten, rose_length
 from record_float_pins import FIXTURE, KEPT, float_pins, pin_points
 
 ROSE = unit_rose(3)
@@ -190,6 +195,37 @@ class TestCandidates:
         for g in (ROSE, parallel_graph([0.25] * 4), *pin_points()):
             assert candidates(g) == o_candidates(g)
 
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_emitted_paths_are_distinct_cyclic_paths(self, rank):
+        """The enumeration needs no deduplication: no two paths it emits
+        agree up to rotation and reversal, on seeded points and on every
+        expansion of them."""
+        for g in spine_points(rank, 0.05, seed=rank, n=4):
+            hosts = [g] + [h for v in g.vertices if g.valence(v) >= 4 for h in expansions(g, v)]
+            for h in hosts:
+                paths = [path for path, _ in _candidate_paths(h._topo.graph)]
+                assert len({_canonical_cycle(p) for p in paths}) == len(paths)
+
+
+class TestCyclicTighten:
+    """The single-scan trim against the old one that trimmed one end pair
+    at a time."""
+
+    @given(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from([1, -1])), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_pairwise_trim(self, path):
+        assert _cyclic_tighten(path) == o_cyclic_tighten(path)
+
+    def test_long_conjugate(self):
+        rng = random.Random(5)
+        conj = [(rng.choice("abc"), rng.choice([1, -1])) for _ in range(2_000)]
+        path = conj + [("a", 1)] + [(e, -s) for e, s in reversed(conj)]
+        assert _cyclic_tighten(path) == o_cyclic_tighten(path) == (("a", 1),)
+        # c^k a c^-k at 50,001 letters
+        k = 25_000
+        path = [("c", 1)] * k + [("a", 1)] + [("c", -1)] * k
+        assert _cyclic_tighten(path) == o_cyclic_tighten(path) == (("a", 1),)
+
 
 class TestScaling:
     def test_normalize_volume(self):
@@ -319,6 +355,51 @@ class TestMarkingConsistency:
             h = transform(g, psi)
             assert h._topo.graph is g._topo.graph
             assert h._topo is not g._topo
+
+    def test_translate_checks_only_its_marking(self, monkeypatch):
+        """A translate shares its source's validated graph, so only its
+        basepoint and marking are checked; a corrupted marking still
+        raises."""
+        g = pin_points()[0]
+
+        def fail(self):
+            raise AssertionError("the shared graph was validated again")
+
+        monkeypatch.setattr(MarkedGraph, "_validate_graph", fail)
+        for psi in elementary_automorphisms(3)[:6]:
+            h = transform(g, psi)
+            comarking = {e.id: h.comarking_word(e.id) for e in h.edges}
+            m = list(h.marking)
+            for bad in (
+                [m[1], m[0], m[2]],  # generators swapped: read-back fails
+                [m[0] + m[1], m[1], m[2]],  # reads x_1 x_2
+                [m[0][:-1], m[1], m[2]],  # not a loop
+                m[:2],  # a generator missing
+            ):
+                with pytest.raises(ValueError):
+                    MarkedGraph(3, h.edges, h.basepoint, bad, comarking, _graph=g._topo.graph)
+            with pytest.raises(ValueError, match="basepoint"):
+                MarkedGraph(3, h.edges, "nowhere", m, comarking, _graph=g._topo.graph)
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_translate_marks_each_generator_by_its_inverse_image(self, rank):
+        """transform reads phi^-1(x_k) off the images phi carries; they are
+        the words the inverse automorphism substitutes for x_k."""
+        rng = random.Random(rank)
+        g = spine_points(rank, 0.05, seed=rank, n=1)[0]
+        for _ in range(6):
+            phi = random_automorphism(rng, rank, rng.randrange(1, 8))
+            want = [g.path_of(apply(invert(phi), Word(rank, (k,)))) for k in range(1, rank + 1)]
+            assert list(transform(g, phi).marking) == want
+        with pytest.raises(ValueError, match="rank mismatch"):
+            transform(g, random_automorphism(rng, 2 if rank == 3 else 3, 2))
+
+    def test_comarking_words_must_have_the_rank(self):
+        g = rose([0.5, 0.3, 0.2])
+        comarking = {e.id: g.comarking_word(e.id) for e in g.edges}
+        comarking["c"] = Word(4, (3, 4, -4))
+        with pytest.raises(ValueError, match="rank"):
+            MarkedGraph(3, g.edges, g.basepoint, g.marking, comarking)
 
     def test_transform_moves_lengths_of_words(self):
         from outerspine import Automorphism, NielsenMove, invert

@@ -1,5 +1,6 @@
 """Free-group plumbing: reduction, cyclic forms, automorphisms."""
 
+import functools
 import json
 import random
 
@@ -22,7 +23,7 @@ from outerspine import (
     power,
     transform,
 )
-from outerspine.sampling import spine_points
+from outerspine.sampling import random_automorphism, spine_points
 from outerspine.words import (
     _replay,
     canonical_representative,
@@ -305,3 +306,75 @@ class TestInvertBasis:
         # a b a folds onto the petals a and b with a different label
         with pytest.raises(ValueError, match="kernel"):
             invert_basis([parse_word(t, 3) for t in ("a", "b", "a b a")])
+
+
+@st.composite
+def rank_cases(draw):
+    """A rank in 2..4, two words of that rank and an rng seed."""
+    rank = draw(st.integers(2, 4))
+    alphabet = [s * k for k in range(1, rank + 1) for s in (1, -1)]
+    words = st.lists(st.sampled_from(alphabet), max_size=30)
+    return rank, Word(rank, draw(words)), Word(rank, draw(words)), draw(st.integers(0, 2**16))
+
+
+@functools.cache
+def _points(rank):
+    return spine_points(rank, 0.05, rank, 3)
+
+
+def assert_checked(w):
+    """``w`` is what the checking constructor makes of its letters."""
+    assert type(w.letters) is tuple
+    assert w == Word(w.rank, w.letters)
+
+
+class TestTrustedWords:
+    """Internal code builds words without re-checking letters it has just
+    reduced; each must equal the checked ``Word`` of its letters."""
+
+    @given(rank_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_internal_words_equal_checked_ones(self, case):
+        rank, u, v, seed = case
+        rng = random.Random(seed)
+        phi = random_automorphism(rng, rank, rng.randrange(0, 8))
+        psi = random_automorphism(rng, rank, rng.randrange(0, 8))
+        both = compose(phi, psi)
+        built = [
+            apply(phi, u),
+            *cyclic_reduce(u),
+            canonical_representative(u),
+            canonical_representative(u * v),
+            u.inverse(),
+            u * v,
+            u * u.inverse(),
+            *phi.image_words(),
+            *both.image_words(),
+            *invert(both).image_words(),
+            *invert_basis(both.image_words()),
+        ]
+        g = _points(rank)[seed % 3]
+        steps = [(e.id, s) for e in g.edges for s in (1, -1)]
+        for path in (*g.marking, [rng.choice(steps) for _ in range(rng.randrange(12))]):
+            built.append(g.word_along(path))
+        for w in built:
+            assert_checked(w)
+        # the automorphism images that apply and compose trust
+        for img in both.images + both.inverse_images:
+            assert Word(rank, img).letters == img
+        assert u * v == Word(rank, u.letters + v.letters)
+        assert u.inverse() == Word(rank, [-x for x in reversed(u.letters)])
+
+    @pytest.mark.parametrize(
+        "images, inverse",
+        [
+            (((1,), (2,), (4,)), ((1,), (2,), (3,))),  # letter past the rank
+            (((1,), (0,), (3,)), ((1,), (2,), (3,))),  # letter zero
+            (((1,), (2,), (3,)), ((1,), (-5,), (3,))),  # on the inverse side
+            (((1, 2, -2),), ((1,), (2,), (3,))),  # too few images
+            (((1, 2, -2), (2,), (3,)), ((1,), (2,), (3,))),  # not reduced
+        ],
+    )
+    def test_automorphism_checks_its_images(self, images, inverse):
+        with pytest.raises(ValueError):
+            Automorphism(3, images, inverse)
