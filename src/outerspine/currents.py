@@ -23,6 +23,7 @@ from .words import (
     apply,
     canonical_representative,
     cyclic_reduce,
+    elementary_automorphisms,
     invert,
     spelling_key,
 )
@@ -319,14 +320,9 @@ def positivity_check(
         for b in range(-rank, rank + 1):
             if b != 0 and abs(b) != a:
                 note(Word(rank, (a, b)))
-    from .words import NielsenMove
-
     schedule = [
-        Automorphism.from_moves(rank, [NielsenMove("right_multiply", t, o, inv_)])
-        for t in range(1, rank + 1)
-        for o in range(1, rank + 1)
-        if o != t
-        for inv_ in (False, True)
+        psi for psi in elementary_automorphisms(rank)
+        if len(psi.moves) == 1 and psi.moves[0].kind == "right_multiply"
     ]
     base_words = list(words.values())
     for psi in schedule:

@@ -26,7 +26,7 @@ from .sampling import (
     spine_points,
     ball_points,
 )
-from .words import Automorphism, NielsenMove, compose, power
+from .words import Automorphism, NielsenMove, compose, elementary_automorphisms, power
 
 
 class _DistCache:
@@ -210,21 +210,6 @@ class ContractionReport:
         raise KeyError(k)
 
 
-def _single_twists(rank: int) -> list[Automorphism]:
-    out = []
-    for t in range(1, rank + 1):
-        for o in range(1, rank + 1):
-            if o == t:
-                continue
-            for inv in (False, True):
-                out.append(
-                    Automorphism.from_moves(
-                        rank, [NielsenMove("right_multiply", t, o, inv)]
-                    )
-                )
-    return out
-
-
 def _twist_pairs(rank: int) -> list[Automorphism]:
     # powers of single twists move points only logarithmically fast; a pair
     # of opposite twists grows exponentially, reaching large radii cheaply
@@ -261,7 +246,11 @@ def _far_points(
     variants of those, and random-walk pushes of fresh seeds."""
     cache = _DistCache()
     found: list[MarkedGraph] = []
-    for phi in _single_twists(x.rank) + _twist_pairs(x.rank):
+    twists = [
+        phi for phi in elementary_automorphisms(x.rank)
+        if len(phi.moves) == 1 and phi.moves[0].kind == "right_multiply"
+    ]
+    for phi in twists + _twist_pairs(x.rank):
         # doubling power schedule: distances past any reachable b show up
         # within ~12 squarings instead of thousands of unit steps, and an
         # unreachable b fails fast at the size guard, which must fire on

@@ -21,7 +21,9 @@ groups being Hopfian) an isomorphism; nothing more needs checking.
 A point is its edges, lengths, basepoint and marking; the comarking is not
 part of its identity.  Three layers keep combinatorics apart from
 lengths.  The private unmarked graph holds edge ends, adjacency and what
-they alone fix: embedded cycles and candidate loop paths.  The private
+they alone fix: embedded cycles (one search, read as paths, as rows and
+as the shortest length the spine test asks for) and candidate loop
+paths.  The private
 topology is a marking of it (basepoint, marking, comarking, letter paths,
 the candidates' class words and their order, the crossing counts of
 paired current atoms) and fixes one simplex of Outer space.  ``edges``
@@ -130,10 +132,11 @@ def _topology_key(rank: int, edges, basepoint: str, marking) -> tuple:
 
 class _Graph:
     """The unmarked part of a topology: edge indices, edge ends, adjacency
-    and vertices, and what they alone fix, its embedded cycles and
-    candidate loop paths.  Every topology on this graph (its translates
-    under ``transform`` and their relengthings) shares it, so each is
-    enumerated once."""
+    and vertices, and what they alone fix: its embedded cycles, their rows
+    (the region a topology on this graph poses) and shortest length under
+    given lengths, and its candidate loop paths.  Every topology on this
+    graph (its translates under ``transform`` and their relengthings)
+    shares it, so each is enumerated once, by one cycle search."""
 
     def __init__(self, edges):
         self.shape = _shape(edges)
@@ -149,12 +152,29 @@ class _Graph:
         self.vertices = tuple(sorted(adj))
 
     @cached_property
+    def _dfs_cycles(self) -> list[tuple[tuple[OrientedEdge, ...], tuple[int, ...]]]:
+        """Embedded cycles as ``_cycle_paths`` finds them: (path, edge
+        indices in path order)."""
+        return [(path, tuple(self.index[e] for e, _ in path)) for path in _cycle_paths(self)]
+
+    @cached_property
     def cycles(self) -> list[tuple[tuple[OrientedEdge, ...], tuple[int, ...]]]:
         """Embedded cycles: (canonical path, edge indices in DFS order)."""
-        return [
-            (_canonical_cycle(path), tuple(self.index[e] for e, _ in path))
-            for path in _cycle_paths(self)
-        ]
+        return [(_canonical_cycle(path), order) for path, order in self._dfs_cycles]
+
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """Each embedded cycle's edge set as a bitmask over edge indices,
+        sorted: with the edge count, the key of the region {x >= 0, sum x =
+        1, every cycle >= eps} of any topology on this graph.  Needs no
+        marking and no canonical cycle."""
+        return tuple(sorted(sum(1 << i for i in order) for _, order in self._dfs_cycles))
+
+    def shortest_cycle(self, lengths: Sequence[float]) -> float:
+        """The least embedded-cycle length under ``lengths`` (in edge
+        order), each cycle summed in DFS order as ``embedded_cycles`` sums
+        it; no loop is built."""
+        return min(sum(lengths[i] for i in order) for _, order in self._dfs_cycles)
 
     @cached_property
     def candidates(self) -> list[tuple[tuple[OrientedEdge, ...], tuple[int, ...]]]:
@@ -237,7 +257,7 @@ class MarkedGraph:
 
     Use the module builders and moves rather than mutating instances."""
 
-    __slots__ = ("edges", "_topo", "_cycles", "_candidates", "_key")
+    __slots__ = ("edges", "_topo", "_key")
 
     def __init__(
         self,
@@ -260,8 +280,6 @@ class MarkedGraph:
     def _init(self, topo: _Topology, edges: tuple[Edge, ...]) -> None:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_topo", topo)
-        object.__setattr__(self, "_cycles", None)
-        object.__setattr__(self, "_candidates", None)
         object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
@@ -435,9 +453,7 @@ def embedded_cycles(g: MarkedGraph) -> list[LoopPath]:
     length searches (the systole, the spine constraints) may quantify over
     embedded cycles only; this enumeration is exact and finite.
     """
-    if g._cycles is None:
-        object.__setattr__(g, "_cycles", g._loops(g._topo.graph.cycles))
-    return g._cycles
+    return g._loops(g._topo.graph.cycles)
 
 
 def _cycle_paths(t: _Graph) -> list[tuple[OrientedEdge, ...]]:
@@ -501,8 +517,9 @@ def systole(g: MarkedGraph) -> tuple[float, LoopPath]:
 
 
 def in_spine(g: MarkedGraph, eps: float) -> bool:
-    """Systole at least ``eps``, up to a 1e-9 float tolerance."""
-    return systole(g)[0] >= eps - 1e-9
+    """Systole at least ``eps``, up to a 1e-9 float tolerance: the
+    shortest embedded cycle's length, read off the lengths alone."""
+    return g._topo.graph.shortest_cycle([e.length for e in g.edges]) >= eps - 1e-9
 
 
 # -- candidate loops ----------------------------------------------------------
@@ -541,12 +558,10 @@ def candidates(g: MarkedGraph) -> list[tuple[LoopPath, Word]]:
     ``canonical_representative`` word, in word order (length, then
     spelling).
     """
-    if g._candidates is None:
-        paths = g._topo.graph.candidates
-        cands = g._topo.candidates
-        loops = g._loops(paths[i] for i, _ in cands)
-        object.__setattr__(g, "_candidates", [(loop, w) for loop, (_, w) in zip(loops, cands)])
-    return g._candidates
+    paths = g._topo.graph.candidates
+    cands = g._topo.candidates
+    loops = g._loops(paths[i] for i, _ in cands)
+    return [(loop, w) for loop, (_, w) in zip(loops, cands)]
 
 
 def _candidate_paths(t: _Graph) -> list[tuple[tuple[OrientedEdge, ...], tuple[int, ...]]]:
@@ -773,18 +788,16 @@ def _split(g: MarkedGraph, v: str, new_v: str, new_e: str, moved: set[tuple[str,
     return MarkedGraph(g.rank, edges, g.basepoint, marking, comarking)
 
 
+def _zero_nonloop_edges(g: MarkedGraph) -> list[str]:
+    return [e.id for e in g.edges if e.length == 0.0 and e.src != e.dst]
+
+
 def collapse_zero_edges(g: MarkedGraph) -> MarkedGraph:
     """Collapse every non-loop edge of length zero (public spine points
-    keep all-positive lengths)."""
-    while True:
-        target = None
-        for e in g.edges:
-            if e.length == 0 and e.src != e.dst:
-                target = e.id
-                break
-        if target is None:
-            return g
-        g = collapse_edge(g, target)
+    keep all-positive lengths), one at a time in edge order."""
+    while zeros := _zero_nonloop_edges(g):
+        g = collapse_edge(g, zeros[0])
+    return g
 
 
 # -- Out action -----------------------------------------------------------------

@@ -6,16 +6,18 @@ program: lengths on the volume-one simplex, one lower bound per embedded
 cycle.  Its feasible region depends only on the cycle rows and epsilon, and
 many topologies share one region, so each region's vertices are enumerated
 once (exactly, by double description) and a topology's minimum is its
-region's least vertex.  Minimization chains these minima through collapse
-and expansion moves and changes of marking; the search is local by design
-and every result says so.  ``minimize`` reads each neighbour off the
-carrier it stands on and builds only the one it moves to.  A translate
-under an automorphism keeps the carrier's edges, so its region; its cost
-is each atom's loop under the translated marking.  An expansion keeps
-every old edge's crossing count, its fresh edge is crossed once per turn
-between the two sides of the split, and its region comes from the cycles
-of the bare split.  The simplex runs only for what vertices do not give:
-the duals of ``certificate`` and the best systole of
+region's least vertex.  ``_read_off`` alone turns a topology's key, cost
+and rows into that vertex's value, point key and checked build.
+Minimization chains these minima through collapse and expansion moves and
+changes of marking; the search is local by design and every result says
+so.  ``minimize`` reads each neighbour off the carrier it stands on and
+builds only the one it moves to.  The collapsed carrier costs what its
+atom loops cross.  A translate under an automorphism keeps the carrier's
+edges, so its region; its cost is each atom's loop under the translated
+marking.  An expansion keeps every old edge's crossing count, its fresh
+edge is crossed once per turn between the two sides of the split, and its
+region is the bare split's rows.  The simplex runs only for what vertices
+do not give: the duals of ``certificate`` and the best systole of
 ``max_systole_lengths``.
 """
 
@@ -32,7 +34,6 @@ from .graphs import (
     LoopPath,
     MarkedGraph,
     OrientedEdge,
-    _cycle_paths,
     _cyclic_tighten,
     _fresh_names,
     _Graph,
@@ -41,6 +42,7 @@ from .graphs import (
     _split,
     _split_parts,
     _topology_key,
+    _zero_nonloop_edges,
     collapse_zero_edges,
     embedded_cycles,
     in_spine,
@@ -157,25 +159,6 @@ def _cycle_rows(g: MarkedGraph) -> tuple[list[list[Fraction]], list[LoopPath]]:
     return rows, cycles
 
 
-def _masks(orders) -> tuple[int, ...]:
-    """Each cycle's edge set as a bitmask over edge indices, sorted."""
-    return tuple(sorted(sum(1 << i for i in set(order)) for order in orders))
-
-
-def _row_masks(g: MarkedGraph) -> tuple[int, ...]:
-    """The cycle rows as bitmasks over edge indices, sorted: with the edge
-    count, the key of every region this topology poses."""
-    return _masks(order for _, order in g._topo.graph.cycles)
-
-
-def _split_rows(edges: tuple[Edge, ...]) -> tuple[int, ...]:
-    """``_row_masks`` of a graph with these edges, from the bare graph's
-    cycle search: rows need no marking and no canonical cycle, so nothing
-    is validated or built."""
-    bare = _Graph(edges)
-    return _masks([bare.index[e] for e, _ in path] for path in _cycle_paths(bare))
-
-
 # -- spine polytopes ----------------------------------------------------------
 #
 # The region {x >= 0, sum x = 1, row . x >= eps for every cycle row} is a
@@ -262,18 +245,22 @@ def max_systole_lengths(g: MarkedGraph) -> tuple[float, dict[str, float]]:
     target when samplers must repair a point back into the spine.  The
     answer depends only on the cycle rows, so it is solved once per rows.
     """
-    best, x = _max_systole(len(g.edges), _row_masks(g))
+    best, x = _max_systole(len(g.edges), g._topo.graph.rows)
     return float(best), {e.id: float(v) for e, v in zip(g.edges, x)}
 
 
 def min_on_topology(g: MarkedGraph, current: RationalCurrent, eps: float) -> MinResult:
     """Exact minimum of the pairing over this topology's spine simplex:
-    the least vertex of its region, lexicographically least among ties.
+    the least vertex of its region, lexicographically least among ties,
+    read off ``g``'s key, cost and rows by ``_read_off``.
 
     Infeasibility (epsilon larger than the topology's best systole) raises
     InfeasibleSpine naming a cycle that cannot reach epsilon.
     """
-    hit = _least_vertex(*_objective(g, current), len(g.edges), _row_masks(g), eps)
+    cost, scale = _objective(g, current)
+    hit = _read_off(
+        g._topo.key, cost, scale, g._topo.graph.rows, eps, functools.partial(with_lengths, g)
+    )
     if hit is None:
         best, lengths = max_systole_lengths(g)
         worst = min(
@@ -283,9 +270,8 @@ def min_on_topology(g: MarkedGraph, current: RationalCurrent, eps: float) -> Min
             f"epsilon {eps} exceeds this topology's best systole {best:.6g}",
             worst,
         )
-    value, x = hit
-    point = with_lengths(g, {e.id: v for e, v in zip(g.edges, x)})
-    return MinResult(point=point, value=float(value), topology_visits=1, eps=eps)
+    value, _, build = hit
+    return MinResult(point=build(), value=value, topology_visits=1, eps=eps)
 
 
 def certificate(g: MarkedGraph, current: RationalCurrent, eps: float) -> tuple[float, ...]:
@@ -306,25 +292,12 @@ def certificate(g: MarkedGraph, current: RationalCurrent, eps: float) -> tuple[f
     return tuple(float(d) for d in sol.duals)
 
 
-def _zero_nonloop_edges(g: MarkedGraph) -> list[str]:
-    return [e.id for e in g.edges if e.length == 0.0 and e.src != e.dst]
-
-
-def _probe(g: MarkedGraph, current: RationalCurrent, eps: float):
-    """A built neighbour's least vertex as (value, point key, build), or
-    None when its region is empty."""
-    try:
-        r = min_on_topology(g, current, eps)
-    except InfeasibleSpine:
-        return None
-    return r.value, r.point.key(), lambda: r.point
-
-
 def _read_off(key: tuple, cost: list[int], scale: int, rows: tuple[int, ...], eps: float, build):
-    """``_probe`` of a neighbour read off its topology key, cost and rows,
-    with no graph built.  The returned build makes the point by
-    ``build(lengths)``, which goes through the validating constructor, and
-    checks that it is the point the probe read."""
+    """A topology's least vertex read off its key, cost and rows, with no
+    graph built: (value, point key, build), or None when the region is
+    empty.  The returned build makes the point by ``build(lengths)``, which
+    goes through the validating constructor or shares a validated
+    topology, and checks that it is the point read."""
     hit = _least_vertex(cost, scale, len(cost), rows, eps)
     if hit is None:
         return None
@@ -341,18 +314,18 @@ def _read_off(key: tuple, cost: list[int], scale: int, rows: tuple[int, ...], ep
 
 
 def _probe_expansion(c, v, new_v, new_e, moved, edges, key, base, turns, scale, eps):
-    """``_probe`` of ``_split(c, v, new_v, new_e, moved)``, whose edges are
-    ``edges``: the cost is read off the carrier's loops, the rows off the
-    bare split."""
+    """``_read_off`` of ``_split(c, v, new_v, new_e, moved)``, whose edges
+    are ``edges``: the cost is read off the carrier's loops, the rows off
+    the bare split."""
     cost = _expansion_cost(base, turns, edges, new_e, moved)
     return _read_off(
-        key, cost, scale, _split_rows(edges), eps,
+        key, cost, scale, _Graph(edges).rows, eps,
         lambda lengths: with_lengths(_split(c, v, new_v, new_e, moved), lengths),
     )
 
 
 def _probe_translate(c, psi, key, current, weights, scale, rows, eps):
-    """``_probe`` of ``transform(c, psi)``, whose topology key is ``key``.
+    """``_read_off`` of ``transform(c, psi)``, whose topology key is ``key``.
 
     The translate keeps ``c``'s edges, basepoint and adjacency, so its
     cycle rows and region are ``c``'s; only its marking and cost differ,
@@ -377,15 +350,21 @@ def _neighbor_probes(
     """(topology key, probe) per neighbour of the carrier, in probe order:
     the carrier itself when zero edges were collapsed, its expansions,
     then its translates under ``gens`` (``images``: the generators' images
-    under each one's inverse).  Only the carrier is a built graph; every
-    other probe is read off the carrier, and its key comes first, so a
-    topology already seen costs no more than its key."""
-    if zeros:
-        yield carrier._topo.key, functools.partial(_probe, carrier, current, eps)
+    under each one's inverse).  Every probe is a ``_read_off`` and builds
+    nothing: the carrier's with the cost its atom loops give, the others
+    read off those loops.  Each key comes first, so a topology already
+    seen costs no more than its key."""
     rank, edges, basepoint, _ = carrier._topo.key
+    rows = carrier._topo.graph.rows
     weights, scale = _weights(current)
     loops = _atom_loops(carrier.marking, current)
-    base = dict(zip(carrier._topo.index, _tally(loops, weights, carrier._topo.index)))
+    cost = _tally(loops, weights, carrier._topo.index)
+    if zeros:
+        yield carrier._topo.key, functools.partial(
+            _read_off, carrier._topo.key, cost, scale, rows, eps,
+            functools.partial(with_lengths, carrier),
+        )
+    base = dict(zip(carrier._topo.index, cost))
     turns = _turns(carrier, loops, weights)
     new_v, new_e = _fresh_names(carrier)
     for v in carrier.vertices:
@@ -398,7 +377,6 @@ def _neighbor_probes(
                 _probe_expansion, carrier, v, new_v, new_e, moved, split_edges, key,
                 base, turns.get(v, []), scale, eps,
             )
-    rows = _row_masks(carrier)
     for psi, imgs in zip(gens, images):
         key = (rank, edges, basepoint, tuple(carrier.path_of(w) for w in imgs))
         yield key, functools.partial(
@@ -429,11 +407,15 @@ def minimize(
     vertices, skipping empty regions; it moves only on strict improvement
     (> 1e-9), so the descent terminates.  Expansions alone cannot walk
     along the axis of an exponential pair (that takes a change of
-    marking), which is what the translates are for.  Expansions and
-    translates are probed on the carrier (``_neighbor_probes``) and built
-    only when the descent moves to one.  An optimum with zero-length edges
-    is returned on its collapsed topology.  The result is a local minimum
-    unless the budget, a count of feasible probes, ran out first.
+    marking), which is what the translates are for.  Every neighbour, the
+    collapsed carrier included, is read off the carrier
+    (``_neighbor_probes``) and built only when the descent moves to it, so
+    ``min_on_topology`` runs once for the start and once for the final
+    collapse.  The collapsed carrier's region is a face of the current
+    one, so its probe never wins a step, but it still counts toward the
+    budget.  An optimum with zero-length edges is returned on its
+    collapsed topology.  The result is a local minimum unless the budget,
+    a count of feasible probes, ran out first.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")

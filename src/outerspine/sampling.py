@@ -7,7 +7,8 @@ the exact configuration that reproduces them.
 Spine repair blends a length vector toward the topology's systole-maximal
 lengths: the systole is a minimum of linear functions of the lengths, hence
 concave, so the spine condition cuts out a convex set of length vectors and
-the blend crosses its boundary exactly once (bisection finds the crossing).
+the blend crosses its boundary exactly once (bisection finds the crossing,
+testing each blend with the same shortest-cycle reader as ``in_spine``).
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from typing import Sequence
 from .currents import RationalCurrent
 from .graphs import (
     MarkedGraph,
+    _fresh_names,
+    _partitions,
+    _split,
     collapse_edge,
-    expansions,
     in_spine,
     normalize_volume,
     rose,
@@ -43,7 +46,10 @@ class SampleError(RuntimeError):
 
 
 def repair(g: MarkedGraph, eps: float) -> MarkedGraph:
-    """Pull a volume-one point back into the spine along a blend."""
+    """Pull a volume-one point back into the spine along a blend.
+
+    Each bisection step tests the blend's lengths with ``in_spine``'s
+    shortest-cycle reader, with no graph built per step."""
     if in_spine(g, eps):
         return g
     best, target = max_systole_lengths(g)
@@ -53,18 +59,15 @@ def repair(g: MarkedGraph, eps: float) -> MarkedGraph:
         )
     base = [e.length for e in g.edges]
     goal = [target[e.id] for e in g.edges]
-    cycles = [order for _, order in g._topo.graph.cycles]
+    shortest = g._topo.graph.shortest_cycle
 
     def at(t: float) -> list[float]:
         return [(1 - t) * b + t * a for b, a in zip(base, goal)]
 
-    # in_spine on the blend's lengths, summed as embedded_cycles sums them,
-    # with no graph built per step
     lo, hi = 0.0, 1.0
     for _ in range(50):
         mid = (lo + hi) / 2
-        x = at(mid)
-        if min(sum(x[i] for i in order) for order in cycles) >= eps - 1e-9:
+        if shortest(at(mid)) >= eps - 1e-9:
             hi = mid
         else:
             lo = mid
@@ -102,12 +105,11 @@ def _random_expansion(g: MarkedGraph, rng: random.Random, eps: float, delta: flo
     if not verts:
         return None
     v = rng.choice(verts)
-    options = expansions(g, v)
-    h = rng.choice(options)
-    old_ids = {e.id for e in g.edges}
-    new_id = next(e.id for e in h.edges if e.id not in old_ids)
+    # the draw ``rng.choice(expansions(g, v))`` makes, building one split
+    new_v, new_e = _fresh_names(g)
+    h = _split(g, v, new_v, new_e, rng.choice(list(_partitions(g, v))))
     lengths = {e.id: e.length * (1 - delta) for e in h.edges}
-    lengths[new_id] = delta
+    lengths[new_e] = delta
     return repair(with_lengths(h, lengths), eps)
 
 

@@ -26,7 +26,8 @@ from outerspine import cli
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "cli_goldens.json")
 DATA = os.path.join(os.path.dirname(cli.__file__), "data")
-# the k=6 iwip pair of tribonacci.json, as ``iwip --k 6`` computes it
+# the k=6 iwip pair of tribonacci.json and the k=14 pair of rank4.json, as
+# ``iwip --k 6`` and ``iwip --k 14`` compute them
 FIXTURES = os.path.join(os.path.dirname(__file__), "data")
 
 FORMS = {"human": [], "csv": ["--csv", "out.csv"], "json": ["--json"]}
@@ -36,6 +37,9 @@ _ROSE = "data/rose3.json"
 _TREE = "data/rose_half_quarter.json"
 _PHI = "data/tribonacci.json"
 _IWIP6 = ["--mu", "data/mu6.json", "--nu", "data/nu6.json"]
+# a -> b, b -> c, c -> d, d -> a d: growth rate the real root of x^4 - x^3 - 1
+_RANK4 = "data/rank4.json"
+_IWIP14 = ["--mu", "data/mu14.json", "--nu", "data/nu14.json"]
 
 # name -> argv without the output-form flags; small sizes keep the replay fast
 CASES = {
@@ -68,6 +72,9 @@ CASES = {
         "--from", "-1", "--to", "1", "--step", "0.5", "--check-ultrametric",
     ],
     "tau-one-power": ["tau", *_MU_NU, "--x", _TREE, "--c", "1", "--powers", "0"],
+    "iwip-rank4": ["iwip", "--phi", _RANK4, "--k", "14"],
+    # the probe budget, not a local minimum, ends this descent
+    "min-rank4-budget": ["min", *_IWIP14, "--s", "1"],
 }
 
 

@@ -9,7 +9,7 @@ import os
 import pytest
 
 from outerspine import cli, exp_combination, jsonio
-from outerspine.minima import _objective, _row_masks, _vertices
+from outerspine.minima import _objective, _vertices
 from record_cli_goldens import CASES, DATA, FIXTURE, FIXTURES, FORMS, run_case
 
 with open(FIXTURE) as fh:
@@ -47,7 +47,7 @@ def test_tied_golden_prints_a_tie_break():
     g = jsonio.graph_from_obj(body["point"])
     mu, nu = (jsonio.load_current(os.path.join(FIXTURES, f)) for f in ("mu6.json", "nu6.json"))
     cost, _ = _objective(g, exp_combination(mu, nu, body["s"]))
-    _, verts = _vertices(len(g.edges), _row_masks(g), body["config"]["eps"])
+    _, verts = _vertices(len(g.edges), g._topo.graph.rows, body["config"]["eps"])
     dots = [sum(c * v for c, v in zip(cost, x)) for x in verts]
     assert dots.count(min(dots)) > 1
 

@@ -33,13 +33,17 @@ from outerspine.graphs import (
     _candidate_paths,
     _canonical_cycle,
     _cyclic_tighten,
+    _fresh_names,
+    _Graph,
+    _partitions,
+    _split_parts,
     collapse_zero_edges,
 )
 from outerspine.sampling import random_automorphism, spine_points
 from outerspine.words import canonical_representative, elementary_automorphisms, invert
 
 from builders import parallel_graph
-from oracles import conjugacy_classes, o_candidates, o_cyclic_tighten, rose_length
+from oracles import conjugacy_classes, o_candidates, o_cycle_rows, o_cyclic_tighten, rose_length
 from record_float_pins import FIXTURE, KEPT, float_pins, pin_points
 
 ROSE = unit_rose(3)
@@ -142,6 +146,35 @@ class TestEmbeddedCycles:
 
     def test_parallel_graph_pairs(self):
         assert len(embedded_cycles(parallel_graph([0.25] * 4))) == 6
+
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_rows_are_the_connected_two_regular_edge_sets(self, rank):
+        """``_Graph.rows`` of seeded points and of every bare split of each,
+        against the brute-force edge-subset search."""
+        splits = 0
+        for g in spine_points(rank, 0.05, 11 * rank, 6):
+            new_v, new_e = _fresh_names(g)
+            bare = [
+                _split_parts(g, v, new_v, new_e, moved)[0]
+                for v in g.vertices
+                if g.valence(v) >= 4
+                for moved in _partitions(g, v)
+            ]
+            for edges, rows in [(g.edges, g._topo.graph.rows)] + [(b, _Graph(b).rows) for b in bare]:
+                dense = o_cycle_rows([(e.src, e.dst) for e in edges])
+                assert rows == tuple(sorted(sum(b << i for i, b in enumerate(r)) for r in dense))
+            splits += len(bare)
+        assert splits > 20
+
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_shortest_cycle_is_the_systole(self, rank):
+        """The lengths-only reader behind ``in_spine`` gives the systole's
+        float exactly, on seeded points and their expansions."""
+        for g in spine_points(rank, 0.05, 5 * rank, 6):
+            hosts = [g] + [h for v in g.vertices if g.valence(v) >= 4 for h in expansions(g, v)[:3]]
+            for h in hosts:
+                lengths = [e.length for e in h.edges]
+                assert h._topo.graph.shortest_cycle(lengths) == systole(h)[0]
 
 
 class TestCandidates:

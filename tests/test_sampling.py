@@ -20,7 +20,9 @@ from outerspine import (
     unit_rose,
     with_lengths,
 )
+from outerspine import graphs
 from outerspine.sampling import (
+    _random_expansion,
     balanced_point,
     ball_points,
     jitter,
@@ -89,6 +91,29 @@ class TestRepair:
     def test_unreachable_epsilon(self):
         with pytest.raises(SampleError):
             repair(with_lengths(ROSE, {"a": 0.2, "b": 0.2, "c": 0.6}), 0.4)
+
+
+class TestRandomExpansion:
+    def test_builds_only_the_split_it_draws(self, monkeypatch):
+        points = spine_points(3, EPS, 2, 8) + spine_points(4, EPS, 2, 8)
+        built = []
+        init = graphs.MarkedGraph.__init__
+
+        def counted(self, *args, **kw):
+            built.append(1)
+            init(self, *args, **kw)
+
+        monkeypatch.setattr(graphs.MarkedGraph, "__init__", counted)
+        rng = random.Random(4)
+        expanded = 0
+        for g in points:
+            built.clear()
+            h = _random_expansion(g, rng, EPS, EPS)
+            assert len(built) == (h is not None)
+            if h is not None:
+                assert len(h.edges) == len(g.edges) + 1 and in_spine(h, EPS)
+                expanded += 1
+        assert expanded > 5
 
 
 class TestJitter:

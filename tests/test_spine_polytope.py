@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from outerspine import RationalCurrent, axis, jsonio, minima, rose, sampling
 from outerspine.graphs import expansions
-from outerspine.minima import _cycle_rows, _least_vertex, _objective, _row_masks, _vertices
+from outerspine.minima import _cycle_rows, _least_vertex, _objective, _vertices
 from outerspine.simplex import Infeasible, solve_lp
 from outerspine.words import Word
 
@@ -110,7 +110,7 @@ def test_least_vertex_is_the_lp_point(data, rank, eps):
     cost, scale = _objective(g, data.draw(positive_currents(rank)))
     n = len(g.edges)
     rows, _ = _cycle_rows(g)
-    got = _least_vertex(cost, scale, n, _row_masks(g), eps)
+    got = _least_vertex(cost, scale, n, g._topo.graph.rows, eps)
     obj = [Fraction(c, scale) for c in cost]
     lp = (obj, [[1] * n], [1], rows, [Fraction(eps)] * len(rows))
     try:
@@ -122,7 +122,7 @@ def test_least_vertex_is_the_lp_point(data, rank, eps):
 
 
 def test_max_systole_point_is_the_lex_least_optimum():
-    regions = {(len(g.edges), _row_masks(g)) for g in pool(3)}
+    regions = {(len(g.edges), g._topo.graph.rows) for g in pool(3)}
     assert len(regions) > 5
     small = 0
     for n, rows in regions:
@@ -156,7 +156,7 @@ def test_lp_count(monkeypatch):
 
     def counted_blend(g):
         blends.append(1)
-        regions.add((len(g.edges), _row_masks(g)))
+        regions.add((len(g.edges), g._topo.graph.rows))
         return blend(g)
 
     monkeypatch.setattr(minima, "solve_lp", counted_solve)
