@@ -407,8 +407,10 @@ def _cmd_ball_contract(args) -> _Result:
         raise ValueError(f"--slack must be finite and nonnegative, not {args.slack}")
     mu, nu = _load_pair(args)
     center = _load_graph(args.center, normalize=True)
-    radii = _floats(args.radii) if args.radii else [args.radius]
-    if not radii or not all(r >= 0 for r in radii):
+    radii = _floats(args.radii) if args.radii is not None else [args.radius]
+    if not radii:
+        raise ValueError("need at least one radius")
+    if not all(r >= 0 for r in radii):
         raise ValueError("need nonnegative radii")
     ax = axis(mu, nu, -3.0, 3.0, 0.5, args.eps, args.budget)
     results = [

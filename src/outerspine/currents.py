@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import MarkedGraph, _weigh, crossing_vector, rose, translation_length
+from .graphs import MarkedGraph, _weigh, crossing_vector, rose, translation_length, unit_rose
 from .words import (
     MAX_POWER,
     Automorphism,
@@ -207,7 +207,7 @@ def iwip_pair_approx(
     if not seed:
         raise ValueError("seed must be nontrivial")
     if base is None:
-        base = rose([1.0 / phi.rank] * phi.rank)
+        base = unit_rose(phi.rank)
     inv = invert(phi)
 
     def iterate(f: Automorphism) -> tuple[list[float], Word]:

@@ -14,10 +14,10 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .currents import RationalCurrent, add, dual, exp_combination, normalize_at, pairing
-from .graphs import MarkedGraph, candidates as graph_candidates, rescale, rose, transform
+from .currents import RationalCurrent, add, dual, normalize_at, pairing
+from .graphs import MarkedGraph, candidates as graph_candidates, rescale, transform, unit_rose
 from .lipschitz import d_sym, sigma_scale
-from .minima import AxisSample, axis, balance_param, minimize, project
+from .minima import AxisSample, _walk, axis, balance_param, minimize, project
 from .sampling import (
     SampleError,
     balanced_point,
@@ -85,34 +85,28 @@ def check_minisline(
     s_list: Sequence[float],
     eps: float,
     budget: int = 600,
-    start: MarkedGraph | None = None,
 ) -> MinislineReport:
     """Two-sided bound 2s - 2 log b <= d_sym(x, y_s) <= 2s + 8 log b + 2 log 2.
 
-    x minimizes mu + nu; y_s minimizes e^s mu + e^-s nu.  Parameters are
-    taken at |s| since the pairing sum is symmetric under (s, mu, nu) ->
-    (-s, nu, mu).
+    x minimizes mu + nu from the unit rose; y_s minimizes e^s mu + e^-s nu,
+    walked over ``s_list`` in turn from x.  Parameters are taken at |s|
+    since the pairing sum is symmetric under (s, mu, nu) -> (-s, nu, mu).
     """
     if not 1 <= b < math.inf:
         raise ValueError(f"b must be finite and at least 1, not {b}")
     if not s_list:
         raise ValueError("need at least one s to check")
-    start = start if start is not None else rose([1.0 / mu.rank] * mu.rank)
-    x = minimize(add(mu, nu), eps, start, budget).point
-    rows = []
-    cur = x
-    for s in s_list:
-        y = minimize(exp_combination(mu, nu, s), eps, cur, budget).point
-        cur = y
-        rows.append(
-            MinislineRow(
-                s=s,
-                distance=d_sym(x, y),
-                lower=2 * abs(s) - 2 * math.log(b),
-                upper=2 * abs(s) + 8 * math.log(b) + 2 * math.log(2),
-            )
+    x = minimize(add(mu, nu), eps, unit_rose(mu.rank), budget).point
+    rows = tuple(
+        MinislineRow(
+            s=s,
+            distance=d_sym(x, y),
+            lower=2 * abs(s) - 2 * math.log(b),
+            upper=2 * abs(s) + 8 * math.log(b) + 2 * math.log(2),
         )
-    return MinislineReport(b=b, rows=tuple(rows), eps=eps)
+        for s, y, _ in _walk(mu, nu, s_list, eps, x, budget)
+    )
+    return MinislineReport(b=b, rows=rows, eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +296,8 @@ def check_contracting(
     if not 1 <= b < math.inf:
         raise ValueError(f"b must be finite and at least 1, not {b}")
     cfg = config if config is not None else SamplerConfig()
+    if not cfg.near_step > 0:
+        raise ValueError(f"near_step must be positive, not {cfg.near_step}")
     rng = random.Random(cfg.seed)
     ax = axis(mu, nu, -cfg.s_max, cfg.s_max, cfg.step, eps, cfg.budget)
     fitted = fit_B(mu, nu, eps, ax=ax)
@@ -345,24 +341,22 @@ def check_contracting(
         )
 
     # clause 3: central stability for |s| <= 1
-    worst_d, worst_s3 = 0.0, 0.0
-    n3 = 0
-    cur = x
+    near = []
     s = -1.0
     while s <= 1.0 + 1e-9:
-        y = minimize(exp_combination(mu, nu, s), eps, cur, cfg.budget).point
-        cur = y
+        near.append(s)
+        s += cfg.near_step
+    worst_d, worst_s3 = 0.0, 0.0
+    for s, y, _ in _walk(mu, nu, near, eps, x, cfg.budget):
         dxy = d_sym(x, y)
-        n3 += 1
         if dxy > worst_d:
             worst_d, worst_s3 = dxy, s
-        s += cfg.near_step
     clauses.append(
         ClauseResult(
             clause=3,
             passed=worst_d <= b + 1e-9,
             margin=b - worst_d,
-            n_samples=n3,
+            n_samples=len(near),
             witness=f"d_sym {worst_d:.6g} at s={worst_s3:+.3g}",
         )
     )

@@ -21,13 +21,15 @@ groups being Hopfian) an isomorphism; nothing more needs checking.
 A point is its edges, lengths, basepoint and marking; the comarking is not
 part of its identity.  Three layers keep combinatorics apart from
 lengths.  The private unmarked graph holds edge ends, adjacency and what
-they alone fix: embedded cycles (one search, read as paths, as rows and
-as the shortest length the spine test asks for) and candidate loop
-paths.  The private
-topology is a marking of it (basepoint, marking, comarking, letter paths,
-the candidates' class words and their order, the crossing counts of
-paired current atoms) and fixes one simplex of Outer space.  ``edges``
-carries one point's lengths, which are summed along those cached paths.
+they alone fix: embedded cycles (one search, read as paths, as masks and
+sorted rows, and as the shortest length the spine test asks for),
+candidate loop paths, and the spanning tree that validation and the
+graph-file loader share.  The private topology is a marking of it
+(basepoint, marking, comarking, letter paths, the candidates' class words
+and their order, the crossing counts of paired current atoms) and fixes
+one simplex of Outer space.  ``edges`` carries one point's lengths, which
+are summed along those cached paths.  Every tight loop, of a word or of a
+candidate's image, is read by ``_tight_loop``.
 The constructor builds and validates a fresh graph and topology, marking
 read-back included; ``transform`` keeps its source's graph, already
 validated, and checks only the basepoint and the new marking;
@@ -88,7 +90,7 @@ class LoopPath:
         return tuple(e for e, _ in self.path)
 
 
-def _tighten(path: Sequence[OrientedEdge]) -> list[OrientedEdge]:
+def _tighten(path: Iterable[OrientedEdge]) -> list[OrientedEdge]:
     stack: list[OrientedEdge] = []
     for step in path:
         if stack and stack[-1][0] == step[0] and stack[-1][1] == -step[1]:
@@ -98,7 +100,7 @@ def _tighten(path: Sequence[OrientedEdge]) -> list[OrientedEdge]:
     return stack
 
 
-def _cyclic_tighten(path: Sequence[OrientedEdge]) -> tuple[OrientedEdge, ...]:
+def _cyclic_tighten(path: Iterable[OrientedEdge]) -> tuple[OrientedEdge, ...]:
     p = _tighten(path)
     # peel matching end pairs by index and slice once, as cyclic_reduce does
     i, j = 0, len(p) - 1
@@ -106,6 +108,13 @@ def _cyclic_tighten(path: Sequence[OrientedEdge]) -> tuple[OrientedEdge, ...]:
         i += 1
         j -= 1
     return tuple(p[i : j + 1])
+
+
+def _tight_loop(table, steps) -> tuple[OrientedEdge, ...]:
+    """The cyclically tightened concatenation of ``table[x]`` over
+    ``steps``: a word's loop under a letter-path table, or a candidate's
+    image under a table of edge images."""
+    return _cyclic_tighten(chain.from_iterable(map(table.__getitem__, steps)))
 
 
 def _reverse(path: tuple[OrientedEdge, ...]) -> tuple[OrientedEdge, ...]:
@@ -132,11 +141,12 @@ def _topology_key(rank: int, edges, basepoint: str, marking) -> tuple:
 
 class _Graph:
     """The unmarked part of a topology: edge indices, edge ends, adjacency
-    and vertices, and what they alone fix: its embedded cycles, their rows
-    (the region a topology on this graph poses) and shortest length under
-    given lengths, and its candidate loop paths.  Every topology on this
-    graph (its translates under ``transform`` and their relengthings)
-    shares it, so each is enumerated once, by one cycle search."""
+    and vertices, and what they alone fix: its embedded cycles, their
+    masks and rows (the region a topology on this graph poses) and
+    shortest length under given lengths, its candidate loop paths and its
+    spanning tree.  Every topology on this graph (its translates under
+    ``transform`` and their relengthings) shares it, so each is enumerated
+    once, by one cycle search."""
 
     def __init__(self, edges):
         self.shape = _shape(edges)
@@ -163,12 +173,17 @@ class _Graph:
         return [(_canonical_cycle(path), order) for path, order in self._dfs_cycles]
 
     @cached_property
-    def rows(self) -> tuple[int, ...]:
+    def masks(self) -> tuple[int, ...]:
         """Each embedded cycle's edge set as a bitmask over edge indices,
-        sorted: with the edge count, the key of the region {x >= 0, sum x =
-        1, every cycle >= eps} of any topology on this graph.  Needs no
-        marking and no canonical cycle."""
-        return tuple(sorted(sum(1 << i for i in order) for _, order in self._dfs_cycles))
+        in ``cycles`` order.  Needs no marking and no canonical cycle."""
+        return tuple(sum(1 << i for i in order) for _, order in self._dfs_cycles)
+
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """The masks, sorted: with the edge count, the key of the region
+        {x >= 0, sum x = 1, every cycle >= eps} of any topology on this
+        graph."""
+        return tuple(sorted(self.masks))
 
     def shortest_cycle(self, lengths: Sequence[float]) -> float:
         """The least embedded-cycle length under ``lengths`` (in edge
@@ -180,6 +195,21 @@ class _Graph:
     def candidates(self) -> list[tuple[tuple[OrientedEdge, ...], tuple[int, ...]]]:
         """Candidate loop paths (see ``candidates``): (path, edge indices)."""
         return _candidate_paths(self)
+
+    def spanning_tree(self, base: str) -> tuple[set[str], set[str]]:
+        """The breadth-first spanning tree from ``base``, taking each
+        vertex's edges in id order: its edge ids, and the vertices it
+        reaches (all of them exactly when the graph is connected)."""
+        tree: set[str] = set()
+        reached = {base}
+        queue = [base]
+        for v in queue:
+            for eid, _, u in self.adj[v]:
+                if u not in reached:
+                    reached.add(u)
+                    tree.add(eid)
+                    queue.append(u)
+        return tree, reached
 
 
 class _Topology:
@@ -228,7 +258,7 @@ class _Topology:
         measured word would keep long iterates alive."""
         counts = self._counts.get(letters)
         if counts is None:
-            path = _cyclic_tighten([step for x in letters for step in self.letter_paths[x]])
+            path = _tight_loop(self.letter_paths, letters)
             counts = self._counts[letters] = _crossings(path, self.graph.index)
         return counts
 
@@ -370,16 +400,7 @@ class MarkedGraph:
         verts = self.vertices
         if self.basepoint not in t.adj:
             raise ValueError(f"basepoint {self.basepoint!r} is not a vertex")
-        # connectivity
-        seen = {self.basepoint}
-        stack = [self.basepoint]
-        while stack:
-            v = stack.pop()
-            for _, _, u in t.adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if len(seen) != len(verts):
+        if len(t.spanning_tree(self.basepoint)[1]) != len(verts):
             raise ValueError("graph is not connected")
         betti = len(self.edges) - len(verts) + 1
         if betti != self.rank:
@@ -399,15 +420,13 @@ class MarkedGraph:
 
     def loop_of(self, w: Word) -> LoopPath:
         """Tightened cyclic loop representing the conjugacy class of ``w``."""
-        path = _cyclic_tighten(self._marked_path(w))
+        path = _tight_loop(self._topo.letter_paths, w.letters)
         return LoopPath(path, _weigh(_crossings(path, self._topo.index), self.edges))
 
     def path_of(self, w: Word) -> tuple[OrientedEdge, ...]:
         """Tightened based path of ``w`` through the marking (no cyclic move)."""
-        return tuple(_tighten(self._marked_path(w)))
-
-    def _marked_path(self, w: Word) -> list[OrientedEdge]:
-        return list(chain.from_iterable(map(self._topo.letter_paths.__getitem__, w.letters)))
+        table = self._topo.letter_paths
+        return tuple(_tighten(chain.from_iterable(map(table.__getitem__, w.letters))))
 
     def _loops(self, entries) -> list[LoopPath]:
         """LoopPaths of cached (path, edge indices, ...) entries, each length
@@ -824,14 +843,11 @@ def transform(g: MarkedGraph, phi) -> MarkedGraph:
 # -- builders ---------------------------------------------------------------------
 
 
-def rose(lengths: Sequence[float], raw: Sequence[str] | None = None) -> MarkedGraph:
+def rose(lengths: Sequence[float]) -> MarkedGraph:
     """Rose with one petal per generator, identity marking."""
     rank = len(lengths)
     names = "abcd"[:rank]
-    edges = [
-        Edge(names[i], "v", "v", float(lengths[i]), raw[i] if raw else None)
-        for i in range(rank)
-    ]
+    edges = [Edge(names[i], "v", "v", float(lengths[i])) for i in range(rank)]
     marking = [((names[i], 1),) for i in range(rank)]
     comarking = {names[i]: Word(rank, (i + 1,)) for i in range(rank)}
     return MarkedGraph(rank, edges, "v", marking, comarking)

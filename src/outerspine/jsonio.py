@@ -5,9 +5,11 @@ the marking as oriented-edge strings ("e1+", "e2-"): everything that
 identifies a point, so a saved and reloaded graph equals the original.  The
 comarking is not stored, since the marking fixes it up to gauge.  The
 loader builds one by expressing each marking loop in the based-loop basis
-of a deterministic spanning tree and inverting that basis exactly by
-Stallings folding (words.invert_basis, no search budget); the graph
-constructor then verifies it exactly.
+of the unmarked graph's spanning tree (``_Graph.spanning_tree``:
+breadth-first from the basepoint, edges in id order, so deterministic in
+the file) and inverting that basis exactly by Stallings folding
+(words.invert_basis, no search budget); the graph constructor then
+verifies it exactly.
 
 Edge lengths given as decimal strings round-trip bit-exactly; numeric
 lengths are re-emitted as their shortest float form.
@@ -19,7 +21,7 @@ import json
 from typing import Any
 
 from .currents import RationalCurrent
-from .graphs import Edge, MarkedGraph, OrientedEdge
+from .graphs import Edge, MarkedGraph, OrientedEdge, _Graph
 from .words import (
     _LETTER_NAMES,
     Automorphism,
@@ -88,25 +90,6 @@ def graph_to_obj(g: MarkedGraph) -> dict:
     }
 
 
-def _bfs_tree(adj: dict[str, list[tuple[str, str]]], base: str, n_vertices: int) -> set[str]:
-    """First-edge-by-id spanning tree, deterministic in the input graph."""
-    seen = {base}
-    tree: set[str] = set()
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for eid, u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    tree.add(eid)
-                    nxt.append(u)
-        frontier = nxt
-    if len(seen) != n_vertices:
-        raise ValueError("graph is not connected")
-    return tree
-
-
 def graph_from_obj(data: dict) -> MarkedGraph:
     _check_format(data, "graph")
     rank = int(_typed(data["rank"], (int, str), "'rank'"))
@@ -140,13 +123,9 @@ def graph_from_obj(data: dict) -> MarkedGraph:
     if basepoint not in touched:
         raise ValueError(f"basepoint {basepoint!r} is not a vertex")
 
-    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in sorted(touched)}
-    for e in sorted(edges, key=lambda e: e.id):
-        adj[e.src].append((e.id, e.dst))
-        adj[e.dst].append((e.id, e.src))
-    for v in adj:
-        adj[v].sort()
-    tree = _bfs_tree(adj, basepoint, len(touched))
+    tree, reached = _Graph(edges).spanning_tree(basepoint)
+    if len(reached) != len(touched):
+        raise ValueError("graph is not connected")
 
     # express each marking loop in the based-loop basis of the non-tree edges
     nontree = sorted(e.id for e in edges if e.id not in tree)

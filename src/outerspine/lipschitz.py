@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import MarkedGraph, _crossings, _cyclic_tighten, _reverse, _weigh
+from .graphs import MarkedGraph, _crossings, _reverse, _tight_loop, _weigh
 from .words import Word
 
 
@@ -51,8 +51,7 @@ def _ratios(x: MarkedGraph, y: MarkedGraph) -> list[float]:
         den = sum(lengths[i] for i in order)
         if den == 0:
             raise ValueError("a candidate loop of the source graph has length 0")
-        loop = _cyclic_tighten([step for oriented in path for step in images[oriented]])
-        out.append(_weigh(_crossings(loop, index), y.edges) / den)
+        out.append(_weigh(_crossings(_tight_loop(images, path), index), y.edges) / den)
     return out
 
 

@@ -16,8 +16,11 @@ atom loops cross.  A translate under an automorphism keeps the carrier's
 edges, so its region; its cost is each atom's loop under the translated
 marking.  An expansion keeps every old edge's crossing count, its fresh
 edge is crossed once per turn between the two sides of the split, and its
-region is the bare split's rows.  The simplex runs only for what vertices
-do not give: the duals of ``certificate`` and the best systole of
+region is the bare split's rows.  So ``min_on_topology`` runs once per
+descent, for its start, and a descent ends on its last carrier.  A line
+of minima is walked one way (``_walk``): each s warm-started from the
+previous minimizer.  The simplex runs only for what vertices do not give:
+the duals of ``certificate`` and the best systole of
 ``max_systole_lengths``.
 """
 
@@ -27,6 +30,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .currents import RationalCurrent, apply_to_current, exp_combination, pairing
 from .graphs import (
@@ -34,20 +38,20 @@ from .graphs import (
     LoopPath,
     MarkedGraph,
     OrientedEdge,
-    _cyclic_tighten,
     _fresh_names,
     _Graph,
     _letter_paths,
     _partitions,
     _split,
     _split_parts,
+    _tight_loop,
     _topology_key,
     _zero_nonloop_edges,
     collapse_zero_edges,
     embedded_cycles,
     in_spine,
-    rose,
     transform,
+    unit_rose,
     with_lengths,
 )
 from .simplex import solve_lp
@@ -96,14 +100,10 @@ def _weights(current: RationalCurrent) -> tuple[list[int], int]:
 
 
 def _atom_loops(marking, current: RationalCurrent) -> list[tuple[OrientedEdge, ...]]:
-    """Each atom's tight cyclic loop under ``marking``: its letters' paths
-    concatenated and cyclically tightened, the loop ``loop_of`` gives on a
-    graph with this marking."""
+    """Each atom's tight cyclic loop under ``marking``, the loop
+    ``loop_of`` gives on a graph with this marking."""
     table = _letter_paths(marking)
-    return [
-        _cyclic_tighten([step for x in letters for step in table[x]])
-        for letters, _ in current.atoms
-    ]
+    return [_tight_loop(table, letters) for letters, _ in current.atoms]
 
 
 def _tally(loops, weights: list[int], index: dict[str, int]) -> list[int]:
@@ -148,15 +148,6 @@ def _expansion_cost(
     """
     fresh = sum(w for w, a, b in turns if (a in moved) != (b in moved))
     return [fresh if e.id == new_e else base[e.id] for e in edges]
-
-
-def _cycle_rows(g: MarkedGraph) -> tuple[list[list[Fraction]], list[LoopPath]]:
-    cycles = embedded_cycles(g)
-    rows = []
-    for cyc in cycles:
-        members = set(cyc.edge_ids())
-        rows.append([Fraction(1 if e.id in members else 0) for e in g.edges])
-    return rows, cycles
 
 
 # -- spine polytopes ----------------------------------------------------------
@@ -258,9 +249,7 @@ def min_on_topology(g: MarkedGraph, current: RationalCurrent, eps: float) -> Min
     InfeasibleSpine naming a cycle that cannot reach epsilon.
     """
     cost, scale = _objective(g, current)
-    hit = _read_off(
-        g._topo.key, cost, scale, g._topo.graph.rows, eps, functools.partial(with_lengths, g)
-    )
+    hit = _read_off(g._topo.key, cost, scale, g._topo.graph.rows, eps, lambda: g)
     if hit is None:
         best, lengths = max_systole_lengths(g)
         worst = min(
@@ -281,10 +270,11 @@ def certificate(g: MarkedGraph, current: RationalCurrent, eps: float) -> tuple[f
     duals is the minimum.  The region must not be empty.
     """
     cost, scale = _objective(g, current)
-    rows, _ = _cycle_rows(g)
+    n = len(g.edges)
+    rows = [[mask >> i & 1 for i in range(n)] for mask in g._topo.graph.masks]
     sol = solve_lp(
         [Fraction(c, scale) for c in cost],
-        [[1] * len(g.edges)],
+        [[1] * n],
         [1],
         rows,
         [Fraction(eps)] * len(rows),
@@ -292,12 +282,12 @@ def certificate(g: MarkedGraph, current: RationalCurrent, eps: float) -> tuple[f
     return tuple(float(d) for d in sol.duals)
 
 
-def _read_off(key: tuple, cost: list[int], scale: int, rows: tuple[int, ...], eps: float, build):
+def _read_off(key: tuple, cost: list[int], scale: int, rows: tuple[int, ...], eps: float, graph):
     """A topology's least vertex read off its key, cost and rows, with no
     graph built: (value, point key, build), or None when the region is
-    empty.  The returned build makes the point by ``build(lengths)``, which
-    goes through the validating constructor or shares a validated
-    topology, and checks that it is the point read."""
+    empty.  The returned build makes the point from ``graph()``, a graph of
+    this topology, with the vertex's lengths, and checks that it is the
+    point read."""
     hit = _least_vertex(cost, scale, len(cost), rows, eps)
     if hit is None:
         return None
@@ -306,37 +296,11 @@ def _read_off(key: tuple, cost: list[int], scale: int, rows: tuple[int, ...], ep
     point_key = (rank, tuple((*e, float(v)) for e, v in zip(edges, x)), basepoint, marking)
 
     def make() -> MarkedGraph:
-        point = build({e[0]: v for e, v in zip(edges, x)})
+        point = with_lengths(graph(), {e[0]: v for e, v in zip(edges, x)})
         assert point.key() == point_key, "a probe disagrees with its graph"
         return point
 
     return float(value), point_key, make
-
-
-def _probe_expansion(c, v, new_v, new_e, moved, edges, key, base, turns, scale, eps):
-    """``_read_off`` of ``_split(c, v, new_v, new_e, moved)``, whose edges
-    are ``edges``: the cost is read off the carrier's loops, the rows off
-    the bare split."""
-    cost = _expansion_cost(base, turns, edges, new_e, moved)
-    return _read_off(
-        key, cost, scale, _Graph(edges).rows, eps,
-        lambda lengths: with_lengths(_split(c, v, new_v, new_e, moved), lengths),
-    )
-
-
-def _probe_translate(c, psi, key, current, weights, scale, rows, eps):
-    """``_read_off`` of ``transform(c, psi)``, whose topology key is ``key``.
-
-    The translate keeps ``c``'s edges, basepoint and adjacency, so its
-    cycle rows and region are ``c``'s; only its marking and cost differ,
-    and the cost is the crossing count of each atom's loop under the
-    translate's marking.
-    """
-    cost = _tally(_atom_loops(key[3], current), weights, c._topo.index)
-    return _read_off(
-        key, cost, scale, rows, eps,
-        lambda lengths: with_lengths(transform(c, psi), lengths),
-    )
 
 
 def _neighbor_probes(
@@ -346,25 +310,34 @@ def _neighbor_probes(
     images: list[tuple[Word, ...]],
     current: RationalCurrent,
     eps: float,
+    seen: set,
 ):
-    """(topology key, probe) per neighbour of the carrier, in probe order:
-    the carrier itself when zero edges were collapsed, its expansions,
-    then its translates under ``gens`` (``images``: the generators' images
-    under each one's inverse).  Every probe is a ``_read_off`` and builds
-    nothing: the carrier's with the cost its atom loops give, the others
-    read off those loops.  Each key comes first, so a topology already
-    seen costs no more than its key."""
+    """(topology key, move) per neighbour of the carrier whose key is not
+    in ``seen``, in probe order, adding each key to ``seen``: the carrier
+    itself when zero edges were collapsed, its expansions, then its
+    translates under ``gens`` (``images``: the generators' images under
+    each one's inverse).  A move is ``_read_off`` of the neighbour, read
+    as soon as its key is new, and builds nothing: the carrier's with the
+    cost its atom loops give; an expansion's with the cost read off those
+    loops (``_expansion_cost``) and the bare split's rows; a translate,
+    which keeps the carrier's edges and so its rows, with the crossing
+    counts of each atom's loop under the translate's marking.  A topology
+    already seen costs no more than its key."""
     rank, edges, basepoint, _ = carrier._topo.key
     rows = carrier._topo.graph.rows
+    index = carrier._topo.index
     weights, scale = _weights(current)
     loops = _atom_loops(carrier.marking, current)
-    cost = _tally(loops, weights, carrier._topo.index)
-    if zeros:
-        yield carrier._topo.key, functools.partial(
-            _read_off, carrier._topo.key, cost, scale, rows, eps,
-            functools.partial(with_lengths, carrier),
-        )
-    base = dict(zip(carrier._topo.index, cost))
+    cost = _tally(loops, weights, index)
+
+    def new(key) -> bool:
+        fresh = key not in seen
+        seen.add(key)
+        return fresh
+
+    if zeros and new(carrier._topo.key):
+        yield carrier._topo.key, _read_off(carrier._topo.key, cost, scale, rows, eps, lambda: carrier)
+    base = dict(zip(index, cost))
     turns = _turns(carrier, loops, weights)
     new_v, new_e = _fresh_names(carrier)
     for v in carrier.vertices:
@@ -373,15 +346,20 @@ def _neighbor_probes(
         for moved in _partitions(carrier, v):
             split_edges, marking = _split_parts(carrier, v, new_v, new_e, moved)
             key = _topology_key(rank, split_edges, basepoint, marking)
-            yield key, functools.partial(
-                _probe_expansion, carrier, v, new_v, new_e, moved, split_edges, key,
-                base, turns.get(v, []), scale, eps,
-            )
+            if new(key):
+                yield key, _read_off(
+                    key, _expansion_cost(base, turns.get(v, []), split_edges, new_e, moved),
+                    scale, _Graph(split_edges).rows, eps,
+                    functools.partial(_split, carrier, v, new_v, new_e, moved),
+                )
     for psi, imgs in zip(gens, images):
-        key = (rank, edges, basepoint, tuple(carrier.path_of(w) for w in imgs))
-        yield key, functools.partial(
-            _probe_translate, carrier, psi, key, current, weights, scale, rows, eps
-        )
+        marking = tuple(carrier.path_of(w) for w in imgs)
+        key = (rank, edges, basepoint, marking)
+        if new(key):
+            yield key, _read_off(
+                key, _tally(_atom_loops(marking, current), weights, index), scale, rows, eps,
+                functools.partial(transform, carrier, psi),
+            )
 
 
 @functools.cache
@@ -402,20 +380,26 @@ def minimize(
     """Descend through neighboring points of the spine from ``start``.
 
     Each step takes the optimum on the current topology, collapses its
-    zero-length edges, and probes that quotient, all its expansions, and
-    its translates under the elementary automorphisms for their least
-    vertices, skipping empty regions; it moves only on strict improvement
-    (> 1e-9), so the descent terminates.  Expansions alone cannot walk
-    along the axis of an exponential pair (that takes a change of
-    marking), which is what the translates are for.  Every neighbour, the
-    collapsed carrier included, is read off the carrier
+    zero-length edges into the carrier, and probes that quotient, all its
+    expansions, and its translates under the elementary automorphisms for
+    their least vertices, skipping empty regions; it moves only on strict
+    improvement (> 1e-9), so the descent terminates.  Expansions alone
+    cannot walk along the axis of an exponential pair (that takes a change
+    of marking), which is what the translates are for.  Every neighbour,
+    the collapsed carrier included, is read off the carrier
     (``_neighbor_probes``) and built only when the descent moves to it, so
-    ``min_on_topology`` runs once for the start and once for the final
-    collapse.  The collapsed carrier's region is a face of the current
-    one, so its probe never wins a step, but it still counts toward the
-    budget.  An optimum with zero-length edges is returned on its
-    collapsed topology.  The result is a local minimum unless the budget,
-    a count of feasible probes, ran out first.
+    ``min_on_topology`` runs once, for the start.  The collapsed carrier's
+    region is a face of the current one, so its probe never wins a step,
+    but it still counts toward the budget.
+
+    The descent returns its last carrier.  The carrier's region is the
+    face x_Z = 0 of the optimum's region (Z the collapsed edges), which
+    holds the optimum, and the lexicographic tie-break ignores coordinates
+    that are zero, so the carrier is its topology's least vertex: an
+    optimum with zero-length edges is returned on its collapsed topology
+    with no second solve.  The result is a local minimum unless the
+    budget, a count of feasible probes, ran out first; the probe at which
+    it runs out is read but not counted.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -431,36 +415,28 @@ def minimize(
     accepted = 1
     exhausted = False
     seen: set = {start._topo.key}
-    while not exhausted:
+    while True:
         # explore from the carrier topology: the optimum with its zero
         # faces collapsed away (a rose has no zero faces; explore anyway)
         zeros = _zero_nonloop_edges(point)
         carrier = collapse_zero_edges(point) if zeros else point
+        if exhausted:
+            break
         moves = []  # (value, point key, build) per feasible probe
-        for key, probe in _neighbor_probes(carrier, zeros, gens, images, current, eps):
-            if key in seen:
-                continue
-            seen.add(key)
+        for _, move in _neighbor_probes(carrier, zeros, gens, images, current, eps, seen):
             if probes >= budget:
                 exhausted = True
                 break
-            move = probe()
-            if move is None:
-                continue
-            probes += 1
-            moves.append(move)
+            if move is not None:
+                probes += 1
+                moves.append(move)
         best = min(moves, key=lambda m: m[:2], default=None)
         if best is None or best[0] >= value - 1e-9:
             break
         value, point = best[0], best[2]()
         accepted += 1
-
-    if _zero_nonloop_edges(point):
-        final = min_on_topology(collapse_zero_edges(point), current, eps)
-        assert abs(final.value - value) <= 1e-9, "collapse changed the optimum"
-        point = final.point
     return MinResult(
-        point=point,
+        point=carrier,
         value=value,
         topology_visits=accepted,
         eps=eps,
@@ -521,10 +497,10 @@ def axis(
 ) -> AxisSample:
     """Sample Min(e^s mu + e^-s nu) on a grid, warm-starting each solve.
 
-    Solves middle-out: the grid point nearest s = 0 is solved from
-    ``start`` and each further point from its inward neighbor, so each
-    descent's budget of feasible probes is spent on one grid step, not on
-    walking the whole axis from the far end.
+    Walks middle-out (``_walk``): from ``start`` over the grid point
+    nearest s = 0 and on up, then from that point's minimizer down, so
+    each descent's budget of feasible probes is spent on one grid step,
+    not on walking the whole axis from the far end.
     """
     if not all(math.isfinite(v) for v in (s_min, s_max, step)):
         raise ValueError("need finite s_min, s_max and step")
@@ -533,7 +509,7 @@ def axis(
     if (s_max - s_min) / step > _MAX_GRID:
         raise ValueError(f"grid has more than {_MAX_GRID} steps")
     if start is None:
-        start = rose([1.0 / mu.rank] * mu.rank)
+        start = unit_rose(mu.rank)
     grid = []
     i = 0
     while True:
@@ -545,19 +521,28 @@ def axis(
     if not grid:
         raise ValueError("empty sampling grid")
     mid = min(range(len(grid)), key=lambda i: (abs(grid[i]), i))
-    found: dict[int, tuple[float, MarkedGraph, float]] = {}
-    point = start
-    for i in range(mid, len(grid)):
-        res = minimize(exp_combination(mu, nu, grid[i]), eps, point, budget)
-        found[i] = (grid[i], res.point, res.value)
-        point = res.point
-    point = found[mid][1]
-    for i in range(mid - 1, -1, -1):
-        res = minimize(exp_combination(mu, nu, grid[i]), eps, point, budget)
-        found[i] = (grid[i], res.point, res.value)
-        point = res.point
-    samples = tuple(found[i] for i in range(len(grid)))
-    return AxisSample(mu, nu, samples, eps, step)
+    high = _walk(mu, nu, grid[mid:], eps, start, budget)
+    low = _walk(mu, nu, grid[:mid][::-1], eps, high[0][1], budget)
+    return AxisSample(mu, nu, tuple(low[::-1] + high), eps, step)
+
+
+def _walk(
+    mu: RationalCurrent,
+    nu: RationalCurrent,
+    ss: Sequence[float],
+    eps: float,
+    start: MarkedGraph,
+    budget: int,
+) -> list[tuple[float, MarkedGraph, float]]:
+    """(s, minimizer, value) of e^s mu + e^-s nu at each s of ``ss`` in
+    turn: the line of minima walked one way, each descent warm-started
+    from the previous minimizer and the first from ``start``."""
+    out = []
+    for s in ss:
+        res = minimize(exp_combination(mu, nu, s), eps, start, budget)
+        start = res.point
+        out.append((s, res.point, res.value))
+    return out
 
 
 def translate_axis(ax: AxisSample, phi) -> AxisSample:

@@ -26,8 +26,8 @@ from .graphs import (
     collapse_edge,
     in_spine,
     normalize_volume,
-    rose,
     transform,
+    unit_rose,
     with_lengths,
 )
 from .lipschitz import d_sym
@@ -135,7 +135,7 @@ def spine_points(
     the spine.
     """
     rng = random.Random(seed)
-    base = rose([1.0 / rank] * rank)
+    base = unit_rose(rank)
     out: list[MarkedGraph] = []
     while len(out) < n:
         g = base
@@ -223,7 +223,7 @@ def balanced_point(
         random_automorphism(rng, rank, rng.randrange(1, 5)) for _ in range(24)
     ]
     pool.insert(0, Automorphism.identity(rank))
-    base = rose([1.0 / rank] * rank)
+    base = unit_rose(rank)
     for phi in pool:
         g = transform(base, phi)
         lo = hi = None

@@ -1,4 +1,4 @@
-"""Graph builders that only the tests use."""
+"""Graph builders, and a reader of their cycle rows, that only the tests use."""
 
 from typing import Sequence
 
@@ -19,3 +19,10 @@ def parallel_graph(lengths: Sequence[float]) -> MarkedGraph:
     for k in range(1, rank + 1):
         comarking[f"e{k+1}"] = Word(rank, (k,))
     return MarkedGraph(rank, edges, "u", marking, comarking)
+
+
+def cycle_rows(g: MarkedGraph) -> list[tuple[int, ...]]:
+    """The 0/1 row of each embedded cycle over ``g``'s edges, in
+    ``embedded_cycles`` order: the rows ``certificate`` poses."""
+    n = len(g.edges)
+    return [tuple(m >> i & 1 for i in range(n)) for m in g._topo.graph.masks]

@@ -6,7 +6,10 @@ imports from outerspine, so a package bug cannot hide behind a shared
 helper.  The exceptions drive the package to check a shortcut against the
 plain procedure it replaced: ``o_lex_least_point`` solves on the simplex,
 which shares no code with the vertex enumeration; ``o_minimize`` and
-``o_repair`` build a graph for every point they look at; ``o_candidates``
+``o_repair`` build a graph for every point they look at; ``o_axis`` walks
+the grid middle-out by index with ``minimize``, as ``axis`` did before it
+walked two lists; ``o_bfs_tree`` grows the graph-file loader's spanning
+tree on its own adjacency list; ``o_candidates``
 keeps one candidate path per class by its word, and ``o_stretch``
 measures each candidate's word with ``translation_length``;
 ``o_scale``, ``o_add`` and ``o_exp_combination`` rebuild every atom as a
@@ -21,7 +24,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from outerspine.currents import RationalCurrent
+from outerspine.currents import RationalCurrent, exp_combination
 from outerspine.graphs import (
     LoopPath,
     _connecting_arcs,
@@ -40,6 +43,7 @@ from outerspine.minima import (
     MinResult,
     max_systole_lengths,
     min_on_topology,
+    minimize,
 )
 from outerspine.simplex import solve_lp
 from outerspine.words import Word, canonical_representative, elementary_automorphisms, spelling_key
@@ -416,6 +420,30 @@ def o_minimize(current, eps: float, start, budget: int = 600) -> MinResult:
     return MinResult(point, value, accepted, eps, True, exhausted)
 
 
+def o_axis(mu, nu, s_min: float, s_max: float, step: float, eps: float, start, budget: int = 600):
+    """``axis``'s samples by its former middle-out loop over grid indices:
+    the point nearest s = 0 from ``start``, the points above it each from
+    the one below, then the points below it each from the one above."""
+    grid = []
+    i = 0
+    while s_min + i * step <= s_max + 1e-9:
+        grid.append(s_min + i * step)
+        i += 1
+    mid = min(range(len(grid)), key=lambda i: (abs(grid[i]), i))
+    found = {}
+    point = start
+    for i in range(mid, len(grid)):
+        res = minimize(exp_combination(mu, nu, grid[i]), eps, point, budget)
+        found[i] = (grid[i], res.point, res.value)
+        point = res.point
+    point = found[mid][1]
+    for i in range(mid - 1, -1, -1):
+        res = minimize(exp_combination(mu, nu, grid[i]), eps, point, budget)
+        found[i] = (grid[i], res.point, res.value)
+        point = res.point
+    return tuple(found[i] for i in range(len(grid)))
+
+
 def o_repair(g, eps: float):
     """``repair`` by a graph per bisection step: 50 halvings of the blend
     toward the systole-maximal lengths, each tested with ``in_spine``."""
@@ -435,6 +463,34 @@ def o_repair(g, eps: float):
         else:
             lo = mid
     return at(hi)
+
+
+# --- the graph-file loader's spanning tree ---------------------------------------
+
+
+def o_bfs_tree(edges, base: str) -> tuple[set[str], set[str]]:
+    """The first-edge-by-id breadth-first tree from ``base``, level by
+    level over an adjacency list of sorted (edge id, far end) pairs: its
+    edge ids and the vertices it reaches."""
+    adj: dict[str, list[tuple[str, str]]] = {}
+    for e in sorted(edges, key=lambda e: e.id):
+        adj.setdefault(e.src, []).append((e.id, e.dst))
+        adj.setdefault(e.dst, []).append((e.id, e.src))
+    for v in adj:
+        adj[v].sort()
+    seen = {base}
+    tree: set[str] = set()
+    frontier = [base]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for eid, u in adj[v]:
+                if u not in seen:
+                    seen.add(u)
+                    tree.add(eid)
+                    nxt.append(u)
+        frontier = nxt
+    return tree, seen
 
 
 # --- current operations, each atom re-canonicalized ------------------------------

@@ -75,6 +75,8 @@ CASES = {
     "iwip-rank4": ["iwip", "--phi", _RANK4, "--k", "14"],
     # the probe budget, not a local minimum, ends this descent
     "min-rank4-budget": ["min", *_IWIP14, "--s", "1"],
+    # five rank-4 descents, each warm-started from its inward neighbour
+    "axis-rank4": ["axis", *_IWIP14, "--from", "-1", "--to", "1", "--step", "0.5"],
 }
 
 

@@ -58,6 +58,8 @@ def test_tied_golden_prints_a_tie_break():
         ["check-minisline", *MU_NU, "--b", "2", "--s-list", ""],
         ["ball-contract", *MU_NU, "--center", CENTER, "--radii", "0.1,0.2", "--n", "0"],
         ["ball-contract", *MU_NU, "--center", CENTER, "--radii", "0.1,0.2", "--n", "-1"],
+        ["ball-contract", *MU_NU, "--center", CENTER, "--radii", ""],
+        ["ball-contract", *MU_NU, "--center", CENTER, "--radii", ","],
         ["min", *MU_NU, "--eps", "-1"],
         ["min", *MU_NU, "--eps", "0"],
         ["axis", *MU_NU, "--from", "-1", "--to", "1", "--eps", "-0.05"],
@@ -85,6 +87,8 @@ def test_tied_golden_prints_a_tie_break():
         "empty-s-list",
         "no-ball-samples",
         "negative-ball-samples",
+        "empty-radii",
+        "comma-radii",
         "eps-negative",
         "eps-zero",
         "axis-eps",

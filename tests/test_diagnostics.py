@@ -1,5 +1,6 @@
 """Empirical certification: minisline bounds, contraction, ball projections, axis overlaps."""
 
+import dataclasses
 import math
 import random
 
@@ -171,6 +172,12 @@ class TestCheckContracting:
     def test_rejects_b_below_one(self):
         with pytest.raises(ValueError):
             check_contracting(FLOOR_MU, FLOOR_NU, 0.9, EPS, CFG)
+
+    @pytest.mark.parametrize("near_step", [0.0, -0.25, math.nan])
+    def test_rejects_a_near_step_that_never_reaches_one(self, near_step):
+        # clause 3 lists s = -1, -1 + near_step, ... up to 1 before it walks
+        with pytest.raises(ValueError, match="near_step"):
+            check_contracting(FLOOR_MU, FLOOR_NU, 2.0, EPS, dataclasses.replace(CFG, near_step=near_step))
 
     def test_diagonal_fails_doubling_with_witness(self, diag_report):
         assert not diag_report.passed

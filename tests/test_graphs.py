@@ -37,6 +37,7 @@ from outerspine.graphs import (
     _Graph,
     _partitions,
     _split_parts,
+    _tight_loop,
     collapse_zero_edges,
 )
 from outerspine.sampling import random_automorphism, spine_points
@@ -167,6 +168,17 @@ class TestEmbeddedCycles:
         assert splits > 20
 
     @pytest.mark.parametrize("rank", [3, 4])
+    def test_masks_follow_the_cycles(self, rank):
+        """``_Graph.masks`` lists each embedded cycle's edge set in
+        ``embedded_cycles`` order, the order of ``certificate``'s duals;
+        ``rows`` sorts them."""
+        for g in spine_points(rank, 0.05, 3 * rank, 6):
+            t = g._topo.graph
+            want = tuple(sum(1 << t.index[e] for e in set(c.edge_ids())) for c in embedded_cycles(g))
+            assert t.masks == want
+            assert t.rows == tuple(sorted(want))
+
+    @pytest.mark.parametrize("rank", [3, 4])
     def test_shortest_cycle_is_the_systole(self, rank):
         """The lengths-only reader behind ``in_spine`` gives the systole's
         float exactly, on seeded points and their expansions."""
@@ -248,6 +260,13 @@ class TestCyclicTighten:
     @settings(max_examples=200, deadline=None)
     def test_matches_the_pairwise_trim(self, path):
         assert _cyclic_tighten(path) == o_cyclic_tighten(path)
+
+    @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=30), st.integers(0, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_tight_loop_tightens_the_concatenation(self, letters, seed):
+        table = spine_points(3, 0.05, seed, 1)[0]._topo.letter_paths
+        path = [step for x in letters for step in table[x]]
+        assert _tight_loop(table, letters) == o_cyclic_tighten(path)
 
     def test_long_conjugate(self):
         rng = random.Random(5)

@@ -23,7 +23,10 @@ from outerspine import (
     transform,
     unit_rose,
 )
+from outerspine.graphs import Edge, _Graph
 from outerspine.sampling import random_automorphism, spine_points
+
+from oracles import o_bfs_tree
 
 DATA = os.path.join(os.path.dirname(cli.__file__), "data")
 ROSE = os.path.join(DATA, "rose3.json")
@@ -213,6 +216,29 @@ def test_seeded_graphs_round_trip_equal():
         for g in spine_points(3, 0.05, seed, 8):
             for h in (g, transform(g, phi)):
                 assert_same_graph(jsonio.graph_from_obj(jsonio.graph_to_obj(h)), h)
+
+
+def test_spanning_tree_is_the_loaders_own_bfs_tree():
+    """The loader's comarking is read off ``_Graph.spanning_tree``; graph
+    equality ignores the comarking, so the round trips above cannot tell
+    another tree apart.  Checked against the breadth-first tree the
+    loader grew on its own adjacency list, on the bundled graphs and the
+    seeded graphs of the round trips (a transform shares its source's
+    graph), and on a graph in two pieces."""
+    graphs = [jsonio.load_graph(os.path.join(DATA, f)) for f in ("rose3.json", "rose_half_quarter.json")]
+    for seed in range(6):
+        graphs += spine_points(3, 0.05, seed, 8) + spine_points(4, 0.05, seed, 2)
+    for g in graphs:
+        assert g._topo.graph.spanning_tree(g.basepoint) == o_bfs_tree(g.edges, g.basepoint)
+    trees = [g for g in graphs if len(g.vertices) > 1]
+    assert len(trees) > 20
+    a, b = trees[:2]
+    pieces = [
+        Edge(k + e.id, k + e.src, k + e.dst, e.length) for k, g in (("p", a), ("q", b)) for e in g.edges
+    ]
+    got = _Graph(pieces).spanning_tree("p" + a.basepoint)
+    assert got == o_bfs_tree(pieces, "p" + a.basepoint)
+    assert got[1] == {"p" + v for v in a.vertices}
 
 
 def test_long_marking_round_trips(tmp_path):

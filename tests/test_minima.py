@@ -1,6 +1,5 @@
 """Per-topology LPs, descent over the spine, balance, axes, projection."""
 
-import functools
 import math
 import os
 import random
@@ -38,7 +37,6 @@ from outerspine import graphs, jsonio, minima
 from outerspine.graphs import _fresh_names, _partitions, _split_parts, crossing_vector, expansions
 from outerspine.minima import (
     _atom_loops,
-    _cycle_rows,
     _expansion_cost,
     _neighbor_probes,
     _objective,
@@ -48,8 +46,8 @@ from outerspine.minima import (
 )
 from outerspine.sampling import spine_points
 
-from builders import parallel_graph
-from oracles import grid_lp_min, o_minimize
+from builders import cycle_rows, parallel_graph
+from oracles import grid_lp_min, o_axis, o_minimize
 
 ROSE = unit_rose(3)
 THETA4 = parallel_graph([0.25] * 4)
@@ -107,7 +105,7 @@ class TestMinOnTopology:
         assert all(d >= -1e-15 for d in duals[1:])
         # dual feasibility: no edge's reduced cost is negative
         cost, scale = _objective(ROSE, cur)
-        rows, _ = _cycle_rows(ROSE)
+        rows = cycle_rows(ROSE)
         for i, c in enumerate(cost):
             used = duals[0] + sum(d * float(row[i]) for d, row in zip(duals[1:], rows))
             assert used <= c / scale + 1e-12
@@ -117,7 +115,7 @@ class TestMinOnTopology:
         for g in (ROSE, THETA4):
             cur = random_current(rng) or dual(w("a"))
             res = min_on_topology(g, cur, 0.05)
-            rows, cycles = _cycle_rows(g)
+            rows = cycle_rows(g)
             lengths = [e.length for e in res.point.edges]
             for row in rows:
                 assert sum(float(r) * x for r, x in zip(row, lengths)) >= 0.05 - 1e-9
@@ -134,7 +132,7 @@ class TestMinOnTopology:
             lp = min_on_topology(graph, cur, 0.1)
             cost, scale = _objective(graph, cur)
             obj = [c / scale for c in cost]
-            rows, _ = _cycle_rows(graph)
+            rows = cycle_rows(graph)
             grid = grid_lp_min(
                 obj, [[float(x) for x in row] for row in rows], 0.1, Fraction(1, 50)
             )
@@ -262,11 +260,12 @@ class TestMinimize:
         assert (3, True, True, True) in outcomes and (4, True, True, True) in outcomes
         assert any(not exhausted for _, _, exhausted, _ in outcomes)
 
-    def test_solves_only_the_start_and_the_final_collapse(self, monkeypatch):
+    def test_solves_only_the_start(self, monkeypatch):
         """Every probe, the collapsed carrier's included, is read off the
-        carrier, so a descent calls ``min_on_topology`` at most twice: for
-        its start and for its final collapse.  Same answer as the descent
-        that builds every neighbour."""
+        carrier, and a descent ends on its last carrier, so it calls
+        ``min_on_topology`` exactly once, for its start.  Same answer as
+        the descent that builds every neighbour and solves its final
+        collapse again; the s = -1 descent ends on zero-length edges."""
         mu, nu = (jsonio.load_current(os.path.join(FIXTURES, f)) for f in ("mu6.json", "nu6.json"))
         currents = [exp_combination(mu, nu, s) for s in (-2, -1, 0, 2)]
         wants = [o_minimize(cur, 0.05, ROSE) for cur in currents]
@@ -281,7 +280,7 @@ class TestMinimize:
         for cur, want in zip(currents, wants):
             calls.clear()
             got = minimize(cur, 0.05, ROSE)
-            assert 1 <= len(calls) <= 2
+            assert len(calls) == 1
             assert got.point.key() == want.point.key()
             assert (got.value, got.topology_visits) == (want.value, want.topology_visits)
 
@@ -334,16 +333,12 @@ class TestMinimize:
         probes = minima._neighbor_probes
         last, log = [], []
 
-        def logged(expansion, probe):
-            move = probe()
-            log.append((expansion, move is not None))
-            return move
-
         def recording(carrier, *args):
-            for key, probe in probes(carrier, *args):
+            for key, move in probes(carrier, *args):
                 # an expansion has one edge more than its carrier
                 last[:] = [len(key[1]) > len(carrier.edges)]
-                yield key, functools.partial(logged, last[0], probe)
+                log.append((last[0], move is not None))
+                yield key, move
 
         monkeypatch.setattr(minima, "_neighbor_probes", recording)
         found = {3: 0, 4: 0}
@@ -422,10 +417,9 @@ class TestExpansionProbe:
                     assert rule == [crossing_vector(h, a)[e.id] for e in h.edges]
                     triples += 1
             # the probes' keys and least vertices are the built graphs'
-            probes = list(_neighbor_probes(c, [], (), [], cur, 0.05))
+            probes = list(_neighbor_probes(c, [], (), [], cur, 0.05, set()))
             assert [key for key, _ in probes] == [h._topo.key for h in built]
-            for (_, probe), h in zip(probes, built):
-                got = probe()
+            for (_, got), h in zip(probes, built):
                 try:
                     want = min_on_topology(h, cur, 0.05)
                 except InfeasibleSpine:
@@ -505,6 +499,22 @@ class TestAxis:
     def test_nearest_index(self, sym_axis):
         assert sym_axis.nearest_index(0.1) == 2
         assert sym_axis.nearest_index(-5.0) == 0
+
+    @pytest.mark.parametrize("rank", [3, 4])
+    @pytest.mark.parametrize(
+        "s_min, s_max",
+        [(0.0, 1.0), (-1.0, 0.0), (-1.0, 1.0), (0.5, 1.5)],
+        ids=["zero-first", "zero-last", "zero-middle", "off-zero-first"],
+    )
+    def test_walks_as_the_middle_out_loop(self, rank, s_min, s_max):
+        """Two walks out from the point nearest s = 0 give the samples of
+        the loop over grid indices, wherever that point sits."""
+        pair = ("mu6.json", "nu6.json") if rank == 3 else ("mu14.json", "nu14.json")
+        mu, nu = (jsonio.load_current(os.path.join(FIXTURES, f)) for f in pair)
+        got = axis(mu, nu, s_min, s_max, 0.5, 0.05)
+        want = o_axis(mu, nu, s_min, s_max, 0.5, 0.05, unit_rose(rank))
+        assert [s for s, _, _ in got.samples] == [s for s, _, _ in want]
+        assert [(p.key(), v) for _, p, v in got.samples] == [(p.key(), v) for _, p, v in want]
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from outerspine import RationalCurrent, axis, jsonio, minima, rose, sampling
 from outerspine.graphs import expansions
-from outerspine.minima import _cycle_rows, _least_vertex, _objective, _vertices
+from outerspine.minima import _least_vertex, _objective, _vertices
 from outerspine.simplex import Infeasible, solve_lp
 from outerspine.words import Word
 
+from builders import cycle_rows
 from oracles import o_cycle_rows, o_lex_least_point, o_region_vertices
 
 DATA = os.path.join(os.path.dirname(minima.__file__), "data")
@@ -63,7 +64,7 @@ def test_rank4_vertex_counts(name, edges, count):
 @pytest.mark.parametrize("eps", [0.05, 0.25, 1 / 3, Fraction(1, 3), 0.4])
 def test_vertices_match_brute_force(eps):
     regions = {
-        (len(g.edges), tuple(tuple(int(r) for r in row) for row in _cycle_rows(g)[0]))
+        (len(g.edges), tuple(cycle_rows(g)))
         for g in pool(3)
         if len(g.edges) <= 5
     }
@@ -109,7 +110,7 @@ def test_least_vertex_is_the_lp_point(data, rank, eps):
     g = graphs[data.draw(st.integers(0, len(graphs) - 1))]
     cost, scale = _objective(g, data.draw(positive_currents(rank)))
     n = len(g.edges)
-    rows, _ = _cycle_rows(g)
+    rows = cycle_rows(g)
     got = _least_vertex(cost, scale, n, g._topo.graph.rows, eps)
     obj = [Fraction(c, scale) for c in cost]
     lp = (obj, [[1] * n], [1], rows, [Fraction(eps)] * len(rows))
