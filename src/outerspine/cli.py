@@ -40,6 +40,7 @@ from dataclasses import asdict, dataclass
 from . import jsonio
 from .currents import RationalCurrent, exp_combination, iwip_pair_approx, pairing
 from .diagnostics import (
+    AXIS_GRID,
     SamplerConfig,
     ball_projection_diameter,
     check_contracting,
@@ -412,7 +413,7 @@ def _cmd_ball_contract(args) -> _Result:
         raise ValueError("need at least one radius")
     if not all(r >= 0 for r in radii):
         raise ValueError("need nonnegative radii")
-    ax = axis(mu, nu, -3.0, 3.0, 0.5, args.eps, args.budget)
+    ax = axis(mu, nu, *AXIS_GRID, args.eps, args.budget)
     results = [
         ball_projection_diameter(
             mu, nu, center, r, args.n, args.eps,
@@ -541,7 +542,7 @@ def _add_common(p: argparse.ArgumentParser, eps: bool = True) -> None:
     form.add_argument("--csv", metavar="FILE", action=_CsvPath, help="write a CSV table to FILE")
     if eps:
         p.add_argument("--eps", type=float, default=0.05, help="spine bound")
-        p.add_argument("--budget", type=int, default=600, help="feasible probes per descent")
+        p.add_argument("--budget", type=int, default=600, help="topologies a descent may accept")
 
 
 def build_parser() -> argparse.ArgumentParser:

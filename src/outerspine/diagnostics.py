@@ -29,6 +29,10 @@ from .sampling import (
 from .words import Automorphism, NielsenMove, compose, elementary_automorphisms, power
 
 
+# the default sampled axis, as (s_min, s_max, step)
+AXIS_GRID = (-3.0, 3.0, 0.5)
+
+
 class _DistCache:
     """Symmetrized distances memoized by graph key."""
 
@@ -127,8 +131,8 @@ def fit_B(
     mu: RationalCurrent,
     nu: RationalCurrent,
     eps: float,
-    s_range: tuple[float, float] = (-3.0, 3.0),
-    step: float = 0.5,
+    s_range: tuple[float, float] = AXIS_GRID[:2],
+    step: float = AXIS_GRID[2],
     budget: int = 600,
     ax: AxisSample | None = None,
 ) -> BFit:
@@ -493,7 +497,7 @@ def ball_projection_diameter(
     if n_samples < 1:
         raise ValueError(f"need at least one sample per ball, not {n_samples}")
     if ax is None:
-        ax = axis(mu, nu, -3.0, 3.0, 0.5, eps, budget)
+        ax = axis(mu, nu, *AXIS_GRID, eps, budget)
     gap = min(d_sym(center, p) for p in ax.points())
     if gap <= radius:
         raise ValueError(

@@ -807,14 +807,10 @@ def _split(g: MarkedGraph, v: str, new_v: str, new_e: str, moved: set[tuple[str,
     return MarkedGraph(g.rank, edges, g.basepoint, marking, comarking)
 
 
-def _zero_nonloop_edges(g: MarkedGraph) -> list[str]:
-    return [e.id for e in g.edges if e.length == 0.0 and e.src != e.dst]
-
-
 def collapse_zero_edges(g: MarkedGraph) -> MarkedGraph:
     """Collapse every non-loop edge of length zero (public spine points
     keep all-positive lengths), one at a time in edge order."""
-    while zeros := _zero_nonloop_edges(g):
+    while zeros := [e.id for e in g.edges if e.length == 0.0 and e.src != e.dst]:
         g = collapse_edge(g, zeros[0])
     return g
 

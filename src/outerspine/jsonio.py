@@ -27,6 +27,7 @@ from .words import (
     Automorphism,
     NielsenMove,
     Word,
+    _check_rank,
     _reduced_word,
     format_word,
     invert_basis,
@@ -93,6 +94,7 @@ def graph_to_obj(g: MarkedGraph) -> dict:
 def graph_from_obj(data: dict) -> MarkedGraph:
     _check_format(data, "graph")
     rank = int(_typed(data["rank"], (int, str), "'rank'"))
+    _check_rank(rank)  # before the marking names a generator letter per rank
     edges = []
     for e in _typed(data["edges"], (list,), "'edges'"):
         _typed(e, (dict,), "edge")

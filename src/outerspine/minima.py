@@ -10,10 +10,11 @@ region's least vertex.  ``_read_off`` alone turns a topology's key, cost
 and rows into that vertex's value, point key and checked build.
 Minimization chains these minima through collapse and expansion moves and
 changes of marking; the search is local by design and every result says
-so.  ``minimize`` reads each neighbour off the carrier it stands on and
-builds only the one it moves to.  The collapsed carrier costs what its
-atom loops cross.  A translate under an automorphism keeps the carrier's
-edges, so its region; its cost is each atom's loop under the translated
+so.  A descent stops at a local minimum; a cap on the topologies it
+accepts only guards a current that does not fill.  ``minimize`` reads
+each neighbour off the carrier it stands on and builds only the one it
+moves to.  A translate under an automorphism keeps the carrier's edges,
+so its region; its cost is each atom's loop under the translated
 marking.  An expansion keeps every old edge's crossing count, its fresh
 edge is crossed once per turn between the two sides of the split, and its
 region is the bare split's rows.  So ``min_on_topology`` runs once per
@@ -46,7 +47,6 @@ from .graphs import (
     _split_parts,
     _tight_loop,
     _topology_key,
-    _zero_nonloop_edges,
     collapse_zero_edges,
     embedded_cycles,
     in_spine,
@@ -72,10 +72,10 @@ class MinResult:
 
     ``point`` is the least vertex of its topology's region, which
     ``certificate`` certifies.  ``topology_visits`` counts the topologies
-    the descent accepted (1 when the start was already optimal); the budget
-    bounds feasible probes, which are many more.  ``local`` records that
-    the topology search makes no global claim; ``budget_exhausted`` that it
-    stopped on budget rather than at a local optimum.
+    the descent accepted (1 when the start was already optimal), which the
+    budget caps.  ``local`` records that the topology search makes no
+    global claim; ``budget_exhausted`` that it stopped at the cap while a
+    neighbour was still better, rather than at a local optimum.
     """
 
     point: MarkedGraph
@@ -305,7 +305,6 @@ def _read_off(key: tuple, cost: list[int], scale: int, rows: tuple[int, ...], ep
 
 def _neighbor_probes(
     carrier: MarkedGraph,
-    zeros: list[str],
     gens: tuple[Automorphism, ...],
     images: list[tuple[Word, ...]],
     current: RationalCurrent,
@@ -313,31 +312,27 @@ def _neighbor_probes(
     seen: set,
 ):
     """(topology key, move) per neighbour of the carrier whose key is not
-    in ``seen``, in probe order, adding each key to ``seen``: the carrier
-    itself when zero edges were collapsed, its expansions, then its
-    translates under ``gens`` (``images``: the generators' images under
-    each one's inverse).  A move is ``_read_off`` of the neighbour, read
-    as soon as its key is new, and builds nothing: the carrier's with the
-    cost its atom loops give; an expansion's with the cost read off those
-    loops (``_expansion_cost``) and the bare split's rows; a translate,
-    which keeps the carrier's edges and so its rows, with the crossing
-    counts of each atom's loop under the translate's marking.  A topology
-    already seen costs no more than its key."""
+    in ``seen``, in probe order, adding each key to ``seen``: its
+    expansions, then its translates under ``gens`` (``images``: the
+    generators' images under each one's inverse).  A move is ``_read_off``
+    of the neighbour, read as soon as its key is new, and builds nothing:
+    an expansion's with the cost read off the carrier's atom loops
+    (``_expansion_cost``) and the bare split's rows; a translate, which
+    keeps the carrier's edges and so its rows, with the crossing counts of
+    each atom's loop under the translate's marking.  A topology already
+    seen costs no more than its key."""
     rank, edges, basepoint, _ = carrier._topo.key
     rows = carrier._topo.graph.rows
     index = carrier._topo.index
     weights, scale = _weights(current)
     loops = _atom_loops(carrier.marking, current)
-    cost = _tally(loops, weights, index)
 
     def new(key) -> bool:
         fresh = key not in seen
         seen.add(key)
         return fresh
 
-    if zeros and new(carrier._topo.key):
-        yield carrier._topo.key, _read_off(carrier._topo.key, cost, scale, rows, eps, lambda: carrier)
-    base = dict(zip(index, cost))
+    base = dict(zip(index, _tally(loops, weights, index)))
     turns = _turns(carrier, loops, weights)
     new_v, new_e = _fresh_names(carrier)
     for v in carrier.vertices:
@@ -377,29 +372,33 @@ def minimize(
     start: MarkedGraph,
     budget: int = 600,
 ) -> MinResult:
-    """Descend through neighboring points of the spine from ``start``.
+    """Descend through neighboring points of the spine from ``start`` to a
+    local minimum.
 
-    Each step takes the optimum on the current topology, collapses its
-    zero-length edges into the carrier, and probes that quotient, all its
-    expansions, and its translates under the elementary automorphisms for
-    their least vertices, skipping empty regions; it moves only on strict
-    improvement (> 1e-9), so the descent terminates.  Expansions alone
-    cannot walk along the axis of an exponential pair (that takes a change
-    of marking), which is what the translates are for.  Every neighbour,
-    the collapsed carrier included, is read off the carrier
-    (``_neighbor_probes``) and built only when the descent moves to it, so
-    ``min_on_topology`` runs once, for the start.  The collapsed carrier's
-    region is a face of the current one, so its probe never wins a step,
-    but it still counts toward the budget.
+    Each step collapses the optimum's zero-length edges into the carrier
+    and reads the least vertex of every expansion of the carrier and of
+    every translate under the elementary automorphisms, skipping empty
+    regions; expansions alone cannot walk along the axis of an exponential
+    pair, which takes a change of marking.  Neighbours are read off the
+    carrier (``_neighbor_probes``) and built only when the descent moves to
+    one, so ``min_on_topology`` runs once, for the start.  The carrier
+    itself is not read: its region is the face x_Z = 0 of the optimum's (Z
+    the collapsed edges), so it never improves.
 
-    The descent returns its last carrier.  The carrier's region is the
-    face x_Z = 0 of the optimum's region (Z the collapsed edges), which
-    holds the optimum, and the lexicographic tie-break ignores coordinates
-    that are zero, so the carrier is its topology's least vertex: an
-    optimum with zero-length edges is returned on its collapsed topology
-    with no second solve.  The result is a local minimum unless the
-    budget, a count of feasible probes, ran out first; the probe at which
-    it runs out is read but not counted.
+    The descent moves to the best neighbour on strict improvement
+    (> 1e-9) and stops when none improves.  It terminates: each move
+    strictly lowers the value, ``seen`` never repeats a topology, and when
+    the current fills (the paper's positivity hypothesis for mu + nu) the
+    pairing is positive on the thick part (Kapovich and Lustig 2009,
+    2010), so its sublevel sets meet finitely many simplices of the
+    locally finite spine (Culler and Vogtmann 1986).  ``budget`` caps the
+    accepted topologies (``topology_visits``) so that a current that does
+    not fill cannot run on; ``budget_exhausted`` says that a better
+    neighbour remained at the cap.
+
+    The descent returns its last carrier, which holds the optimum; the
+    lexicographic tie-break ignores zero coordinates, so the carrier is
+    its topology's least vertex with no second solve.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -411,27 +410,15 @@ def minimize(
     # raises InfeasibleSpine: in_spine's tolerance admits empty regions
     here = min_on_topology(start, current, eps)
     value, point = here.value, here.point
-    probes = 1
     accepted = 1
-    exhausted = False
     seen: set = {start._topo.key}
     while True:
-        # explore from the carrier topology: the optimum with its zero
-        # faces collapsed away (a rose has no zero faces; explore anyway)
-        zeros = _zero_nonloop_edges(point)
-        carrier = collapse_zero_edges(point) if zeros else point
-        if exhausted:
-            break
-        moves = []  # (value, point key, build) per feasible probe
-        for _, move in _neighbor_probes(carrier, zeros, gens, images, current, eps, seen):
-            if probes >= budget:
-                exhausted = True
-                break
-            if move is not None:
-                probes += 1
-                moves.append(move)
-        best = min(moves, key=lambda m: m[:2], default=None)
-        if best is None or best[0] >= value - 1e-9:
+        carrier = collapse_zero_edges(point)
+        seen.add(carrier._topo.key)
+        moves = _neighbor_probes(carrier, gens, images, current, eps, seen)
+        best = min((m for _, m in moves if m is not None), key=lambda m: m[:2], default=None)
+        improves = best is not None and best[0] < value - 1e-9
+        if not improves or accepted >= budget:
             break
         value, point = best[0], best[2]()
         accepted += 1
@@ -440,8 +427,7 @@ def minimize(
         value=value,
         topology_visits=accepted,
         eps=eps,
-        local=True,
-        budget_exhausted=exhausted,
+        budget_exhausted=improves,
     )
 
 
@@ -499,8 +485,8 @@ def axis(
 
     Walks middle-out (``_walk``): from ``start`` over the grid point
     nearest s = 0 and on up, then from that point's minimizer down, so
-    each descent's budget of feasible probes is spent on one grid step,
-    not on walking the whole axis from the far end.
+    each descent walks one grid step, not the whole axis from the far
+    end, and its cap on accepted topologies (``budget``) binds per step.
     """
     if not all(math.isfinite(v) for v in (s_min, s_max, step)):
         raise ValueError("need finite s_min, s_max and step")

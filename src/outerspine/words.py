@@ -34,10 +34,14 @@ _LETTER_NAMES = "abcd"
 MAX_RANK = len(_LETTER_NAMES)
 
 
-def _check_letters(rank: int, letters: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(letters)
+def _check_rank(rank: int) -> None:
     if not 2 <= rank <= MAX_RANK:
         raise ValueError(f"rank must be between 2 and {MAX_RANK}, got {rank}")
+
+
+def _check_letters(rank: int, letters: Iterable[int]) -> tuple[int, ...]:
+    out = tuple(letters)
+    _check_rank(rank)
     for x in out:
         if not isinstance(x, int) or x == 0 or abs(x) > rank:
             raise ValueError(f"letter {x!r} out of range for rank {rank}")

@@ -73,8 +73,10 @@ CASES = {
     ],
     "tau-one-power": ["tau", *_MU_NU, "--x", _TREE, "--c", "1", "--powers", "0"],
     "iwip-rank4": ["iwip", "--phi", _RANK4, "--k", "14"],
-    # the probe budget, not a local minimum, ends this descent
+    # a local minimum, six topologies in, well inside the default cap
     "min-rank4-budget": ["min", *_IWIP14, "--s", "1"],
+    # the cap on accepted topologies, not a local minimum, ends this descent
+    "min-rank4-cap": ["min", *_IWIP14, "--s", "1", "--budget", "3"],
     # five rank-4 descents, each warm-started from its inward neighbour
     "axis-rank4": ["axis", *_IWIP14, "--from", "-1", "--to", "1", "--step", "0.5"],
 }

@@ -82,6 +82,7 @@ def test_tied_golden_prints_a_tie_break():
         ["iwip", "--phi", TRIBONACCI, "--tol", "nan"],
         ["iwip", "--phi", TRIBONACCI, "--tol", "inf"],
         ["iwip", "--phi", TRIBONACCI, "--tol", "0"],
+        ["systole", "--graph", os.path.join(FIXTURES, "rank5.json")],
     ],
     ids=[
         "empty-s-list",
@@ -111,6 +112,7 @@ def test_tied_golden_prints_a_tie_break():
         "iwip-nan-tol",
         "iwip-inf-tol",
         "iwip-zero-tol",
+        "graph-rank-five",
     ],
 )
 @pytest.mark.parametrize("form", ["human", "json"])

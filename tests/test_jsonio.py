@@ -31,6 +31,9 @@ from oracles import o_bfs_tree
 DATA = os.path.join(os.path.dirname(cli.__file__), "data")
 ROSE = os.path.join(DATA, "rose3.json")
 TRIBONACCI = os.path.join(DATA, "tribonacci.json")
+# five petals, one past the generator letters a-d
+with open(os.path.join(os.path.dirname(__file__), "data", "rank5.json")) as fh:
+    RANK5 = json.load(fh)
 GRAPH = {
     "format": 1, "rank": 3, "basepoint": "v",
     "edges": [{"id": k, "from": "v", "to": "v", "length": 1} for k in "abc"],
@@ -112,8 +115,10 @@ def test_wrong_inner_type_exits_2(tmp_path, capsys, obj, argv):
             {**GRAPH, "marking": {"a": ["a+"], "b": ["e9+"], "c": ["c+"]}},
             "error: marking of 'b' steps on unknown edge 'e9'\n",
         ),
+        (RANK5, "error: rank must be between 2 and 4, got 5\n"),
+        ({**GRAPH, "rank": 1}, "error: rank must be between 2 and 4, got 1\n"),
     ],
-    ids=["basepoint", "marking-edge"],
+    ids=["basepoint", "marking-edge", "rank-five", "rank-one"],
 )
 def test_graph_names_what_is_wrong(tmp_path, capsys, obj, message):
     assert run(tmp_path, capsys, obj, ["systole", "--graph", "INPUT"]) == (2, message)

@@ -62,6 +62,24 @@ def full_support():
     return add(add(dual(w("a")), dual(w("b"))), dual(w("c")))
 
 
+def random_descents(n_seeds):
+    """(rank, eps, start, current) for seeded descents at ranks 3 and 4:
+    three spine points per seed, each with a random current."""
+    for seed in range(n_seeds):
+        rng = random.Random(seed)
+        rank = 4 if seed % 3 == 0 else 3
+        letters = [x for k in range(1, rank + 1) for x in (k, -k)]
+        # the rank-4 rose's systole is 1/4, so eps 0.3 is rank 3 only
+        eps = rng.choice((0.05, 0.1, 0.2, 0.3) if rank == 3 else (0.05, 0.1, 0.2))
+        for start in spine_points(rank, eps, seed, 3):
+            words = [
+                Word(rank, [rng.choice(letters) for _ in range(rng.randrange(1, 7))])
+                for _ in range(rng.randrange(1, 5))
+            ]
+            weighted = [(a, rng.randrange(1, 9) / rng.randrange(1, 5)) for a in words if a]
+            yield rank, eps, start, RationalCurrent(rank, weighted) or dual(Word(rank, (1,)))
+
+
 def random_current(rng):
     pairs = []
     for _ in range(rng.randrange(1, 4)):
@@ -233,39 +251,64 @@ class TestMinimize:
 
     def test_matches_the_graph_per_translate_descent(self):
         """Translates probed on the carrier give the descent that builds
-        every translate: same point, value, visits and budget flag."""
+        every translate, run with no budget that could bind: same point,
+        value and visits, and the default cap never reached."""
         outcomes = set()
-        for seed in range(18):
-            rng = random.Random(seed)
-            rank = 4 if seed % 3 == 0 else 3
-            letters = [x for k in range(1, rank + 1) for x in (k, -k)]
-            # the rank-4 rose's systole is 1/4, so eps 0.3 is rank 3 only
-            eps = rng.choice((0.05, 0.1, 0.2, 0.3) if rank == 3 else (0.05, 0.1, 0.2))
-            for i, start in enumerate(spine_points(rank, eps, seed, 3)):
-                words = [
-                    Word(rank, [rng.choice(letters) for _ in range(rng.randrange(1, 7))])
-                    for _ in range(rng.randrange(1, 5))
-                ]
-                weighted = [(a, rng.randrange(1, 9) / rng.randrange(1, 5)) for a in words if a]
-                cur = RationalCurrent(rank, weighted) or dual(Word(rank, (1,)))
-                budget = 600 if i == 2 else rng.randrange(1, 41)
-                got = minimize(cur, eps, start, budget)
-                want = o_minimize(cur, eps, start, budget)
-                assert got.point.key() == want.point.key()
-                assert (got.value, got.topology_visits) == (want.value, want.topology_visits)
-                assert got.budget_exhausted == want.budget_exhausted
-                outcomes.add((rank, budget <= 40, got.budget_exhausted, got.topology_visits > 1))
-        # both ranks; small budgets that run out after moving; descents that end
-        assert {rank for rank, *_ in outcomes} == {3, 4}
-        assert (3, True, True, True) in outcomes and (4, True, True, True) in outcomes
-        assert any(not exhausted for _, _, exhausted, _ in outcomes)
+        for rank, eps, start, cur in random_descents(18):
+            got = minimize(cur, eps, start)
+            want = o_minimize(cur, eps, start, 10**6)
+            assert got.point.key() == want.point.key()
+            assert (got.value, got.topology_visits) == (want.value, want.topology_visits)
+            assert not got.budget_exhausted and not want.budget_exhausted
+            outcomes.add((rank, got.topology_visits > 1))
+        # both ranks, and descents that move
+        assert (3, True) in outcomes and (4, True) in outcomes
+
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_a_cap_below_the_visits_stops_there(self, rank):
+        """A cap k at or above the uncapped descent's visits changes
+        nothing; a smaller k stops the descent after k topologies, with a
+        better neighbour still there, and a larger cap ends lower."""
+        capped = 0
+        for r, eps, start, cur in random_descents(9):
+            if r != rank:
+                continue
+            free = minimize(cur, eps, start)
+            visits = free.topology_visits
+            values = []
+            for k in sorted({1, visits // 2 or 1, max(visits - 1, 1), visits}):
+                res = minimize(cur, eps, start, k)
+                if k >= visits:
+                    assert res.point.key() == free.point.key()
+                    assert (res.value, res.topology_visits) == (free.value, free.topology_visits)
+                    assert not res.budget_exhausted
+                else:
+                    assert res.budget_exhausted and res.topology_visits == k
+                    assert in_spine(res.point, eps)
+                    capped += 1
+                values.append(res.value)
+            assert all(a > b + 1e-9 for a, b in zip(values, values[1:]))
+        assert capped >= 3
+
+    @pytest.mark.parametrize("s", [-3, 1, 3])
+    def test_cold_rank4_descents_reach_the_unbounded_oracle(self, s):
+        """From the unit rose on the k=14 pair, where a budget of 600
+        probes used to cut the descent short, the default cap is never
+        reached and the descent ends where the unbounded one does."""
+        mu, nu = (jsonio.load_current(os.path.join(FIXTURES, f)) for f in ("mu14.json", "nu14.json"))
+        cur = exp_combination(mu, nu, s)
+        got = minimize(cur, 0.05, unit_rose(4))
+        want = o_minimize(cur, 0.05, unit_rose(4), budget=10**6)
+        assert not got.budget_exhausted and not want.budget_exhausted
+        assert got.point.key() == want.point.key()
+        assert (got.value, got.topology_visits) == (want.value, want.topology_visits)
 
     def test_solves_only_the_start(self, monkeypatch):
-        """Every probe, the collapsed carrier's included, is read off the
-        carrier, and a descent ends on its last carrier, so it calls
-        ``min_on_topology`` exactly once, for its start.  Same answer as
-        the descent that builds every neighbour and solves its final
-        collapse again; the s = -1 descent ends on zero-length edges."""
+        """Every probe is read off the carrier, and a descent ends on its
+        last carrier, so it calls ``min_on_topology`` exactly once, for its
+        start.  Same answer as the descent that builds every neighbour and
+        solves its final collapse again; the s = -1 descent ends on
+        zero-length edges."""
         mu, nu = (jsonio.load_current(os.path.join(FIXTURES, f)) for f in ("mu6.json", "nu6.json"))
         currents = [exp_combination(mu, nu, s) for s in (-2, -1, 0, 2)]
         wants = [o_minimize(cur, 0.05, ROSE) for cur in currents]
@@ -327,53 +370,6 @@ class TestMinimize:
             expanded += len(splits)
         assert expanded >= 1
 
-    def test_matches_the_oracle_when_the_budget_runs_out_in_expansions(self, monkeypatch):
-        """Budgets that run out among a step's expansions stop the probed
-        descent where the graph-per-neighbour descent stops."""
-        probes = minima._neighbor_probes
-        last, log = [], []
-
-        def recording(carrier, *args):
-            for key, move in probes(carrier, *args):
-                # an expansion has one edge more than its carrier
-                last[:] = [len(key[1]) > len(carrier.edges)]
-                log.append((last[0], move is not None))
-                yield key, move
-
-        monkeypatch.setattr(minima, "_neighbor_probes", recording)
-        found = {3: 0, 4: 0}
-        moved = 0
-        for seed in range(8):
-            rng = random.Random(seed)
-            rank = 3 + seed % 2
-            letters = [x for k in range(1, rank + 1) for x in (k, -k)]
-            start = spine_points(rank, 0.05, seed, 1)[0]
-            words = [
-                Word(rank, [rng.choice(letters) for _ in range(rng.randrange(2, 9))])
-                for _ in range(3)
-            ]
-            cur = RationalCurrent(rank, [(a, rng.randrange(1, 9) / 4) for a in words if a])
-            log.clear()
-            minimize(cur, 0.05, start, 10**6)
-            # budget b stops a descent at its first probe after b - 1
-            # feasible ones; keep the b whose stopping probe is an expansion
-            inside, feasible = [], 0
-            for i, (expansion, ok) in enumerate(log):
-                if expansion and (i == 0 or log[i - 1][1]):
-                    inside.append(feasible + 1)
-                feasible += ok
-            for budget in sorted(set(inside[:1] + inside[-1:])):
-                res = minimize(cur, 0.05, start, budget)
-                assert res.budget_exhausted and last[0]
-                want = o_minimize(cur, 0.05, start, budget)
-                assert res.point.key() == want.point.key()
-                assert (res.value, res.topology_visits) == (want.value, want.topology_visits)
-                assert want.budget_exhausted
-                found[rank] += 1
-                moved += res.topology_visits > 1
-        # at both ranks, and after the descent has moved
-        assert found[3] and found[4] and moved
-
 
 class TestExpansionProbe:
     """An expansion read off its carrier against the expansion built."""
@@ -417,7 +413,7 @@ class TestExpansionProbe:
                     assert rule == [crossing_vector(h, a)[e.id] for e in h.edges]
                     triples += 1
             # the probes' keys and least vertices are the built graphs'
-            probes = list(_neighbor_probes(c, [], (), [], cur, 0.05, set()))
+            probes = list(_neighbor_probes(c, (), [], cur, 0.05, set()))
             assert [key for key, _ in probes] == [h._topo.key for h in built]
             for (_, got), h in zip(probes, built):
                 try:
