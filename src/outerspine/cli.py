@@ -261,23 +261,21 @@ def _cmd_min(args) -> _Result:
     res = minimize(current, args.eps, start, args.budget)
     if args.out:
         jsonio.dump_graph(res.point, args.out)
-    row = [_fmt(args.s), _fmt(res.value), _flag(res.local), _flag(res.budget_exhausted)]
+    row = [_fmt(args.s), _fmt(res.value), _flag(res.budget_exhausted)]
     lines = [
         "value " + row[1],
         "point " + _point_summary(res.point),
-        "local " + row[2],
-        "budget_exhausted " + row[3],
+        "budget_exhausted " + row[2],
     ]
     body = {
         "value": res.value,
         "s": args.s,
-        "local": res.local,
         "budget_exhausted": res.budget_exhausted,
         "topology_visits": res.topology_visits,
         "certificate": certificate(res.point, current, args.eps),
         "point": jsonio.graph_to_obj(res.point),
     }
-    header = ["s", "value", "local", "budget_exhausted"]
+    header = ["s", "value", "budget_exhausted"]
     return _Result(mu.rank, body, header, [row], lines)
 
 
@@ -327,7 +325,6 @@ def _cmd_project(args) -> _Result:
     body = {
         "s_balance": s_star,
         "value": res.value,
-        "local": res.local,
         "point": jsonio.graph_to_obj(res.point),
     }
     return _Result(mu.rank, body, ["s_balance", "value"], [row], lines)
@@ -372,11 +369,13 @@ def _cmd_check_contracting(args) -> _Result:
         budget=args.budget,
         shift=shift,
     )
+    ax = None
     if args.b is not None:
         b = args.b
     else:
-        b = args.fit_scale * fit_B(mu, nu, args.eps, budget=args.budget).value
-    rep = check_contracting(mu, nu, b, args.eps, cfg)
+        ax = axis(mu, nu, -args.s_max, args.s_max, args.step, args.eps, args.budget)
+        b = args.fit_scale * fit_B(mu, nu, args.eps, ax=ax).value
+    rep = check_contracting(mu, nu, b, args.eps, cfg, ax=ax)
     rows = []
     for c in rep.clauses:
         status = _status(c.passed) + (" (vacuous)" if c.vacuous else "")

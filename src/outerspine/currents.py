@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .graphs import MarkedGraph, _weigh, crossing_vector, rose, translation_length, unit_rose
+from .graphs import MarkedGraph, _weigh, translation_length, unit_rose
 from .words import (
     MAX_POWER,
     Automorphism,
@@ -23,7 +23,6 @@ from .words import (
     apply,
     canonical_representative,
     cyclic_reduce,
-    elementary_automorphisms,
     invert,
     spelling_key,
 )
@@ -247,125 +246,4 @@ def iwip_pair_approx(
         lambda_history=history,
         converged=converged,
         exponential=exponential,
-    )
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    """Sampling evidence that pairing(T, mu+nu) stays positive.
-
-    ``diagonal`` flags mu = nu projectively (excluded by definition);
-    ``suspicious`` flags a sampled degenerate direction annihilating both:
-    a direction is the rose point concentrating all length on the edges a
-    sampled class crosses, and the pair must not vanish there.  A pass is
-    evidence, never proof.
-    """
-
-    passed: bool
-    diagonal: bool
-    suspicious: bool
-    min_value: float
-    min_index: int
-    vanishing_direction: str | None
-    n_points: int
-    n_words: int
-
-
-def _projectively_equal(mu: RationalCurrent, nu: RationalCurrent) -> bool:
-    if len(mu.atoms) != len(nu.atoms) or not mu.atoms:
-        return False
-    t = nu.total_weight() / mu.total_weight()
-    for (ka, wa), (kb, wb) in zip(mu.atoms, nu.atoms):
-        if ka != kb or abs(wa * t - wb) > 1e-12 * max(1.0, wb):
-            return False
-    return True
-
-
-def positivity_check(
-    mu: RationalCurrent,
-    nu: RationalCurrent,
-    sample_points: Sequence[MarkedGraph],
-    sample_words: Sequence[Word] = (),
-) -> PositivityReport:
-    """Heuristic screen for positivity of the pair (mu, nu).
-
-    Word schedule: the given sample words, all classes of length <= 2, and
-    orbits psi^j(w) for every single right-multiply psi and j <= 6.  Each
-    class yields the degenerate rose direction supported on its crossing
-    set; the pair fails if its pairing vanishes there.
-    """
-    if mu.rank != nu.rank:
-        raise ValueError("rank mismatch")
-    rank = mu.rank
-    both = add(mu, nu)
-    diagonal = _projectively_equal(mu, nu)
-
-    min_value, min_index = float("inf"), -1
-    for i, pt in enumerate(sample_points):
-        v = pairing(pt, both)
-        if v < min_value:
-            min_value, min_index = v, i
-
-    words: dict[tuple[int, ...], Word] = {}
-
-    def note(w: Word):
-        core, _ = cyclic_reduce(w)
-        if core:
-            words.setdefault(canonical_representative(core).letters, core)
-
-    for w in sample_words:
-        note(w)
-    for a in range(1, rank + 1):
-        note(Word(rank, (a,)))
-        for b in range(-rank, rank + 1):
-            if b != 0 and abs(b) != a:
-                note(Word(rank, (a, b)))
-    schedule = [
-        psi for psi in elementary_automorphisms(rank)
-        if len(psi.moves) == 1 and psi.moves[0].kind == "right_multiply"
-    ]
-    base_words = list(words.values())
-    for psi in schedule:
-        for w in base_words:
-            cur = w
-            for _ in range(6):
-                cur = apply(psi, cur)
-                note(cur)
-
-    probe = rose([1.0] * rank)
-    atom_crossings = [
-        (crossing_vector(probe, _reduced_word(rank, letters)), weight)
-        for letters, weight in both.atoms
-    ]
-    suspicious = False
-    vanishing = None
-    for key, w in sorted(words.items(), key=lambda kv: (len(kv[0]), kv[0])):
-        counts = crossing_vector(probe, w)
-        total = sum(counts.values())
-        direction = {eid: c / total for eid, c in counts.items()}
-        val = 0.0
-        for cv, weight in atom_crossings:
-            val += weight * sum(cv[eid] * direction[eid] for eid in direction)
-        if val <= 1e-9 * both.total_weight():
-            suspicious = True
-            from .words import format_word
-
-            vanishing = format_word(w)
-            break
-
-    passed = (
-        not diagonal
-        and not suspicious
-        and min_value > 0
-        and min_index >= 0
-    )
-    return PositivityReport(
-        passed=passed,
-        diagonal=diagonal,
-        suspicious=suspicious,
-        min_value=min_value,
-        min_index=min_index,
-        vanishing_direction=vanishing,
-        n_points=len(sample_points),
-        n_words=len(words),
     )

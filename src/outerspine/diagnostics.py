@@ -33,22 +33,6 @@ from .words import Automorphism, NielsenMove, compose, elementary_automorphisms,
 AXIS_GRID = (-3.0, 3.0, 0.5)
 
 
-class _DistCache:
-    """Symmetrized distances memoized by graph key."""
-
-    def __init__(self) -> None:
-        self._cache: dict[tuple, float] = {}
-
-    def d(self, a: MarkedGraph, b: MarkedGraph) -> float:
-        ka, kb = a.key(), b.key()
-        if ka == kb:
-            return 0.0
-        key = (ka, kb) if ka < kb else (kb, ka)
-        if key not in self._cache:
-            self._cache[key] = d_sym(a, b)
-        return self._cache[key]
-
-
 # ---------------------------------------------------------------------------
 # minisline bounds
 
@@ -242,7 +226,6 @@ def _far_points(
     """Spine points beyond distance b from x: powered twists of x (the
     systole is twist-invariant, so these stay in the spine), jittered
     variants of those, and random-walk pushes of fresh seeds."""
-    cache = _DistCache()
     found: list[MarkedGraph] = []
     twists = [
         phi for phi in elementary_automorphisms(x.rank)
@@ -259,7 +242,7 @@ def _far_points(
             if sum(len(img) for img in psi.images) > 4000:
                 break
             g = transform(x, psi)
-            if cache.d(x, g) > b:
+            if d_sym(x, g) > b:
                 found.append(g)
                 found.append(jitter(g, rng, 0.3, eps))
                 break
@@ -269,7 +252,7 @@ def _far_points(
         for _ in range(cfg.far_depth):
             if _marking_size(h) > 20000:
                 break
-            if cache.d(x, h) > b:
+            if d_sym(x, h) > b:
                 found.append(h)
                 break
             h = transform(h, random_automorphism(rng, x.rank, 1))
@@ -282,6 +265,7 @@ def check_contracting(
     b: float,
     eps: float,
     config: SamplerConfig | None = None,
+    ax: AxisSample | None = None,
 ) -> ContractionReport:
     """Sample all five contraction clauses for the pair at constant b.
 
@@ -296,6 +280,11 @@ def check_contracting(
 
     Clause samples that cannot be realized leave the clause vacuously
     passed with vacuous=True and zero samples; failures carry witnesses.
+
+    ``ax`` is the axis sampled from -s_max to s_max by ``step`` of the
+    config, which clause 1 fits and whose sample nearest s = 0 is x; a
+    caller that already walked it (to fit b) passes it in, and without it
+    the axis is walked here.
     """
     if not 1 <= b < math.inf:
         raise ValueError(f"b must be finite and at least 1, not {b}")
@@ -303,22 +292,20 @@ def check_contracting(
     if not cfg.near_step > 0:
         raise ValueError(f"near_step must be positive, not {cfg.near_step}")
     rng = random.Random(cfg.seed)
-    ax = axis(mu, nu, -cfg.s_max, cfg.s_max, cfg.step, eps, cfg.budget)
+    if ax is None:
+        ax = axis(mu, nu, -cfg.s_max, cfg.s_max, cfg.step, eps, cfg.budget)
     fitted = fit_B(mu, nu, eps, ax=ax)
     x = ax.samples[ax.nearest_index(0.0)][1]
     clauses: list[ClauseResult] = []
 
     # clause 1: ratio bound, taken from the fit
-    worst_s, worst_r = max(
-        ((s, max(r, 1 / r)) for s, r in fitted.ratios), key=lambda t: t[1]
-    )
     clauses.append(
         ClauseResult(
             clause=1,
             passed=fitted.value <= b + 1e-9,
             margin=b - fitted.value,
             n_samples=len(fitted.ratios),
-            witness=f"ratio {worst_r:.6g} at s={worst_s:+.3g}",
+            witness=f"ratio {fitted.value:.6g} at s={fitted.s_at:+.3g}",
         )
     )
 
@@ -511,10 +498,9 @@ def ball_projection_diameter(
         projected[q.key()] = q
     qs = list(projected.values())
     diam = 0.0
-    cache = _DistCache()
     for i in range(len(qs)):
         for j in range(i + 1, len(qs)):
-            diam = max(diam, cache.d(qs[i], qs[j]))
+            diam = max(diam, d_sym(qs[i], qs[j]))
     return BallProjection(
         diameter=diam,
         n_samples=len(pts),
@@ -526,18 +512,6 @@ def ball_projection_diameter(
 
 # ---------------------------------------------------------------------------
 # the overlap length tau
-
-
-def _hausdorff(
-    ps: Sequence[MarkedGraph], qs: Sequence[MarkedGraph], cache: _DistCache
-) -> float:
-    """Sampled symmetric Hausdorff distance between two point lists."""
-    h = 0.0
-    for p in ps:
-        h = max(h, min(cache.d(p, q) for q in qs))
-    for q in qs:
-        h = max(h, min(cache.d(q, p) for p in ps))
-    return h
 
 
 def _ray(
@@ -555,14 +529,27 @@ def _max_run(
     rb: Sequence[MarkedGraph],
     step: float,
     c: float,
-    cache: _DistCache,
 ) -> float:
     """Longest parameter interval [0, t] with the two ray prefixes within
-    sampled Hausdorff 2c of each other."""
-    m = min(len(ra), len(rb))
+    sampled Hausdorff 2c of each other.
+
+    A point's distance to the other prefix only falls as that prefix
+    grows, so while the run lasts every earlier point stays within 2c, and
+    a step only asks whether each new point lies within 2c of the other
+    prefix; each pair is measured at most once.  A point is at distance 0
+    from itself: ``d_sym`` rounds that to about 1e-16 on some points, and
+    ``c = 0`` on equal axes needs the 0.
+    """
+
+    def close(p: MarkedGraph, q: MarkedGraph) -> bool:
+        return (0.0 if p == q else d_sym(p, q)) <= 2 * c
+
     best = -1
-    for j in range(m):
-        if _hausdorff(ra[: j + 1], rb[: j + 1], cache) <= 2 * c:
+    for j in range(min(len(ra), len(rb))):
+        a, b = ra[j], rb[j]
+        if close(a, b) or (
+            any(close(a, q) for q in rb[:j]) and any(close(p, b) for p in ra[:j])
+        ):
             best = j
         else:
             break
@@ -584,7 +571,6 @@ def overlap_tau(
     """
     if abs(axis_a.step - axis_b.step) > 1e-12:
         raise ValueError("axes must share the sampling step")
-    cache = _DistCache()
     foot_a = balance_param(x, axis_a.mu, axis_a.nu)
     foot_b = balance_param(x, axis_b.mu, axis_b.nu)
     return max(
@@ -593,7 +579,6 @@ def overlap_tau(
             _ray(axis_b, foot_b, toward_high),
             axis_a.step,
             c,
-            cache,
         )
         for toward_high in (True, False)
     )

@@ -9,9 +9,9 @@ once (exactly, by double description) and a topology's minimum is its
 region's least vertex.  ``_read_off`` alone turns a topology's key, cost
 and rows into that vertex's value, point key and checked build.
 Minimization chains these minima through collapse and expansion moves and
-changes of marking; the search is local by design and every result says
-so.  A descent stops at a local minimum; a cap on the topologies it
-accepts only guards a current that does not fill.  ``minimize`` reads
+changes of marking; the search is local by design.  A descent stops at a
+local minimum; a cap on the topologies it accepts only guards a current
+that does not fill, and a result says when it fired.  ``minimize`` reads
 each neighbour off the carrier it stands on and builds only the one it
 moves to.  A translate under an automorphism keeps the carrier's edges,
 so its region; its cost is each atom's loop under the translated
@@ -73,16 +73,15 @@ class MinResult:
     ``point`` is the least vertex of its topology's region, which
     ``certificate`` certifies.  ``topology_visits`` counts the topologies
     the descent accepted (1 when the start was already optimal), which the
-    budget caps.  ``local`` records that the topology search makes no
-    global claim; ``budget_exhausted`` that it stopped at the cap while a
-    neighbour was still better, rather than at a local optimum.
+    budget caps.  The search is local, so ``point`` is a local optimum
+    unless ``budget_exhausted``: the descent stopped at the cap while a
+    neighbour was still better.
     """
 
     point: MarkedGraph
     value: float
     topology_visits: int
     eps: float
-    local: bool = True
     budget_exhausted: bool = False
 
 

@@ -14,8 +14,9 @@ keeps one candidate path per class by its word, and ``o_stretch``
 measures each candidate's word with ``translation_length``;
 ``o_scale``, ``o_add`` and ``o_exp_combination`` rebuild every atom as a
 checked ``Word`` and put it in canonical form again, as the current
-operations did before they trusted their atoms.  Letters are signed
-integers (1 = a, -1 = a inverse).
+operations did before they trusted their atoms; ``o_max_run`` measures
+the Hausdorff distance of every pair of ray prefixes from scratch with
+``d_sym``.  Letters are signed integers (1 = a, -1 = a inverse).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from outerspine.graphs import (
     translation_length,
     with_lengths,
 )
+from outerspine.lipschitz import d_sym
 from outerspine.minima import (
     InfeasibleSpine,
     MinResult,
@@ -417,7 +419,7 @@ def o_minimize(current, eps: float, start, budget: int = 600) -> MinResult:
         accepted += 1
     if zeros(point):
         point = min_on_topology(collapse_zero_edges(point), current, eps).point
-    return MinResult(point, value, accepted, eps, True, exhausted)
+    return MinResult(point, value, accepted, eps, exhausted)
 
 
 def o_axis(mu, nu, s_min: float, s_max: float, step: float, eps: float, start, budget: int = 600):
@@ -510,3 +512,31 @@ def o_add(mu, nu):
 
 def o_exp_combination(mu, nu, s: float):
     return o_add(o_scale(mu, math.exp(s)), o_scale(nu, math.exp(-s)))
+
+
+# --- the overlap of two rays, every prefix from scratch --------------------------
+
+
+def o_max_run(ra, rb, step: float, c: float) -> float:
+    """The longest run [0, t] of prefixes of the rays ``ra`` and ``rb``
+    within sampled Hausdorff distance 2c, each prefix's distance computed
+    anew, a point at distance 0 from itself."""
+
+    def d(p, q):
+        return 0.0 if p.key() == q.key() else d_sym(p, q)
+
+    def hausdorff(ps, qs):
+        h = 0.0
+        for p in ps:
+            h = max(h, min(d(p, q) for q in qs))
+        for q in qs:
+            h = max(h, min(d(q, p) for p in ps))
+        return h
+
+    best = -1
+    for j in range(min(len(ra), len(rb))):
+        if hausdorff(ra[: j + 1], rb[: j + 1]) <= 2 * c:
+            best = j
+        else:
+            break
+    return best * step if best >= 0 else 0.0

@@ -64,6 +64,11 @@ CASES = {
         "check-contracting", *_MU_NU, "--s-max", "0.5", "--n-far", "1", "--n-sigma", "1",
         "--n-balanced", "1", "--b", "4", "--shift", _PHI, "--budget", "20",
     ],
+    # b fitted on the same axis the clauses check: fit-scale 2 times 2.718...
+    "check-contracting-fit": [
+        "check-contracting", *_MU_NU, "--s-max", "0.5", "--n-far", "1", "--n-sigma", "1",
+        "--n-balanced", "1", "--budget", "20",
+    ],
     "ball-contract": ["ball-contract", *_MU_NU, "--center", _TREE, "--n", "2", "--radii", "0.5,1", "--budget", "5"],
     "ball-contract-one-radius": ["ball-contract", *_MU_NU, "--center", _TREE, "--eps", "0.1", "--n", "1", "--radius", "0.5", "--budget", "5"],
     "ball-contract-negative-radius": ["ball-contract", *_MU_NU, "--center", _TREE, "--radii", "1,-1"],

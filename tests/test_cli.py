@@ -206,3 +206,13 @@ def test_dist_from_a_zero_length_loop_exits_2(tmp_path, capsys, argv, form):
     assert out == ""
     assert "Traceback" not in err
     assert err == "error: a candidate loop of the source graph has length 0\n"
+
+
+def test_check_contracting_fits_b_on_the_axis_it_checks(capsys):
+    """Without ``--b``, b is ``--fit-scale`` times the ``fitted_b`` the
+    report gives, both read off the axis from -s-max to s-max by --step."""
+    argv = ["check-contracting", *MU_NU, "--s-max", "1", "--n-far", "1", "--n-sigma", "1",
+            "--n-balanced", "1", "--budget", "20", "--fit-scale", "1.5", "--json"]
+    cli.main(argv)
+    body = json.loads(capsys.readouterr().out)
+    assert body["b"] == 1.5 * body["fitted_b"]

@@ -22,7 +22,6 @@ from outerspine import (
     normalize_at,
     pairing,
     parse_word,
-    positivity_check,
     rescale,
     rose,
     scale,
@@ -295,33 +294,6 @@ class TestIwipApprox:
     def test_empty_seed_rejected(self):
         with pytest.raises(ValueError):
             iwip_pair_approx(TRIB, Word(3), 3)
-
-
-class TestPositivityCheck:
-    def test_diagonal_flagged(self):
-        mu = dual(w("a"))
-        pts = spine_points(3, 0.05, 3, 6)
-        rep = positivity_check(mu, mu, pts, [w("a")])
-        assert rep.diagonal
-        assert not rep.passed
-        assert rep.min_value > 0
-
-    def test_iwip_pair_passes(self):
-        ap = trib_approx(10)
-        pts = spine_points(3, 0.05, 5, 10)
-        rep = positivity_check(ap.forward, ap.backward, pts)
-        assert rep.passed
-        assert rep.min_value > 0.01
-        assert not rep.suspicious
-
-    def test_collapsing_direction_detected(self):
-        # a and b both miss the petal c, so the degenerate direction
-        # supported on c annihilates the pair
-        pts = spine_points(3, 0.05, 9, 6)
-        rep = positivity_check(dual(w("a")), dual(w("b")), pts)
-        assert rep.suspicious
-        assert rep.vanishing_direction == "c"
-        assert not rep.passed
 
 
 @st.composite

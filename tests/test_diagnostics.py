@@ -13,6 +13,7 @@ from outerspine import (
     SamplerConfig,
     apply_to_current,
     axis,
+    balance_param,
     ball_projection_diameter,
     check_contracting,
     check_minisline,
@@ -25,11 +26,15 @@ from outerspine import (
     power,
     project,
     scale,
+    spine_points,
     transform,
     translate_axis,
 )
 from outerspine import graphs
+from outerspine.diagnostics import _max_run, _ray
 from outerspine.sampling import jitter
+
+from oracles import o_max_run
 
 EPS = 0.05
 
@@ -94,6 +99,15 @@ def translates(ax6):
     )
     b = translate_axis(ax6, phi)
     return ax6, b, translate_axis(b, phi)
+
+
+@pytest.fixture(scope="module")
+def long_axes(pair6):
+    """The k=6 pair's axis on -2..2 by 0.25 and two of its translates:
+    rays of up to 11 points, so runs can go past their first two steps."""
+    ax = axis(pair6.forward, pair6.backward, -2.0, 2.0, 0.25, EPS)
+    phi = Automorphism.from_moves(3, [NielsenMove("right_multiply", 2, 3, False)])
+    return ax, translate_axis(ax, phi), translate_axis(ax, TRIB)
 
 
 class TestFitB:
@@ -325,3 +339,40 @@ class TestOverlapTau:
             assert tau["ac"] >= min(tau["ab"], tau["bc"]) - step - 1e-9
             assert tau["ab"] >= min(tau["ac"], tau["bc"]) - step - 1e-9
             assert tau["bc"] >= min(tau["ab"], tau["ac"]) - step - 1e-9
+
+
+class TestMaxRun:
+    def test_matches_the_prefix_replay(self, long_axes):
+        ax = long_axes[0]
+        x0 = ax.samples[ax.nearest_index(0.0)][1]
+        runs = []
+        for other in long_axes:
+            for toward_high in (True, False):
+                ra = _ray(ax, balance_param(x0, ax.mu, ax.nu), toward_high)
+                rb = _ray(other, balance_param(x0, other.mu, other.nu), toward_high)
+                for c in (0.0, 3.0, 3.5, 4.0, 5.0):
+                    run = _max_run(ra, rb, ax.step, c)
+                    assert run == o_max_run(ra, rb, ax.step, c)
+                    if other is ax and c == 0.0:
+                        assert run == (len(ra) - 1) * ax.step
+                    runs.append(run)
+        # some runs stop after more than two steps, before the ray ends
+        assert any(2 * ax.step < run < 2.0 for run in runs)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_prefix_replay_on_scattered_points(self, seed):
+        # unlike an axis's few distinct distances, scattered points stop
+        # the run at many values of c, from either list's side
+        pts = spine_points(3, EPS, seed, 12)
+        ra, rb = pts[:6], pts[6:]
+        dists = sorted(d_sym(p, q) for p in ra for q in rb)
+        for c in [d / 2 for d in dists[::3]]:
+            assert _max_run(ra, rb, 1.0, c) == o_max_run(ra, rb, 1.0, c)
+            assert _max_run(rb, ra, 1.0, c) == o_max_run(rb, ra, 1.0, c)
+
+    def test_a_point_is_at_distance_zero_from_itself(self):
+        # d_sym(p, p) rounds to about 1e-16 on some of these points, which
+        # would end a run at c = 0 there
+        pts = spine_points(3, EPS, 0, 8)
+        assert any(d_sym(p, p) > 0 for p in pts)
+        assert _max_run(pts, pts, 0.25, 0.0) == 7 * 0.25 == o_max_run(pts, pts, 0.25, 0.0)
