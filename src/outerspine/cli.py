@@ -469,12 +469,14 @@ def _cmd_tau(args) -> _Result:
     )
     axes = [base if m is None else translate_axis(base, m) for m in maps]
     n = len(axes)
-    taus = {
+    # tau is symmetric bit for bit (d_sym is, and _max_run asks the same
+    # two conditions of swapped rays), so each unordered pair is measured once
+    upper = {
         (i, j): overlap_tau(axes[i], axes[j], x, args.c)
         for i in range(n)
-        for j in range(n)
-        if i != j
+        for j in range(i + 1, n)
     }
+    taus = {(i, j): upper[min(i, j), max(i, j)] for i in range(n) for j in range(n) if i != j}
     rows = [[str(powers[i]), str(powers[j]), _fmt(t)] for (i, j), t in taus.items()]
     lines = [f"tau[{pi}][{pj}] {t}" for pi, pj, t in rows]
     checked = args.check_ultrametric and n >= 3

@@ -516,11 +516,10 @@ def ball_projection_diameter(
 
 def _ray(
     ax: AxisSample, origin: float, toward_high: bool
-) -> list[MarkedGraph]:
+) -> tuple[MarkedGraph, ...]:
     """Samples from the grid point nearest the origin out to one end."""
-    ss = ax.s_values()
-    k = min(range(len(ss)), key=lambda i: (abs(ss[i] - origin), i))
-    pts = [p for _, p, _ in ax.samples]
+    k = ax.nearest_index(origin)
+    pts = ax.points()
     return pts[k:] if toward_high else pts[: k + 1][::-1]
 
 

@@ -43,7 +43,7 @@ All values are immutable; every operation returns a fresh graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
@@ -66,7 +66,6 @@ class Edge:
     src: str
     dst: str
     length: float
-    raw_length: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0 <= self.length < math.inf:
@@ -710,7 +709,7 @@ def collapse_edge(g: MarkedGraph, eid: str) -> MarkedGraph:
     keep, drop = sorted((e.src, e.dst))
     ren = lambda x: keep if x == drop else x
     edges = [
-        Edge(f.id, ren(f.src), ren(f.dst), f.length, f.raw_length)
+        Edge(f.id, ren(f.src), ren(f.dst), f.length)
         for f in g.edges
         if f.id != eid
     ]
@@ -776,7 +775,7 @@ def _split_parts(
     for e in g.edges:
         src = new_v if (e.id, 0) in moved else e.src
         dst = new_v if (e.id, 1) in moved else e.dst
-        edges.append(Edge(e.id, src, dst, e.length, e.raw_length))
+        edges.append(Edge(e.id, src, dst, e.length))
     edges.append(Edge(new_e, v, new_v, 0.0))
     by_id = {e.id: e for e in edges}
 

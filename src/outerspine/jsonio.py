@@ -11,8 +11,8 @@ the file) and inverting that basis exactly by Stallings folding
 (words.invert_basis, no search budget); the graph constructor then
 verifies it exactly.
 
-Edge lengths given as decimal strings round-trip bit-exactly; numeric
-lengths are re-emitted as their shortest float form.
+Edge lengths are written as their shortest float form, which reads back
+bit-exactly; the loader also accepts numbers and decimal strings.
 """
 
 from __future__ import annotations
@@ -73,10 +73,7 @@ def format_step(step: OrientedEdge) -> str:
 
 
 def graph_to_obj(g: MarkedGraph) -> dict:
-    edges = []
-    for e in g.edges:
-        length: Any = e.raw_length if e.raw_length is not None else e.length
-        edges.append({"id": e.id, "from": e.src, "to": e.dst, "length": length})
+    edges = [{"id": e.id, "from": e.src, "to": e.dst, "length": e.length} for e in g.edges]
     marking = {
         _LETTER_NAMES[k]: [format_step(s) for s in g.marking[k]]
         for k in range(g.rank)
@@ -100,7 +97,7 @@ def graph_from_obj(data: dict) -> MarkedGraph:
         _typed(e, (dict,), "edge")
         ends = [_typed(e[k], (str,), f"edge {k!r}") for k in ("id", "from", "to")]
         raw = _typed(e["length"], (int, float, str), "edge 'length'")
-        edges.append(Edge(*ends, float(raw), raw if isinstance(raw, str) else None))
+        edges.append(Edge(*ends, float(raw)))
     basepoint = _typed(data["basepoint"], (str,), "'basepoint'")
     marking = _typed(data["marking"], (dict,), "'marking'")
     ids = {e.id for e in edges}

@@ -9,6 +9,7 @@ lengths: the systole is a minimum of linear functions of the lengths, hence
 concave, so the spine condition cuts out a convex set of length vectors and
 the blend crosses its boundary exactly once (bisection finds the crossing,
 testing each blend with the same shortest-cycle reader as ``in_spine``).
+Balanced points draw no lengths: they are read off spine region vertices.
 """
 
 from __future__ import annotations
@@ -31,14 +32,12 @@ from .graphs import (
     with_lengths,
 )
 from .lipschitz import d_sym
-from .minima import balance_param, max_systole_lengths
+from .minima import _objective, _vertices, max_systole_lengths
 from .words import Automorphism, NielsenMove
 
 # spine_points: twists per rose marking (markings stay short) and the
-# lognormal length jitter; balanced_point: length probes per marking and
-# the balance tolerance of its bisection
+# lognormal length jitter
 _TWIST_MOVES, _JITTER_SCALE = 4, 0.6
-_PROBES_PER_MARKING, _BALANCE_TOL = 12, 1e-9
 
 
 class SampleError(RuntimeError):
@@ -211,11 +210,14 @@ def balanced_point(
 ) -> MarkedGraph:
     """A spine point with balance parameter s_target for (mu, nu).
 
-    Scans rose markings (the provided ones, then seeded random twists) for
-    one whose length simplex straddles the target; bisects the straight
-    blend between the two witnesses.  Both witnesses sit in the spine and
-    the spine cut of a simplex is convex (concave systole), so the whole
-    blend is admissible and balance varies continuously along it.
+    Scans rose markings: the identity, the provided ones, then 24 seeded
+    twists.  On one marking gap = <l, nu> - e^(2 s_target) <l, mu> is
+    linear in the lengths l.  From the centre c (the systole-maximal
+    lengths, interior while their systole exceeds eps) take the region
+    vertex v whose gap has the opposite sign and the largest size, first
+    on ties, and return the zero of gap on the segment from c to v, or c
+    if gap(c) = 0.  That open segment starts inside, so the point is
+    spine-interior.  A marking with no such v is skipped.
     """
     rng = random.Random(seed)
     rank = mu.rank
@@ -224,33 +226,26 @@ def balanced_point(
     ]
     pool.insert(0, Automorphism.identity(rank))
     base = unit_rose(rank)
+    ratio = math.exp(2 * s_target)
     for phi in pool:
         g = transform(base, phi)
-        lo = hi = None
-        for _ in range(_PROBES_PER_MARKING):
-            cand = jitter(g, rng, 1.0, eps)
-            f = balance_param(cand, mu, nu) - s_target
-            if f <= 0 and (lo is None or f > lo[0]):
-                lo = (f, cand)
-            if f >= 0 and (hi is None or f < hi[0]):
-                hi = (f, cand)
-        if lo is None or hi is None:
+        best, centre = max_systole_lengths(g)
+        if best <= eps:
             continue
-        a, b = lo[1], hi[1]
-        la = {e.id: e.length for e in a.edges}
-        lb = {e.id: e.length for e in b.edges}
-        for _ in range(80):
-            mid = with_lengths(
-                a, {k: 0.5 * (la[k] + lb[k]) for k in la}
-            )
-            f = balance_param(mid, mu, nu) - s_target
-            if abs(f) <= _BALANCE_TOL:
-                return mid
-            if f < 0:
-                la = {e.id: e.length for e in mid.edges}
-            else:
-                lb = {e.id: e.length for e in mid.edges}
-        return with_lengths(a, {k: 0.5 * (la[k] + lb[k]) for k in la})
+        (cm, sm), (cn, sn) = _objective(g, mu), _objective(g, nu)
+        coef = [n / sn - ratio * m / sm for m, n in zip(cm, cn)]
+        gap = lambda lengths: sum(k * v for k, v in zip(coef, lengths))
+        c = [centre[e.id] for e in g.edges]
+        at_c = gap(c)
+        if at_c == 0:
+            return with_lengths(g, centre)
+        den, verts = _vertices(len(g.edges), g._topo.graph.rows, eps)
+        hits = [(gap(v), v) for v in ([x / den for x in vert] for vert in verts)]
+        far = max((h for h in hits if h[0] * at_c < 0), key=lambda h: abs(h[0]), default=None)
+        if far is None:
+            continue
+        t = at_c / (at_c - far[0])
+        return with_lengths(g, {e.id: (1 - t) * a + t * b for e, a, b in zip(g.edges, c, far[1])})
     raise SampleError(
         f"no sampled marking straddles balance {s_target:+.3g}; "
         "pass shift markings that move the balance range"

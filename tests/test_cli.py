@@ -5,12 +5,13 @@ recorded."""
 
 import json
 import os
+import shutil
 
 import pytest
 
-from outerspine import cli, exp_combination, jsonio
+from outerspine import cli, diagnostics, exp_combination, jsonio
 from outerspine.minima import _objective, _vertices
-from record_cli_goldens import CASES, DATA, FIXTURE, FIXTURES, FORMS, run_case
+from record_cli_goldens import CASES, DATA, FIXTURE, FIXTURES, FORMS, run_case, run_form
 
 with open(FIXTURE) as fh:
     GOLDENS = json.load(fh)
@@ -38,6 +39,20 @@ def test_matches_golden(name):
     got = run_case(golden["argv"])
     for form in FORMS:
         assert got[form] == golden["forms"][form], form
+
+
+def test_tau_measures_each_unordered_pair_once(tmp_path, monkeypatch):
+    """Three powers make three unordered pairs; each ``overlap_tau`` call
+    measures its two ray origins once per direction, so six ``d_sym``
+    calls, not twelve for the six ordered pairs."""
+    calls = []
+    d_sym = diagnostics.d_sym
+    monkeypatch.setattr(diagnostics, "d_sym", lambda p, q: calls.append(1) or d_sym(p, q))
+    shutil.copytree(DATA, tmp_path / "data")
+    shutil.copytree(FIXTURES, tmp_path / "data", dirs_exist_ok=True)
+    golden = GOLDENS["tau"]
+    assert run_form(golden["argv"] + FORMS["json"], str(tmp_path)) == golden["forms"]["json"]
+    assert len(calls) == 6
 
 
 def test_tied_golden_prints_a_tie_break():

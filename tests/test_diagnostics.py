@@ -318,6 +318,15 @@ class TestOverlapTau:
         x0 = ax6.samples[ax6.nearest_index(0.0)][1]
         assert overlap_tau(a, b, x0, 0.01) == 0.0
 
+    @pytest.mark.parametrize("c", [0.0, 1.0, 3.0, 3.5, 4.0, 5.0])
+    def test_symmetric_bit_for_bit(self, long_axes, c):
+        # the tau command measures each unordered pair once and mirrors it
+        ax = long_axes[0]
+        for x in (ax.samples[ax.nearest_index(0.0)][1], spine_points(3, EPS, 5, 1)[0]):
+            for i, a in enumerate(long_axes):
+                for b in long_axes[i + 1 :]:
+                    assert overlap_tau(a, b, x, c) == overlap_tau(b, a, x, c)
+
     def test_mismatched_grids_rejected(self, ax6):
         shrunk = AxisSample(ax6.mu, ax6.nu, ax6.samples, ax6.eps, 0.25)
         x0 = ax6.samples[2][1]

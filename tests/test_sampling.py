@@ -20,7 +20,7 @@ from outerspine import (
     unit_rose,
     with_lengths,
 )
-from outerspine import graphs
+from outerspine import graphs, sampling
 from outerspine.sampling import (
     _random_expansion,
     balanced_point,
@@ -175,6 +175,27 @@ class TestBalancedPoint:
             pt = balanced_point(self.MU, self.NU, s, seed=2, eps=EPS)
             assert in_spine(pt, EPS)
             assert balance_param(pt, self.MU, self.NU) == pytest.approx(s, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("s", [1.0, 1.44])
+    def test_reads_the_identity_marking_exactly(self, s, seed):
+        # on the unit rose the balance range is |s| <= ln(18) / 2 ~ 1.445:
+        # lengths (0.05, 0.9, 0.05) against eps 0.05
+        pt = balanced_point(self.MU, self.NU, s, seed=seed, eps=EPS)
+        assert pt.marking == ROSE.marking
+        assert abs(balance_param(pt, self.MU, self.NU) - s) <= 1e-12
+        assert systole(pt)[0] > EPS
+
+    def test_draws_no_lengths(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("balanced_point sampled lengths")
+
+        monkeypatch.setattr(sampling, "jitter", refuse)
+        monkeypatch.setattr(sampling, "repair", refuse)
+        # s = 1.8 lies past the unit rose's range, on a twisted marking
+        for s in (-1.0, 0.0, 0.7, 1.8):
+            pt = balanced_point(self.MU, self.NU, s, seed=1, eps=EPS)
+            assert balance_param(pt, self.MU, self.NU) == pytest.approx(s, abs=1e-12)
 
     def test_unreachable_target(self):
         with pytest.raises(SampleError):
