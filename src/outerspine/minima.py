@@ -239,6 +239,33 @@ def max_systole_lengths(g: MarkedGraph) -> tuple[float, dict[str, float]]:
     return float(best), {e.id: float(v) for e, v in zip(g.edges, x)}
 
 
+def balanced_lengths(
+    g: MarkedGraph, mu: RationalCurrent, nu: RationalCurrent, s: float, eps: float
+) -> dict[str, float] | None:
+    """Spine-interior lengths on ``g``'s topology where <l, nu> = e^(2s)
+    <l, mu>, or None.  The gap <l, nu> - e^(2s) <l, mu> (times e^(-2s)
+    when s > 0, so it stays finite) is linear in l: from the interior
+    systole-maximal centre c take the region vertex v at its far extreme,
+    first on ties, and return the gap's zero on the segment from c to v.
+    """
+    best, centre = max_systole_lengths(g)
+    if best <= eps:
+        return None
+    (cm, sm), (cn, sn) = _objective(g, mu), _objective(g, nu)
+    a, b = (math.exp(-2 * s), 1.0) if s > 0 else (1.0, math.exp(2 * s))
+    coef = [a * (n / sn) - b * (m / sm) for m, n in zip(cm, cn)]
+    gap = lambda lengths: sum(k * v for k, v in zip(coef, lengths))
+    c = [centre[e.id] for e in g.edges]
+    if (at_c := gap(c)) == 0:
+        return centre
+    den, verts = _vertices(len(g.edges), g._topo.graph.rows, eps)
+    v = (min if at_c > 0 else max)(([x / den for x in vert] for vert in verts), key=gap)
+    if (at_v := gap(v)) * at_c >= 0:
+        return None
+    t = at_c / (at_c - at_v)
+    return {e.id: (1 - t) * p + t * q for e, p, q in zip(g.edges, c, v)}
+
+
 def min_on_topology(g: MarkedGraph, current: RationalCurrent, eps: float) -> MinResult:
     """Exact minimum of the pairing over this topology's spine simplex:
     the least vertex of its region, lexicographically least among ties,

@@ -32,7 +32,7 @@ from .graphs import (
     with_lengths,
 )
 from .lipschitz import d_sym
-from .minima import _objective, _vertices, max_systole_lengths
+from .minima import balanced_lengths, max_systole_lengths
 from .words import Automorphism, NielsenMove
 
 # spine_points: twists per rose marking (markings stay short) and the
@@ -208,17 +208,9 @@ def balanced_point(
     eps: float,
     markings: Sequence[Automorphism] = (),
 ) -> MarkedGraph:
-    """A spine point with balance parameter s_target for (mu, nu).
-
-    Scans rose markings: the identity, the provided ones, then 24 seeded
-    twists.  On one marking gap = <l, nu> - e^(2 s_target) <l, mu> is
-    linear in the lengths l.  From the centre c (the systole-maximal
-    lengths, interior while their systole exceeds eps) take the region
-    vertex v whose gap has the opposite sign and the largest size, first
-    on ties, and return the zero of gap on the segment from c to v, or c
-    if gap(c) = 0.  That open segment starts inside, so the point is
-    spine-interior.  A marking with no such v is skipped.
-    """
+    """A spine point with balance parameter s_target for (mu, nu): the
+    ``balanced_lengths`` of the first rose marking that has them, scanning
+    the identity, the provided ones, then 24 seeded twists."""
     rng = random.Random(seed)
     rank = mu.rank
     pool = list(markings) + [
@@ -226,26 +218,10 @@ def balanced_point(
     ]
     pool.insert(0, Automorphism.identity(rank))
     base = unit_rose(rank)
-    ratio = math.exp(2 * s_target)
     for phi in pool:
         g = transform(base, phi)
-        best, centre = max_systole_lengths(g)
-        if best <= eps:
-            continue
-        (cm, sm), (cn, sn) = _objective(g, mu), _objective(g, nu)
-        coef = [n / sn - ratio * m / sm for m, n in zip(cm, cn)]
-        gap = lambda lengths: sum(k * v for k, v in zip(coef, lengths))
-        c = [centre[e.id] for e in g.edges]
-        at_c = gap(c)
-        if at_c == 0:
-            return with_lengths(g, centre)
-        den, verts = _vertices(len(g.edges), g._topo.graph.rows, eps)
-        hits = [(gap(v), v) for v in ([x / den for x in vert] for vert in verts)]
-        far = max((h for h in hits if h[0] * at_c < 0), key=lambda h: abs(h[0]), default=None)
-        if far is None:
-            continue
-        t = at_c / (at_c - far[0])
-        return with_lengths(g, {e.id: (1 - t) * a + t * b for e, a, b in zip(g.edges, c, far[1])})
+        if (lengths := balanced_lengths(g, mu, nu, s_target, eps)) is not None:
+            return with_lengths(g, lengths)
     raise SampleError(
         f"no sampled marking straddles balance {s_target:+.3g}; "
         "pass shift markings that move the balance range"

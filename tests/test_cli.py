@@ -231,3 +231,14 @@ def test_check_contracting_fits_b_on_the_axis_it_checks(capsys):
     cli.main(argv)
     body = json.loads(capsys.readouterr().out)
     assert body["b"] == 1.5 * body["fitted_b"]
+
+
+def test_check_contracting_takes_a_b_past_float_exp_range(capsys):
+    """Clause 5 targets s = b + 0.5, where e^(2s) overflows for b = 400:
+    the clause is vacuous, not a traceback."""
+    argv = ["check-contracting", *MU_NU, "--s-max", "0.5", "--n-far", "1", "--n-sigma", "1",
+            "--n-balanced", "1", "--budget", "20", "--b", "400"]
+    assert cli.main(argv) in (0, 3)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert "clause 5 PASS (vacuous)" in out

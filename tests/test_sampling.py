@@ -200,3 +200,9 @@ class TestBalancedPoint:
     def test_unreachable_target(self):
         with pytest.raises(SampleError):
             balanced_point(self.MU, self.NU, 50.0, seed=2, eps=EPS)
+
+    @pytest.mark.parametrize("s", [400.0, -400.0])
+    def test_target_past_float_exp_range(self, s):
+        # past |s| ~ 354.9, e^(2s) overflows a float; the gap must not
+        with pytest.raises(SampleError):
+            balanced_point(self.MU, self.NU, s, seed=2, eps=EPS)
