@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import MarkedGraph, _weigh, translation_length, unit_rose
+from .graphs import MarkedGraph, translation_length, unit_rose
 from .words import (
     MAX_POWER,
     Automorphism,
@@ -132,18 +132,13 @@ def exp_combination(mu: RationalCurrent, nu: RationalCurrent, s: float) -> Ratio
 
 
 def pairing(tree: MarkedGraph, nu: RationalCurrent) -> float:
-    """Length pairing: weighted sum of translation lengths of the atoms.
-
-    Each atom's crossing counts are kept on the tree's topology, so every
-    point of its simplex only weighs them with its lengths, in the edge
-    order ``translation_length`` sums in.
-    """
+    """Length pairing: weighted sum of translation lengths of the atoms,
+    each the length of the atom's loop on the tree (``loop_of``)."""
     if tree.rank != nu.rank:
         raise ValueError("rank mismatch")
-    crossings = tree._topo.crossings
     out = 0.0
     for letters, weight in nu.atoms:
-        out += weight * _weigh(crossings(letters), tree.edges)
+        out += weight * tree.loop_of(_reduced_word(nu.rank, letters)).length
     return out
 
 

@@ -376,6 +376,7 @@ def check_contracting(
             shift_pool.append(power(cfg.shift, k))
             shift_pool.append(power(cfg.shift, -k))
     xs: list[RationalCurrent] = []
+    seen: set = set()
     for j in range(cfg.n_balanced):
         try:
             z = balanced_point(
@@ -383,7 +384,6 @@ def check_contracting(
             )
         except SampleError:
             continue
-        seen: set = set()
         for _loop, w in graph_candidates(z):
             xi = normalize_at(x, dual(w))
             key = xi.atoms

@@ -22,14 +22,14 @@ A point is its edges, lengths, basepoint and marking; the comarking is not
 part of its identity.  Three layers keep combinatorics apart from
 lengths.  The private unmarked graph holds edge ends, adjacency and what
 they alone fix: embedded cycles (one search, read as paths, as masks and
-sorted rows, and as the shortest length the spine test asks for),
+sorted rows, and as the lengths the spine test and repair read),
 candidate loop paths, and the spanning tree that validation and the
 graph-file loader share.  The private topology is a marking of it
 (basepoint, marking, comarking, letter paths, the candidates' class words
-and their order, the crossing counts of paired current atoms) and fixes
-one simplex of Outer space.  ``edges`` carries one point's lengths, which
-are summed along those cached paths.  Every tight loop, of a word or of a
-candidate's image, is read by ``_tight_loop``.
+and their order) and fixes one simplex of Outer space.  ``edges`` carries
+one point's lengths, which are summed along those cached paths.  Every
+tight loop, of a word or of a candidate's image, is read by
+``_tight_loop``.
 The constructor builds and validates a fresh graph and topology, marking
 read-back included; ``transform`` keeps its source's graph, already
 validated, and checks only the basepoint and the new marking;
@@ -142,7 +142,7 @@ class _Graph:
     """The unmarked part of a topology: edge indices, edge ends, adjacency
     and vertices, and what they alone fix: its embedded cycles, their
     masks and rows (the region a topology on this graph poses) and
-    shortest length under given lengths, its candidate loop paths and its
+    lengths under given edge lengths, its candidate loop paths and its
     spanning tree.  Every topology on this graph (its translates under
     ``transform`` and their relengthings) shares it, so each is enumerated
     once, by one cycle search."""
@@ -184,11 +184,11 @@ class _Graph:
         graph."""
         return tuple(sorted(self.masks))
 
-    def shortest_cycle(self, lengths: Sequence[float]) -> float:
-        """The least embedded-cycle length under ``lengths`` (in edge
-        order), each cycle summed in DFS order as ``embedded_cycles`` sums
-        it; no loop is built."""
-        return min(sum(lengths[i] for i in order) for _, order in self._dfs_cycles)
+    def cycle_lengths(self, lengths: Sequence[float]) -> list[float]:
+        """Each embedded cycle's length under ``lengths`` (in edge order),
+        in ``cycles`` order, summed in DFS order as ``embedded_cycles``
+        sums it; no loop is built."""
+        return [sum(lengths[i] for i in order) for _, order in self._dfs_cycles]
 
     @cached_property
     def candidates(self) -> list[tuple[tuple[OrientedEdge, ...], tuple[int, ...]]]:
@@ -226,7 +226,6 @@ class _Topology:
         self.comarking = {eid: comarking[eid] for eid in graph.index}
         # the identity of the LP a point poses: everything but lengths
         self.key = (rank, graph.shape, basepoint, self.marking)
-        self._counts: dict[tuple[int, ...], list[int]] = {}
 
     index = property(lambda self: self.graph.index)
 
@@ -249,17 +248,6 @@ class _Topology:
         word length, then spelling."""
         words = [canonical_representative(self.word_along(p)) for p, _ in self.graph.candidates]
         return sorted(enumerate(words), key=lambda c: (len(c[1]), spelling_key(c[1])))
-
-    def crossings(self, letters: tuple[int, ...]) -> list[int]:
-        """Edge crossing counts, in edge order, of the tight loop of a
-        reduced word's letters; kept for the next point of this simplex.
-        Only ``pairing`` asks, for its current's atoms: a table of every
-        measured word would keep long iterates alive."""
-        counts = self._counts.get(letters)
-        if counts is None:
-            path = _tight_loop(self.letter_paths, letters)
-            counts = self._counts[letters] = _crossings(path, self.graph.index)
-        return counts
 
 
 def _crossings(path: Sequence[OrientedEdge], index: dict[str, int]) -> list[int]:
@@ -537,7 +525,7 @@ def systole(g: MarkedGraph) -> tuple[float, LoopPath]:
 def in_spine(g: MarkedGraph, eps: float) -> bool:
     """Systole at least ``eps``, up to a 1e-9 float tolerance: the
     shortest embedded cycle's length, read off the lengths alone."""
-    return g._topo.graph.shortest_cycle([e.length for e in g.edges]) >= eps - 1e-9
+    return min(g._topo.graph.cycle_lengths([e.length for e in g.edges])) >= eps - 1e-9
 
 
 # -- candidate loops ----------------------------------------------------------

@@ -5,10 +5,10 @@ drawn here.  All draws are driven by an explicit seed so reports can name
 the exact configuration that reproduces them.
 
 Spine repair blends a length vector toward the topology's systole-maximal
-lengths: the systole is a minimum of linear functions of the lengths, hence
-concave, so the spine condition cuts out a convex set of length vectors and
-the blend crosses its boundary exactly once (bisection finds the crossing,
-testing each blend with the same shortest-cycle reader as ``in_spine``).
+lengths.  The systole is the least embedded-cycle length, and each cycle's
+length is linear along the blend, so each short cycle reaches eps at a
+blend parameter one division gives; the blend enters the spine at the
+largest of these.
 Balanced points draw no lengths: they are read off spine region vertices.
 """
 
@@ -47,8 +47,10 @@ class SampleError(RuntimeError):
 def repair(g: MarkedGraph, eps: float) -> MarkedGraph:
     """Pull a volume-one point back into the spine along a blend.
 
-    Each bisection step tests the blend's lengths with ``in_spine``'s
-    shortest-cycle reader, with no graph built per step."""
+    With h and a a cycle's lengths at the point and at the target, the
+    cycle's length on the blend at t is (1 - t) h + t a; the point moves
+    to the largest t = (eps - h) / (a - h) over the cycles with h < eps,
+    where its systole is eps."""
     if in_spine(g, eps):
         return g
     best, target = max_systole_lengths(g)
@@ -58,19 +60,12 @@ def repair(g: MarkedGraph, eps: float) -> MarkedGraph:
         )
     base = [e.length for e in g.edges]
     goal = [target[e.id] for e in g.edges]
-    shortest = g._topo.graph.shortest_cycle
-
-    def at(t: float) -> list[float]:
-        return [(1 - t) * b + t * a for b, a in zip(base, goal)]
-
-    lo, hi = 0.0, 1.0
-    for _ in range(50):
-        mid = (lo + hi) / 2
-        if shortest(at(mid)) >= eps - 1e-9:
-            hi = mid
-        else:
-            lo = mid
-    return with_lengths(g, {e.id: v for e, v in zip(g.edges, at(hi))})
+    cycle_lengths = g._topo.graph.cycle_lengths
+    here, there = cycle_lengths(base), cycle_lengths(goal)
+    t = max((eps - h) / (a - h) for h, a in zip(here, there) if h < eps)
+    return with_lengths(
+        g, {e.id: (1 - t) * b + t * a for e, b, a in zip(g.edges, base, goal)}
+    )
 
 
 def jitter(g: MarkedGraph, rng: random.Random, scale: float, eps: float) -> MarkedGraph:

@@ -5,8 +5,9 @@ floats: brute enumeration, grid search, Newton iteration.  Nothing else
 imports from outerspine, so a package bug cannot hide behind a shared
 helper.  The exceptions drive the package to check a shortcut against the
 plain procedure it replaced: ``o_lex_least_point`` solves on the simplex,
-which shares no code with the vertex enumeration; ``o_minimize`` and
-``o_repair`` build a graph for every point they look at; ``o_axis`` walks
+which shares no code with the vertex enumeration; ``o_minimize`` builds
+a graph for every point it looks at; ``o_repair`` finds the repair blend's
+exact spine crossing in Fractions over ``o_cycle_rows``; ``o_axis`` walks
 the grid middle-out by index with ``minimize``, as ``axis`` did before it
 walked two lists; ``o_bfs_tree`` grows the graph-file loader's spanning
 tree on its own adjacency list; ``o_candidates``
@@ -37,7 +38,6 @@ from outerspine.graphs import (
     in_spine,
     transform,
     translation_length,
-    with_lengths,
 )
 from outerspine.lipschitz import d_sym
 from outerspine.minima import (
@@ -447,24 +447,21 @@ def o_axis(mu, nu, s_min: float, s_max: float, step: float, eps: float, start, b
 
 
 def o_repair(g, eps: float):
-    """``repair`` by a graph per bisection step: 50 halvings of the blend
-    toward the systole-maximal lengths, each tested with ``in_spine``."""
-    if in_spine(g, eps):
-        return g
+    """``repair``'s point, exactly: with b the point's lengths and a its
+    systole-maximal target, the lengths (1 - t) b + t a, as Fractions, at
+    the least t at which every embedded cycle (``o_cycle_rows``) has length
+    at least eps."""
     _, target = max_systole_lengths(g)
-    base = {e.id: e.length for e in g.edges}
-
-    def at(t):
-        return with_lengths(g, {k: (1 - t) * base[k] + t * target[k] for k in base})
-
-    lo, hi = 0.0, 1.0
-    for _ in range(50):
-        mid = (lo + hi) / 2
-        if in_spine(at(mid), eps):
-            hi = mid
-        else:
-            lo = mid
-    return at(hi)
+    b = [Fraction(e.length) for e in g.edges]
+    a = [Fraction(target[e.id]) for e in g.edges]
+    eps = Fraction(eps)
+    t = Fraction(0)
+    for row in o_cycle_rows([(e.src, e.dst) for e in g.edges]):
+        here = sum(x for x, r in zip(b, row) if r)
+        there = sum(x for x, r in zip(a, row) if r)
+        if here < eps:
+            t = max(t, (eps - here) / (there - here))
+    return {e.id: (1 - t) * x + t * y for e, x, y in zip(g.edges, b, a)}
 
 
 # --- the graph-file loader's spanning tree ---------------------------------------

@@ -240,6 +240,25 @@ class TestCheckContracting:
         assert "pairing ratio" in clause.witness
         assert rep.clause(3).margin < 0
 
+    def test_clause5_counts_each_distinct_dual_once(self, pair6):
+        """The balanced point does not depend on its seed when the identity
+        marking balances, so more balanced samples add no new duals: clause
+        5 reads the same samples, margin and witness at 3 as at 1."""
+        cfg = SamplerConfig(
+            seed=0, s_max=0.5, n_far=1, n_sigma=1, n_balanced=1, budget=20, shift=TRIB
+        )
+        one, three = (
+            check_contracting(
+                pair6.forward, pair6.backward, 1.0, EPS,
+                dataclasses.replace(cfg, n_balanced=k),
+            ).clause(5)
+            for k in (1, 3)
+        )
+        assert not one.vacuous and one.n_samples > 0
+        assert (three.n_samples, three.margin, three.witness) == (
+            one.n_samples, one.margin, one.witness
+        )
+
     def test_enumerates_candidates_once_per_unmarked_graph(self, pair6, monkeypatch):
         """Translates share their source's unmarked graph, so candidate
         paths are enumerated once per graph, and a shape again only when a

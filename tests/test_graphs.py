@@ -186,7 +186,7 @@ class TestEmbeddedCycles:
             hosts = [g] + [h for v in g.vertices if g.valence(v) >= 4 for h in expansions(g, v)[:3]]
             for h in hosts:
                 lengths = [e.length for e in h.edges]
-                assert h._topo.graph.shortest_cycle(lengths) == systole(h)[0]
+                assert min(h._topo.graph.cycle_lengths(lengths)) == systole(h)[0]
 
 
 class TestCandidates:

@@ -60,6 +60,14 @@ class TestSpinePoints:
         assert len({len(p.edges) for p in pts}) >= 2
 
 
+def _thinned(g, rng):
+    """``g`` at volume one with each length scaled by e^(2 N(0, 1)), which
+    often pushes a cycle below the spine."""
+    lengths = {e.id: e.length * math.exp(2 * rng.gauss(0, 1)) for e in g.edges}
+    total = sum(lengths.values())
+    return with_lengths(g, {k: v / total for k, v in lengths.items()})
+
+
 class TestRepair:
     def test_inside_point_untouched(self):
         assert repair(ROSE, EPS) is ROSE
@@ -69,24 +77,59 @@ class TestRepair:
         fixed = repair(thin, EPS)
         assert in_spine(fixed, EPS)
         assert fixed.volume == pytest.approx(1.0, abs=1e-12)
-        # repair stops at the first admissible blend, near the boundary
-        assert systole(fixed)[0] == pytest.approx(EPS, abs=1e-3)
+        # repair stops at the first admissible blend, on the boundary
+        assert systole(fixed)[0] == pytest.approx(EPS, abs=1e-12)
 
-    def test_matches_the_graph_per_step_bisection(self):
+    def test_matches_the_exact_crossing(self):
+        """Each length lies within 1e-12 of the exact blend at the exact
+        crossing t*, and the systole within 1e-12 of eps."""
         rng = random.Random(3)
         repaired = 0
         for seed in range(6):
             for rank in (3, 4):
                 for g in spine_points(rank, EPS, seed, 4):
-                    lengths = {e.id: e.length * math.exp(2 * rng.gauss(0, 1)) for e in g.edges}
-                    total = sum(lengths.values())
-                    thin = with_lengths(g, {k: v / total for k, v in lengths.items()})
+                    thin = _thinned(g, rng)
                     eps = rng.choice((0.05, 0.1, 0.15))
                     if in_spine(thin, eps) or max_systole_lengths(thin)[0] < eps:
                         continue
-                    assert repair(thin, eps).key() == o_repair(thin, eps).key()
+                    fixed = repair(thin, eps)
+                    exact = o_repair(thin, eps)
+                    for e in fixed.edges:
+                        assert abs(e.length - exact[e.id]) <= 1e-12
+                    assert abs(systole(fixed)[0] - eps) <= 1e-12
                     repaired += 1
         assert repaired > 20
+
+    def test_reads_cycle_sums_at_most_three_times(self, monkeypatch):
+        """Once for ``in_spine``, then once at the point and once at the
+        target: no blend is read per step."""
+        calls = []
+        read = graphs._Graph.cycle_lengths
+
+        def spy(self, lengths):
+            calls.append(lengths)
+            return read(self, lengths)
+
+        monkeypatch.setattr(graphs._Graph, "cycle_lengths", spy)
+        thin = with_lengths(ROSE, {"a": 0.01, "b": 0.01, "c": 0.98})
+        assert repair(thin, EPS).key() != thin.key()
+        assert len(calls) <= 3
+
+    def test_reaches_the_best_systole(self):
+        """At eps equal to the topology's best systole the repaired point
+        is in the spine, at volume one."""
+        rng = random.Random(4)
+        repaired = 0
+        for seed in range(10):
+            for rank in (3, 4):
+                for g in spine_points(rank, EPS, seed, 4):
+                    thin = _thinned(g, rng)
+                    best = max_systole_lengths(thin)[0]
+                    fixed = repair(thin, best)
+                    assert in_spine(fixed, best)
+                    assert fixed.volume == pytest.approx(1.0, abs=1e-12)
+                    repaired += fixed is not thin
+        assert repaired > 40
 
     def test_unreachable_epsilon(self):
         with pytest.raises(SampleError):
