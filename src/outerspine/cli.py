@@ -11,10 +11,11 @@ a bound ``--b`` or a radius, a weight or an edge length, and an ``s``
 whose e^s overflows.  ``ball-contract --slack`` and ``tau --c`` must be
 finite and nonnegative, ``iwip --tol`` finite and positive, and ``iwip
 --k`` and each ``tau --powers`` entry at most ``words.MAX_POWER`` in
-absolute value.  Each exits 2 instead of reporting a vacuous or
-meaningless result, or running for hours.  The comma lists
-``--s-list``, ``--radii`` and ``--powers`` may start with a negative
-entry (``--powers -2,0``).
+absolute value.  Bad input also includes an ``iwip --base`` on which an
+iterate has length 0 and, in the ``--json`` form only, a result that is
+not finite.  Each exits 2 instead of reporting a vacuous or meaningless
+result, or running for hours.  The comma lists ``--s-list``, ``--radii``
+and ``--powers`` may start with a negative entry (``--powers -2,0``).
 
 Metric commands (dist, min, axis, project, the checks, ball-contract,
 tau) normalize input graphs to volume one on load; pure measurements
@@ -40,7 +41,6 @@ from dataclasses import asdict, dataclass
 from . import jsonio
 from .currents import RationalCurrent, exp_combination, iwip_pair_approx, pairing
 from .diagnostics import (
-    AXIS_GRID,
     SamplerConfig,
     ball_projection_diameter,
     check_contracting,
@@ -65,6 +65,10 @@ CLAUSE5_NOTE = (
     "clause 5 samples reach spine-interior approximations only; "
     "boundary balanced trees are outside the sampler's range"
 )
+
+# the axis that check-minisline fits b on and ball-contract measures the
+# gap to, as (s_min, s_max, step)
+AXIS_GRID = (-3.0, 3.0, 0.5)
 
 
 def _fmt(v: float) -> str:
@@ -339,7 +343,7 @@ def _cmd_check_minisline(args) -> _Result:
     if args.b is not None:
         b = args.b
     else:
-        b = fit_B(mu, nu, args.eps, budget=args.budget).value
+        b = fit_B(axis(mu, nu, *AXIS_GRID, args.eps, args.budget)).value
     rep = check_minisline(mu, nu, b, _floats(args.s_list), args.eps, args.budget)
     rows = [
         [_fmt(r.s), _fmt(r.distance), _fmt(r.lower), _fmt(r.upper), _status(r.passed)]
@@ -361,21 +365,15 @@ def _cmd_check_contracting(args) -> _Result:
     shift = jsonio.load_automorphism(args.shift) if args.shift else None
     cfg = SamplerConfig(
         seed=args.seed,
-        s_max=args.s_max,
-        step=args.step,
         n_far=args.n_far,
         n_sigma=args.n_sigma,
         n_balanced=args.n_balanced,
         budget=args.budget,
         shift=shift,
     )
-    ax = None
-    if args.b is not None:
-        b = args.b
-    else:
-        ax = axis(mu, nu, -args.s_max, args.s_max, args.step, args.eps, args.budget)
-        b = args.fit_scale * fit_B(mu, nu, args.eps, ax=ax).value
-    rep = check_contracting(mu, nu, b, args.eps, cfg, ax=ax)
+    ax = axis(mu, nu, -args.s_max, args.s_max, args.step, args.eps, args.budget)
+    b = args.b if args.b is not None else args.fit_scale * fit_B(ax).value
+    rep = check_contracting(ax, b, cfg)
     rows = []
     for c in rep.clauses:
         status = _status(c.passed) + (" (vacuous)" if c.vacuous else "")
@@ -392,7 +390,12 @@ def _cmd_check_contracting(args) -> _Result:
         "fitted_b": rep.fitted,
         "passed": rep.passed,
         "note": CLAUSE5_NOTE,
-        "sampler": {**vars(cfg), "shift": jsonio.automorphism_to_obj(shift) if shift else None},
+        "sampler": {
+            **vars(cfg),
+            "s_max": args.s_max,
+            "step": args.step,
+            "shift": jsonio.automorphism_to_obj(shift) if shift else None,
+        },
         "clauses": [
             {**asdict(c), "margin": c.margin if math.isfinite(c.margin) else None}
             for c in rep.clauses
@@ -414,10 +417,7 @@ def _cmd_ball_contract(args) -> _Result:
         raise ValueError("need nonnegative radii")
     ax = axis(mu, nu, *AXIS_GRID, args.eps, args.budget)
     results = [
-        ball_projection_diameter(
-            mu, nu, center, r, args.n, args.eps,
-            seed=args.seed + i, budget=args.budget, ax=ax,
-        )
+        ball_projection_diameter(ax, center, r, args.n, seed=args.seed + i, budget=args.budget)
         for i, r in enumerate(radii)
     ]
     compared = len(radii) > 1

@@ -194,7 +194,8 @@ def iwip_pair_approx(
 
     Iterates seed -> phi(seed) (cyclically reduced each step, since only the
     conjugacy class matters) and the same for the inverse; lambda estimates
-    are length ratios on ``base`` (default: unit rose of the right rank).
+    are length ratios on ``base`` (default: unit rose of the right rank), so
+    an iterate of length 0 on ``base`` is a ValueError.
     """
     if not 0 <= k <= MAX_POWER:
         raise ValueError(f"k must be in 0..{MAX_POWER}, got {k}")
@@ -204,15 +205,21 @@ def iwip_pair_approx(
         base = unit_rose(phi.rank)
     inv = invert(phi)
 
+    def length(w: Word) -> float:
+        value = translation_length(base, w)[0]
+        if value == 0:
+            raise ValueError("an iterate of the seed has length 0 on the base graph")
+        return value
+
     def iterate(f: Automorphism) -> tuple[list[float], Word]:
         w, _ = cyclic_reduce(seed)
         w_k = w
-        lengths = [translation_length(base, w)[0]]
+        lengths = [length(w)]
         for i in range(1, k + 2):
             w, _ = cyclic_reduce(apply(f, w))
             if not w:
                 raise ValueError("seed died under iteration; map is not injective")
-            lengths.append(translation_length(base, w)[0])
+            lengths.append(length(w))
             if i == k:
                 w_k = w
         return lengths, w_k

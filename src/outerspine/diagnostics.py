@@ -5,6 +5,12 @@ witnesses, and the exact sampling configuration (seed included) so a run
 can be reproduced verbatim.  A failed clause carries the worst witness; it
 is up to the caller to decide whether that demonstrates a genuine
 non-contracting pair or an under-sampled one.
+
+The checks about one line of minima (``fit_B``, ``check_contracting``,
+``ball_projection_diameter``) take its sampled axis and read the pair
+(mu, nu) and the spine bound eps off it, so they cannot disagree with the
+axis they read; the caller walks it once (``minima.axis``) on the grid it
+chooses.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Sequence
 from .currents import RationalCurrent, add, dual, normalize_at, pairing
 from .graphs import MarkedGraph, candidates as graph_candidates, rescale, transform, unit_rose
 from .lipschitz import d_sym, sigma_scale
-from .minima import AxisSample, _walk, axis, balance_param, minimize, project
+from .minima import AxisSample, _walk, balance_param, minimize, project
 from .sampling import (
     SampleError,
     balanced_point,
@@ -27,10 +33,6 @@ from .sampling import (
     ball_points,
 )
 from .words import Automorphism, NielsenMove, compose, elementary_automorphisms, power
-
-
-# the default sampled axis, as (s_min, s_max, step)
-AXIS_GRID = (-3.0, 3.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -111,25 +113,16 @@ class BFit:
     eps: float
 
 
-def fit_B(
-    mu: RationalCurrent,
-    nu: RationalCurrent,
-    eps: float,
-    s_range: tuple[float, float] = AXIS_GRID[:2],
-    step: float = AXIS_GRID[2],
-    budget: int = 600,
-    ax: AxisSample | None = None,
-) -> BFit:
+def fit_B(ax: AxisSample) -> BFit:
     """Fit the ratio clause: at each s the minimizer x_s of e^s mu + e^-s nu
     has representative ratio e^{2s} <x_s, mu> / <x_s, nu>; the fitted
-    constant is the max of that ratio and its inverse over the grid.
+    constant is the max of that ratio and its inverse over the axis's grid.
 
     The fitted value is insensitive to shifting the grid because x_{s+h}
     minimizes the pair rescaled by e^{+-h}, which leaves the ratio map
     unchanged up to the same shift.
     """
-    if ax is None:
-        ax = axis(mu, nu, s_range[0], s_range[1], step, eps, budget)
+    mu, nu = ax.mu, ax.nu
     ratios = []
     value, s_at = 1.0, 0.0
     for s, pt, _ in ax.samples:
@@ -138,7 +131,7 @@ def fit_B(
         m = max(r, 1.0 / r)
         if m > value:
             value, s_at = m, s
-    return BFit(value=value, s_at=s_at, ratios=tuple(ratios), eps=eps)
+    return BFit(value=value, s_at=s_at, ratios=tuple(ratios), eps=ax.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +153,6 @@ class SamplerConfig:
     """Sampling plan for check_contracting; embedded in the report."""
 
     seed: int = 0
-    s_max: float = 3.0
-    step: float = 0.5
     near_step: float = 0.25
     n_far: int = 12
     far_depth: int = 24
@@ -260,14 +251,11 @@ def _far_points(
 
 
 def check_contracting(
-    mu: RationalCurrent,
-    nu: RationalCurrent,
+    ax: AxisSample,
     b: float,
-    eps: float,
     config: SamplerConfig | None = None,
-    ax: AxisSample | None = None,
 ) -> ContractionReport:
-    """Sample all five contraction clauses for the pair at constant b.
+    """Sample all five contraction clauses for the pair of ``ax`` at constant b.
 
     1. Balanced-representative ratio along the axis stays within [1/b, b].
     2. Spine points beyond distance b from the central minimizer x pair at
@@ -281,10 +269,10 @@ def check_contracting(
     Clause samples that cannot be realized leave the clause vacuously
     passed with vacuous=True and zero samples; failures carry witnesses.
 
-    ``ax`` is the axis sampled from -s_max to s_max by ``step`` of the
-    config, which clause 1 fits and whose sample nearest s = 0 is x; a
-    caller that already walked it (to fit b) passes it in, and without it
-    the axis is walked here.
+    ``ax`` is the sampled axis of the pair (mu, nu) at spine bound eps:
+    clause 1 fits it, its sample nearest s = 0 is x, and the other clauses
+    read mu, nu and eps off it.  Its grid is the caller's choice; the
+    command line walks -s_max..s_max by ``--step``.
     """
     if not 1 <= b < math.inf:
         raise ValueError(f"b must be finite and at least 1, not {b}")
@@ -292,9 +280,8 @@ def check_contracting(
     if not cfg.near_step > 0:
         raise ValueError(f"near_step must be positive, not {cfg.near_step}")
     rng = random.Random(cfg.seed)
-    if ax is None:
-        ax = axis(mu, nu, -cfg.s_max, cfg.s_max, cfg.step, eps, cfg.budget)
-    fitted = fit_B(mu, nu, eps, ax=ax)
+    mu, nu, eps = ax.mu, ax.nu, ax.eps
+    fitted = fit_B(ax)
     x = ax.samples[ax.nearest_index(0.0)][1]
     clauses: list[ClauseResult] = []
 
@@ -465,17 +452,15 @@ class BallProjection:
 
 
 def ball_projection_diameter(
-    mu: RationalCurrent,
-    nu: RationalCurrent,
+    ax: AxisSample,
     center: MarkedGraph,
     radius: float,
     n_samples: int,
-    eps: float,
     seed: int = 0,
     budget: int = 600,
-    ax: AxisSample | None = None,
 ) -> BallProjection:
-    """Diameter of the projection to the minima line of a sampled ball.
+    """Diameter of a sampled ball's projection to the minima line of the
+    pair of ``ax``, sampled and projected at the spine bound of ``ax``.
 
     Requires the ball to be disjoint from the sampled axis; otherwise the
     projection diameter conflates travel along the line with contraction
@@ -483,18 +468,16 @@ def ball_projection_diameter(
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample per ball, not {n_samples}")
-    if ax is None:
-        ax = axis(mu, nu, *AXIS_GRID, eps, budget)
     gap = min(d_sym(center, p) for p in ax.points())
     if gap <= radius:
         raise ValueError(
             f"ball of radius {radius} meets the sampled axis "
             f"(center-to-axis distance {gap:.6g})"
         )
-    pts = ball_points(center, radius, n_samples, seed, eps)
+    pts = ball_points(center, radius, n_samples, seed, ax.eps)
     projected: dict = {}
     for p in pts:
-        q = project(p, mu, nu, eps, budget).point
+        q = project(p, ax.mu, ax.nu, ax.eps, budget).point
         projected[q.key()] = q
     qs = list(projected.values())
     diam = 0.0
@@ -523,11 +506,19 @@ def _ray(
     return pts[k:] if toward_high else pts[: k + 1][::-1]
 
 
+def _close(p: MarkedGraph, q: MarkedGraph, c: float) -> bool:
+    """Whether p and q are within 2c.  A point is at distance 0 from
+    itself: ``d_sym`` rounds that to about 1e-16 on some points, and
+    ``c = 0`` on equal axes needs the 0."""
+    return (0.0 if p == q else d_sym(p, q)) <= 2 * c
+
+
 def _max_run(
     ra: Sequence[MarkedGraph],
     rb: Sequence[MarkedGraph],
     step: float,
     c: float,
+    first: int = 0,
 ) -> float:
     """Longest parameter interval [0, t] with the two ray prefixes within
     sampled Hausdorff 2c of each other.
@@ -535,19 +526,15 @@ def _max_run(
     A point's distance to the other prefix only falls as that prefix
     grows, so while the run lasts every earlier point stays within 2c, and
     a step only asks whether each new point lies within 2c of the other
-    prefix; each pair is measured at most once.  A point is at distance 0
-    from itself: ``d_sym`` rounds that to about 1e-16 on some points, and
-    ``c = 0`` on equal axes needs the 0.
+    prefix; each pair is measured at most once.  The prefixes of length
+    ``first`` are taken as already within 2c (``overlap_tau`` measures the
+    origins its two pairs of rays share once).
     """
-
-    def close(p: MarkedGraph, q: MarkedGraph) -> bool:
-        return (0.0 if p == q else d_sym(p, q)) <= 2 * c
-
-    best = -1
-    for j in range(min(len(ra), len(rb))):
+    best = first - 1
+    for j in range(first, min(len(ra), len(rb))):
         a, b = ra[j], rb[j]
-        if close(a, b) or (
-            any(close(a, q) for q in rb[:j]) and any(close(p, b) for p in ra[:j])
+        if _close(a, b, c) or (
+            any(_close(a, q, c) for q in rb[:j]) and any(_close(p, b, c) for p in ra[:j])
         ):
             best = j
         else:
@@ -572,12 +559,13 @@ def overlap_tau(
         raise ValueError("axes must share the sampling step")
     foot_a = balance_param(x, axis_a.mu, axis_a.nu)
     foot_b = balance_param(x, axis_b.mu, axis_b.nu)
-    return max(
-        _max_run(
-            _ray(axis_a, foot_a, toward_high),
-            _ray(axis_b, foot_b, toward_high),
-            axis_a.step,
-            c,
-        )
+    rays = [
+        (_ray(axis_a, foot_a, toward_high), _ray(axis_b, foot_b, toward_high))
         for toward_high in (True, False)
-    )
+    ]
+    # both rays of an axis start at its sample nearest the foot, so the
+    # two directions share their first pair
+    (high_a, high_b), _ = rays
+    if not _close(high_a[0], high_b[0], c):
+        return 0.0
+    return max(_max_run(ra, rb, axis_a.step, c, first=1) for ra, rb in rays)

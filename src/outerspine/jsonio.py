@@ -253,5 +253,6 @@ def load_current(path: str) -> RationalCurrent:
 
 
 def dumps(obj: dict) -> str:
-    """Canonical file form: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical file form: sorted keys, two-space indent, trailing newline.
+    A non-finite number has no JSON form, so it raises ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -42,9 +42,10 @@ def test_matches_golden(name):
 
 
 def test_tau_measures_each_unordered_pair_once(tmp_path, monkeypatch):
-    """Three powers make three unordered pairs; each ``overlap_tau`` call
-    measures its two ray origins once per direction, so six ``d_sym``
-    calls, not twelve for the six ordered pairs."""
+    """Three powers make three unordered pairs; both rays of an axis start
+    at one sample, so each ``overlap_tau`` call measures its pair of ray
+    origins once: three ``d_sym`` calls, not six for the six ordered pairs
+    or twelve for their rays."""
     calls = []
     d_sym = diagnostics.d_sym
     monkeypatch.setattr(diagnostics, "d_sym", lambda p, q: calls.append(1) or d_sym(p, q))
@@ -52,7 +53,7 @@ def test_tau_measures_each_unordered_pair_once(tmp_path, monkeypatch):
     shutil.copytree(FIXTURES, tmp_path / "data", dirs_exist_ok=True)
     golden = GOLDENS["tau"]
     assert run_form(golden["argv"] + FORMS["json"], str(tmp_path)) == golden["forms"]["json"]
-    assert len(calls) == 6
+    assert len(calls) == 3
 
 
 def test_tied_golden_prints_a_tie_break():
@@ -201,6 +202,15 @@ def test_json_and_csv_exclude_each_other(tmp_path, capsys):
     assert not csv_path.exists()
 
 
+def _rose_with_edge_a(tmp_path, length: str) -> str:
+    with open(ROSE) as fh:
+        obj = json.load(fh)
+    next(e for e in obj["edges"] if e["id"] == "a")["length"] = length
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "argv",
     [["--from", "{zero}", "--to", ROSE], ["--from", ROSE, "--to", "{zero}", "--sym"]],
@@ -210,17 +220,41 @@ def test_json_and_csv_exclude_each_other(tmp_path, capsys):
 def test_dist_from_a_zero_length_loop_exits_2(tmp_path, capsys, argv, form):
     """A candidate loop of length 0 has no stretch; that is bad input,
     whichever direction of the distance meets it."""
-    with open(ROSE) as fh:
-        obj = json.load(fh)
-    next(e for e in obj["edges"] if e["id"] == "a")["length"] = "0"
-    zero = tmp_path / "zero.json"
-    zero.write_text(json.dumps(obj))
+    zero = _rose_with_edge_a(tmp_path, "0")
     argv = [a.format(zero=zero) for a in argv]
     assert cli.main(["dist", *argv, *FORMS[form]]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "Traceback" not in err
     assert err == "error: a candidate loop of the source graph has length 0\n"
+
+
+@pytest.mark.parametrize(
+    "length, argv, forms",
+    [
+        ("0", ["iwip", "--phi", TRIBONACCI, "--base", "{g}", "--k", "3"], ["human", "json"]),
+        ("1e-320", ["dist", "--from", "{g}", "--to", ROSE, "--sym"], ["json"]),
+        ("1e-320", ["iwip", "--phi", TRIBONACCI, "--base", "{g}", "--k", "3"], ["json"]),
+    ],
+    ids=["iwip-zero-base", "dist-infinite", "iwip-infinite-history"],
+)
+def test_degenerate_graph_exits_2(tmp_path, capsys, length, argv, forms):
+    """An iterate of length 0 on the base has no lambda ratio, and an
+    infinite value has no JSON form: each exits 2 with one ``error:`` line
+    where it raised a traceback or printed ``Infinity`` before.  The human
+    form of a run with an infinite value is unchanged and exits 0."""
+    g = _rose_with_edge_a(tmp_path, length)
+    argv = [a.format(g=g) for a in argv]
+    for form in ["human", "json"]:
+        rc = cli.main(argv + FORMS[form])
+        out, err = capsys.readouterr()
+        if form in forms:
+            assert rc == 2
+            assert out == ""
+            assert "Traceback" not in err
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        else:
+            assert rc == 0 and out and err == ""
 
 
 def test_check_contracting_fits_b_on_the_axis_it_checks(capsys):

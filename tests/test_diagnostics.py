@@ -56,9 +56,14 @@ FLOOR_NU = apply_to_current(
 # sampler trimmed to desk scale; far/balanced reach limits are part of the
 # recorded behavior (vacuous clauses), not something to hide
 CFG = SamplerConfig(
-    seed=5, s_max=1.0, step=0.5, near_step=0.5,
-    n_far=3, far_depth=14, n_sigma=4, n_balanced=1,
+    seed=5, near_step=0.5, n_far=3, far_depth=14, n_sigma=4, n_balanced=1,
 )
+
+
+def walk(mu, nu, s_max=1.0, budget=600):
+    """The axis of (mu, nu) from -s_max to s_max by 0.5."""
+    return axis(mu, nu, -s_max, s_max, 0.5, EPS, budget)
+
 
 TWIST_PAIR = Automorphism.from_moves(3, [
     NielsenMove("right_multiply", 1, 2, False),
@@ -73,17 +78,22 @@ def pair6():
 
 @pytest.fixture(scope="module")
 def ax6(pair6):
-    return axis(pair6.forward, pair6.backward, -1.0, 1.0, 0.5, EPS)
+    return walk(pair6.forward, pair6.backward)
 
 
 @pytest.fixture(scope="module")
 def fit6(pair6):
-    return fit_B(pair6.forward, pair6.backward, EPS)
+    return fit_B(walk(pair6.forward, pair6.backward, s_max=3.0))
+
+
+@pytest.fixture(scope="module")
+def floor_ax():
+    return walk(FLOOR_MU, FLOOR_NU)
 
 
 @pytest.fixture(scope="module")
 def diag_report():
-    return check_contracting(FLOOR_MU, FLOOR_MU, 2.0, EPS, CFG)
+    return check_contracting(walk(FLOOR_MU, FLOOR_MU), 2.0, CFG)
 
 
 @pytest.fixture(scope="module")
@@ -111,23 +121,21 @@ def long_axes(pair6):
 
 
 class TestFitB:
-    def test_floor_pair_ratio_one_at_center(self):
-        fit = fit_B(FLOOR_MU, FLOOR_NU, EPS, s_range=(-1.0, 1.0))
+    def test_floor_pair_ratio_one_at_center(self, floor_ax):
+        fit = fit_B(floor_ax)
         r0 = dict(fit.ratios)[0.0]
         assert r0 == pytest.approx(1.0, abs=1e-12)
 
-    def test_floor_pair_value(self):
-        fit = fit_B(FLOOR_MU, FLOOR_NU, EPS, s_range=(-1.0, 1.0))
+    def test_floor_pair_value(self, floor_ax):
+        fit = fit_B(floor_ax)
         assert fit.value == pytest.approx(math.e**2, rel=1e-9)
         assert abs(fit.s_at) == 1.0
 
-    def test_rescaling_shifts_grid_not_value(self):
+    def test_rescaling_shifts_grid_not_value(self, floor_ax):
         # representatives are quantified over, so mu -> e^2 mu only moves
         # the attaining parameter; compare on windows shifted to match
-        base = fit_B(FLOOR_MU, FLOOR_NU, EPS, s_range=(-1.0, 1.0))
-        moved = fit_B(
-            scale(FLOOR_MU, math.e**2), FLOOR_NU, EPS, s_range=(-2.0, 0.0)
-        )
+        base = fit_B(floor_ax)
+        moved = fit_B(axis(scale(FLOOR_MU, math.e**2), FLOOR_NU, -2.0, 0.0, 0.5, EPS))
         assert moved.value == pytest.approx(base.value, abs=1e-6)
 
     def test_iwip_fit_finite(self, fit6):
@@ -183,15 +191,15 @@ class TestCheckMinisline:
 
 
 class TestCheckContracting:
-    def test_rejects_b_below_one(self):
+    def test_rejects_b_below_one(self, floor_ax):
         with pytest.raises(ValueError):
-            check_contracting(FLOOR_MU, FLOOR_NU, 0.9, EPS, CFG)
+            check_contracting(floor_ax, 0.9, CFG)
 
     @pytest.mark.parametrize("near_step", [0.0, -0.25, math.nan])
-    def test_rejects_a_near_step_that_never_reaches_one(self, near_step):
+    def test_rejects_a_near_step_that_never_reaches_one(self, floor_ax, near_step):
         # clause 3 lists s = -1, -1 + near_step, ... up to 1 before it walks
         with pytest.raises(ValueError, match="near_step"):
-            check_contracting(FLOOR_MU, FLOOR_NU, 2.0, EPS, dataclasses.replace(CFG, near_step=near_step))
+            check_contracting(floor_ax, 2.0, dataclasses.replace(CFG, near_step=near_step))
 
     def test_diagonal_fails_doubling_with_witness(self, diag_report):
         assert not diag_report.passed
@@ -216,10 +224,8 @@ class TestCheckContracting:
         with pytest.raises(KeyError):
             diag_report.clause(7)
 
-    def test_iwip_pair_passes_at_doubled_fit(self, pair6, fit6):
-        rep = check_contracting(
-            pair6.forward, pair6.backward, 2 * fit6.value, EPS, CFG
-        )
+    def test_iwip_pair_passes_at_doubled_fit(self, ax6, fit6):
+        rep = check_contracting(ax6, 2 * fit6.value, CFG)
         assert rep.passed
         assert rep.fitted <= fit6.value + 1e-9
         assert rep.clause(1).margin > 0
@@ -230,8 +236,8 @@ class TestCheckContracting:
             assert rep.clause(k).n_samples == 0
         assert rep.clause(4).n_samples == 1 + CFG.n_sigma
 
-    def test_undersized_b_fails_with_data(self, pair6):
-        rep = check_contracting(pair6.forward, pair6.backward, 3.0, EPS, CFG)
+    def test_undersized_b_fails_with_data(self, ax6):
+        rep = check_contracting(ax6, 3.0, CFG)
         assert not rep.passed
         clause = rep.clause(2)
         assert not clause.vacuous
@@ -244,14 +250,10 @@ class TestCheckContracting:
         """The balanced point does not depend on its seed when the identity
         marking balances, so more balanced samples add no new duals: clause
         5 reads the same samples, margin and witness at 3 as at 1."""
-        cfg = SamplerConfig(
-            seed=0, s_max=0.5, n_far=1, n_sigma=1, n_balanced=1, budget=20, shift=TRIB
-        )
+        cfg = SamplerConfig(seed=0, n_far=1, n_sigma=1, n_balanced=1, budget=20, shift=TRIB)
+        ax = walk(pair6.forward, pair6.backward, s_max=0.5, budget=20)
         one, three = (
-            check_contracting(
-                pair6.forward, pair6.backward, 1.0, EPS,
-                dataclasses.replace(cfg, n_balanced=k),
-            ).clause(5)
+            check_contracting(ax, 1.0, dataclasses.replace(cfg, n_balanced=k)).clause(5)
             for k in (1, 3)
         )
         assert not one.vacuous and one.n_samples > 0
@@ -272,45 +274,33 @@ class TestCheckContracting:
             return enumerate_paths(t)
 
         monkeypatch.setattr(graphs, "_candidate_paths", spy)
-        cfg = SamplerConfig(
-            seed=1, s_max=1.0, step=0.5, n_far=3, n_sigma=4, n_balanced=1, shift=TRIB
-        )
-        check_contracting(pair6.forward, pair6.backward, 8.0, EPS, cfg)
+        cfg = SamplerConfig(seed=1, n_far=3, n_sigma=4, n_balanced=1, shift=TRIB)
+        check_contracting(walk(pair6.forward, pair6.backward), 8.0, cfg)
         shapes = {tuple(sorted(t.ends.items())) for t in seen}
         assert len({id(t) for t in seen}) == len(seen)
         assert len(seen) <= 2 * len(shapes)
 
 
 class TestBallProjection:
-    def test_zero_radius_collapses(self, pair6, ax6, off_axis_center):
-        bp = ball_projection_diameter(
-            pair6.forward, pair6.backward, off_axis_center, 0.0, 5, EPS, seed=1, ax=ax6
-        )
+    def test_zero_radius_collapses(self, ax6, off_axis_center):
+        bp = ball_projection_diameter(ax6, off_axis_center, 0.0, 5, seed=1)
         assert bp.diameter == 0.0
         assert bp.n_distinct == 1
         assert bp.center_distance_to_axis > 3.0
 
     @pytest.mark.parametrize("n", [0, -1])
-    def test_rejects_empty_sample(self, pair6, ax6, off_axis_center, n):
+    def test_rejects_empty_sample(self, ax6, off_axis_center, n):
         with pytest.raises(ValueError, match="at least one sample"):
-            ball_projection_diameter(
-                pair6.forward, pair6.backward, off_axis_center, 0.5, n, EPS, ax=ax6
-            )
+            ball_projection_diameter(ax6, off_axis_center, 0.5, n)
 
-    def test_ball_touching_axis_rejected(self, pair6, ax6):
+    def test_ball_touching_axis_rejected(self, ax6):
         x0 = ax6.samples[ax6.nearest_index(0.0)][1]
         with pytest.raises(ValueError, match="meets the sampled axis"):
-            ball_projection_diameter(
-                pair6.forward, pair6.backward, x0, 0.5, 4, EPS, ax=ax6
-            )
+            ball_projection_diameter(ax6, x0, 0.5, 4)
 
-    def test_refining_samples_never_shrinks(self, pair6, ax6, off_axis_center):
-        coarse = ball_projection_diameter(
-            pair6.forward, pair6.backward, off_axis_center, 1.5, 5, EPS, seed=2, ax=ax6
-        )
-        fine = ball_projection_diameter(
-            pair6.forward, pair6.backward, off_axis_center, 1.5, 10, EPS, seed=2, ax=ax6
-        )
+    def test_refining_samples_never_shrinks(self, ax6, off_axis_center):
+        coarse = ball_projection_diameter(ax6, off_axis_center, 1.5, 5, seed=2)
+        fine = ball_projection_diameter(ax6, off_axis_center, 1.5, 10, seed=2)
         assert coarse.n_samples == 5 and fine.n_samples == 10
         assert fine.diameter >= coarse.diameter - 1e-12
 
@@ -319,9 +309,7 @@ class TestBallProjection:
         near = jitter(end, random.Random(7), 0.25, EPS)
         gap = min(d_sym(near, p) for p in ax6.points())
         assert gap > 0.1
-        bp = ball_projection_diameter(
-            pair6.forward, pair6.backward, near, 0.1, 6, EPS, seed=3, ax=ax6
-        )
+        bp = ball_projection_diameter(ax6, near, 0.1, 6, seed=3)
         assert bp.diameter <= 0.5
         foot = project(near, pair6.forward, pair6.backward, EPS).point
         assert d_sym(foot, end) <= 2.0
