@@ -11,9 +11,12 @@ a bound ``--b`` or a radius, a weight or an edge length, and an ``s``
 whose e^s overflows.  ``ball-contract --slack`` and ``tau --c`` must be
 finite and nonnegative, ``iwip --tol`` finite and positive, and ``iwip
 --k`` and each ``tau --powers`` entry at most ``words.MAX_POWER`` in
-absolute value.  Bad input also includes an ``iwip --base`` on which an
-iterate has length 0 and, in the ``--json`` form only, a result that is
-not finite.  Each exits 2 instead of reporting a vacuous or meaningless
+absolute value.  The sample counts are capped by ``MAX_SAMPLES``:
+``ball-contract --n`` and ``check-contracting --n-far`` at 10,000,
+``--n-sigma`` and ``--n-balanced`` at 100,000.  Bad input also includes an
+``iwip --base`` on which an iterate has length 0 and, in the ``--json``
+form only, a result that is not finite; the error names its JSON path.
+Each exits 2 instead of reporting a vacuous or meaningless
 result, or running for hours.  The comma lists ``--s-list``, ``--radii``
 and ``--powers`` may start with a negative entry (``--powers -2,0``).
 
@@ -27,39 +30,20 @@ the JSON body under the run's config, which ``build_parser`` declares per
 command.  With the same argv and seed, --json output is byte-identical
 across runs.  Human and CSV output print every numeric with 10
 significant digits, and both are built from the same formatted cells.
+
+Start-up: a command imports only the modules it runs.  Each handler
+imports its own layers, so ``iwip`` loads ``words``, ``graphs``,
+``currents`` and ``jsonio`` but no LP, sampler or diagnostics, and
+``--help`` imports no other ``outerspine`` module at all.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass
-
-from . import jsonio
-from .currents import RationalCurrent, exp_combination, iwip_pair_approx, pairing
-from .diagnostics import (
-    SamplerConfig,
-    ball_projection_diameter,
-    check_contracting,
-    check_minisline,
-    fit_B,
-    overlap_tau,
-)
-from .graphs import (
-    MarkedGraph,
-    candidates as graph_candidates,
-    normalize_volume,
-    systole,
-    translation_length,
-    unit_rose,
-)
-from .lipschitz import d_L, d_sym, stretch
-from .minima import axis, balance_param, certificate, minimize, project, translate_axis
-from .sampling import SampleError
-from .words import format_word, parse_word, power
+from collections import namedtuple
 
 CLAUSE5_NOTE = (
     "clause 5 samples reach spine-interior approximations only; "
@@ -69,6 +53,12 @@ CLAUSE5_NOTE = (
 # the axis that check-minisline fits b on and ball-contract measures the
 # gap to, as (s_min, s_max, step)
 AXIS_GRID = (-3.0, 3.0, 0.5)
+
+# the most samples each count option may ask for: about ten minutes of
+# sampling at the worst cost per sample measured on a 2-vCPU host (39 ms a
+# ball point, 35 ms a far point at an unreachable b, 5 ms a balanced point),
+# and for --n-sigma about 350 MB of spine points held at 3.5 kB each
+MAX_SAMPLES = {"n": 10_000, "n_far": 10_000, "n_sigma": 100_000, "n_balanced": 100_000}
 
 
 def _fmt(v: float) -> str:
@@ -91,20 +81,21 @@ def _ints(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
 
 
-@dataclass(frozen=True)
-class _Result:
+def _check_counts(args, *names: str) -> None:
+    for name in names:
+        value, cap = getattr(args, name), MAX_SAMPLES[name]
+        if value > cap:
+            raise ValueError(f"--{name.replace('_', '-')} must be at most {cap}, not {value}")
+
+
+class _Result(namedtuple("_Result", "rank body header rows lines rc", defaults=(0,))):
     """One command's outcome in every output form; ``main`` renders one.
 
     ``body`` is the --json body without its format and config keys;
     ``rows`` are the CSV cells under ``header``; ``lines`` the human output.
     """
 
-    rank: int
-    body: dict
-    header: list[str]
-    rows: list[list[str]]
-    lines: list[str]
-    rc: int = 0
+    __slots__ = ()
 
 
 def _config(args, rank: int) -> dict:
@@ -120,9 +111,13 @@ def _config(args, rank: int) -> dict:
 
 def _render(args, res: _Result) -> int:
     if args.json:
+        from . import jsonio
+
         body = {"format": jsonio.FORMAT, "config": _config(args, res.rank), **res.body}
         sys.stdout.write(jsonio.dumps(body))
     elif args.csv:
+        import csv
+
         with open(args.csv, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(res.header)
@@ -133,12 +128,15 @@ def _render(args, res: _Result) -> int:
     return res.rc
 
 
-def _load_graph(path: str, normalize: bool) -> MarkedGraph:
+def _load_graph(path: str, normalize: bool):
+    from . import jsonio
+    from .graphs import normalize_volume
+
     g = jsonio.load_graph(path)
     return normalize_volume(g) if normalize else g
 
 
-def _point_summary(g: MarkedGraph) -> str:
+def _point_summary(g) -> str:
     return " ".join(f"{e.id}={_fmt(e.length)}" for e in g.edges)
 
 
@@ -147,6 +145,10 @@ def _point_summary(g: MarkedGraph) -> str:
 
 
 def _cmd_translen(args) -> _Result:
+    from . import jsonio
+    from .graphs import translation_length
+    from .words import format_word, parse_word
+
     g = _load_graph(args.graph, normalize=False)
     w = parse_word(args.word, g.rank)
     value, loop = translation_length(g, w)
@@ -160,6 +162,9 @@ def _cmd_translen(args) -> _Result:
 
 
 def _cmd_systole(args) -> _Result:
+    from . import jsonio
+    from .graphs import systole
+
     g = _load_graph(args.graph, normalize=False)
     value, loop = systole(g)
     steps = [jsonio.format_step(st) for st in loop.path]
@@ -170,14 +175,20 @@ def _cmd_systole(args) -> _Result:
 
 
 def _cmd_candidates(args) -> _Result:
+    from .graphs import candidates
+    from .words import format_word
+
     g = _load_graph(args.graph, normalize=False)
-    found = [(format_word(w), loop.length) for loop, w in graph_candidates(g)]
+    found = [(format_word(w), loop.length) for loop, w in candidates(g)]
     rows = [[word, _fmt(length)] for word, length in found]
     body = {"candidates": [{"word": word, "length": length} for word, length in found]}
     return _Result(g.rank, body, ["word", "length"], rows, [" ".join(r) for r in rows])
 
 
 def _cmd_dist(args) -> _Result:
+    from .lipschitz import d_L, d_sym, stretch
+    from .words import format_word
+
     x = _load_graph(getattr(args, "from"), normalize=True)
     y = _load_graph(args.to, normalize=True)
     fwd = stretch(x, y)
@@ -206,6 +217,9 @@ def _cmd_dist(args) -> _Result:
 
 
 def _cmd_pair(args) -> _Result:
+    from . import jsonio
+    from .currents import pairing
+
     g = _load_graph(args.tree, normalize=False)
     value = pairing(g, jsonio.load_current(args.current))
     cell = _fmt(value)
@@ -213,6 +227,10 @@ def _cmd_pair(args) -> _Result:
 
 
 def _cmd_iwip(args) -> _Result:
+    from . import jsonio
+    from .currents import iwip_pair_approx
+    from .words import format_word, parse_word
+
     if not 0 < args.tol < math.inf:
         raise ValueError(f"--tol must be finite and positive, not {args.tol}")
     phi = jsonio.load_automorphism(args.phi)
@@ -250,11 +268,18 @@ def _cmd_iwip(args) -> _Result:
 # minima commands
 
 
-def _load_pair(args) -> tuple[RationalCurrent, RationalCurrent]:
+def _load_pair(args) -> tuple:
+    from . import jsonio
+
     return jsonio.load_current(args.mu), jsonio.load_current(args.nu)
 
 
 def _cmd_min(args) -> _Result:
+    from . import jsonio
+    from .currents import exp_combination
+    from .graphs import unit_rose
+    from .minima import certificate, minimize
+
     mu, nu = _load_pair(args)
     start = (
         _load_graph(args.start, normalize=True)
@@ -284,6 +309,10 @@ def _cmd_min(args) -> _Result:
 
 
 def _cmd_axis(args) -> _Result:
+    from . import jsonio
+    from .lipschitz import d_sym
+    from .minima import axis
+
     mu, nu = _load_pair(args)
     start = (
         _load_graph(args.start, normalize=True) if args.start else None
@@ -318,6 +347,9 @@ def _cmd_axis(args) -> _Result:
 
 
 def _cmd_project(args) -> _Result:
+    from . import jsonio
+    from .minima import balance_param, project
+
     mu, nu = _load_pair(args)
     t = _load_graph(args.tree, normalize=True)
     res = project(t, mu, nu, args.eps, args.budget)
@@ -339,6 +371,11 @@ def _cmd_project(args) -> _Result:
 
 
 def _cmd_check_minisline(args) -> _Result:
+    from dataclasses import asdict
+
+    from .diagnostics import check_minisline, fit_B
+    from .minima import axis
+
     mu, nu = _load_pair(args)
     if args.b is not None:
         b = args.b
@@ -361,6 +398,13 @@ def _cmd_check_minisline(args) -> _Result:
 
 
 def _cmd_check_contracting(args) -> _Result:
+    from dataclasses import asdict
+
+    from . import jsonio
+    from .diagnostics import SamplerConfig, check_contracting, fit_B
+    from .minima import axis
+
+    _check_counts(args, "n_far", "n_sigma", "n_balanced")
     mu, nu = _load_pair(args)
     shift = jsonio.load_automorphism(args.shift) if args.shift else None
     cfg = SamplerConfig(
@@ -406,8 +450,12 @@ def _cmd_check_contracting(args) -> _Result:
 
 
 def _cmd_ball_contract(args) -> _Result:
+    from .diagnostics import ball_projection_diameter
+    from .minima import axis
+
     if not 0 <= args.slack < math.inf:
         raise ValueError(f"--slack must be finite and nonnegative, not {args.slack}")
+    _check_counts(args, "n")
     mu, nu = _load_pair(args)
     center = _load_graph(args.center, normalize=True)
     radii = _floats(args.radii) if args.radii is not None else [args.radius]
@@ -453,6 +501,11 @@ def _cmd_ball_contract(args) -> _Result:
 
 
 def _cmd_tau(args) -> _Result:
+    from . import jsonio
+    from .diagnostics import overlap_tau
+    from .minima import axis, translate_axis
+    from .words import power
+
     if not 0 <= args.c < math.inf:
         raise ValueError(f"--c must be finite and nonnegative, not {args.c}")
     mu, nu = _load_pair(args)
@@ -710,7 +763,14 @@ def main(argv: list[str] | None = None) -> int:
         return _render(args, args.func(args))
     except SystemExit as e:
         return int(e.code) if e.code else 0
-    except (ValueError, KeyError, OSError, SampleError) as e:
+    except (ValueError, KeyError, OSError, RuntimeError) as e:
+        # of the RuntimeErrors only a sampler's SampleError is bad input, and
+        # only a command that imported the sampler can raise one
+        if isinstance(e, RuntimeError):
+            from .sampling import SampleError
+
+            if not isinstance(e, SampleError):
+                raise
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -434,20 +434,6 @@ def translation_length(g: MarkedGraph, w: Word) -> tuple[float, LoopPath]:
     return loop.length, loop
 
 
-def crossing_vector(g: MarkedGraph, w: Word) -> dict[str, int]:
-    """Unoriented edge crossing counts of the tightened cyclic loop of ``w``.
-
-    Crossing counts are length independent (tightening is combinatorial), so
-    the translation length is the inner product with any length vector.
-    """
-    length, loop = translation_length(g, w)
-    counts = {e.id: c for e, c in zip(g.edges, _crossings(loop.path, g._topo.index))}
-    assert (
-        abs(sum(counts[e.id] * e.length for e in g.edges) - length) <= 1e-9 * (1 + length)
-    ), "crossing counts disagree with translation length"
-    return counts
-
-
 # -- embedded cycles and the systole ----------------------------------------
 
 

@@ -18,6 +18,7 @@ bit-exactly; the loader also accepts numbers and decimal strings.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from .currents import RationalCurrent
@@ -252,7 +253,32 @@ def load_current(path: str) -> RationalCurrent:
 # -- shared helpers -------------------------------------------------------------------
 
 
+def _nonfinite(obj: Any, path: str) -> tuple[str, float] | None:
+    """The path and value of the first non-finite number in ``obj``, in the
+    order ``dumps`` writes it, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (path, obj)
+    if isinstance(obj, dict):
+        items = [(f"{path}.{k}" if path else f"{k}", v) for k, v in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(obj)]
+    else:
+        return None
+    for where, v in items:
+        found = _nonfinite(v, where)
+        if found is not None:
+            return found
+    return None
+
+
 def dumps(obj: dict) -> str:
     """Canonical file form: sorted keys, two-space indent, trailing newline.
-    A non-finite number has no JSON form, so it raises ValueError."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    A non-finite number has no JSON form, so it raises a ValueError that
+    names the number's path (``history[3][0]``)."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        found = _nonfinite(obj, "")
+        if found is None:
+            raise
+        raise ValueError(f"{found[0]} is {found[1]}, which has no JSON form") from None

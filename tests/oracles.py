@@ -17,7 +17,9 @@ measures each candidate's word with ``translation_length``;
 checked ``Word`` and put it in canonical form again, as the current
 operations did before they trusted their atoms; ``o_max_run`` measures
 the Hausdorff distance of every pair of ray prefixes from scratch with
-``d_sym``.  Letters are signed integers (1 = a, -1 = a inverse).
+``d_sym``; ``crossing_vector`` counts the edges of the tight loop
+``translation_length`` returns.  Letters are signed integers (1 = a,
+-1 = a inverse).
 """
 
 from __future__ import annotations
@@ -355,6 +357,22 @@ def o_candidates(g) -> list:
         for path, word in found.values()
     ]
     return sorted(out, key=lambda c: (len(c[1]), spelling_key(c[1])))
+
+
+def crossing_vector(g, w) -> dict[str, int]:
+    """Unoriented edge crossing counts of the tightened cyclic loop of ``w``.
+
+    Crossing counts are length independent (tightening is combinatorial), so
+    the translation length is the inner product with any length vector.
+    """
+    length, loop = translation_length(g, w)
+    counts = {e.id: 0 for e in g.edges}
+    for eid, _ in loop.path:
+        counts[eid] += 1
+    assert (
+        abs(sum(counts[e.id] * e.length for e in g.edges) - length) <= 1e-9 * (1 + length)
+    ), "crossing counts disagree with translation length"
+    return counts
 
 
 def o_stretch(x, y) -> tuple:

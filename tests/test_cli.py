@@ -276,3 +276,24 @@ def test_check_contracting_takes_a_b_past_float_exp_range(capsys):
     out, err = capsys.readouterr()
     assert "Traceback" not in err
     assert "clause 5 PASS (vacuous)" in out
+
+
+def test_non_finite_json_value_is_named(tmp_path, capsys):
+    """A near-zero edge makes the symmetric stretch overflow to inf, which
+    has no JSON form; the error names the field that holds it."""
+    g = _rose_with_edge_a(tmp_path, "1e-320")
+    assert cli.main(["dist", "--from", g, "--to", ROSE, "--sym", "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: value is inf, which has no JSON form\n"
+
+
+def test_runtime_error_other_than_sample_error_propagates(monkeypatch):
+    """Only a sampler's ``SampleError`` is bad input among RuntimeErrors."""
+
+    def fail(args):
+        raise RuntimeError("not a sampling failure")
+
+    monkeypatch.setattr(cli, "_cmd_systole", fail)
+    with pytest.raises(RuntimeError, match="not a sampling failure"):
+        cli.main(["systole", "--graph", ROSE])

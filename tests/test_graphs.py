@@ -15,7 +15,6 @@ from outerspine import (
     apply,
     candidates,
     collapse_edge,
-    crossing_vector,
     embedded_cycles,
     expansions,
     in_spine,
@@ -44,7 +43,14 @@ from outerspine.sampling import random_automorphism, spine_points
 from outerspine.words import canonical_representative, elementary_automorphisms, invert
 
 from builders import parallel_graph
-from oracles import conjugacy_classes, o_candidates, o_cycle_rows, o_cyclic_tighten, rose_length
+from oracles import (
+    conjugacy_classes,
+    crossing_vector,
+    o_candidates,
+    o_cycle_rows,
+    o_cyclic_tighten,
+    rose_length,
+)
 from record_float_pins import FIXTURE, KEPT, float_pins, pin_points
 
 ROSE = unit_rose(3)

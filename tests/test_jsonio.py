@@ -2,6 +2,7 @@
 round trips of graphs and automorphisms through their JSON objects."""
 
 import json
+import math
 import os
 import random
 
@@ -275,3 +276,19 @@ def test_current_round_trip(rank, atoms):
     back = jsonio.current_from_obj(json.loads(text))
     assert back == nu
     assert jsonio.dumps(jsonio.current_to_obj(back)) == text
+
+
+@pytest.mark.parametrize(
+    "obj, where",
+    [
+        ({"value": math.inf, "word": "a"}, "value is inf"),
+        ({"history": [[1.0, 2.0]] * 3 + [[-math.inf, 1.0]], "k": 4}, "history[3][0] is -inf"),
+        ({"b": [0.5, {"c": math.nan}], "a": {"d": math.inf}}, "a.d is inf"),
+    ],
+)
+def test_dumps_names_the_first_non_finite_number(obj, where):
+    """The path is the first non-finite number's in the order ``dumps``
+    writes the body: keys sorted, list entries in order."""
+    with pytest.raises(ValueError) as raised:
+        jsonio.dumps(obj)
+    assert str(raised.value) == f"{where}, which has no JSON form"

@@ -34,7 +34,7 @@ from outerspine import (
     unit_rose,
 )
 from outerspine import graphs, jsonio, minima
-from outerspine.graphs import _fresh_names, _partitions, _split_parts, crossing_vector, expansions
+from outerspine.graphs import _fresh_names, _partitions, _split_parts, expansions
 from outerspine.minima import (
     _atom_loops,
     _expansion_cost,
@@ -47,7 +47,7 @@ from outerspine.minima import (
 from outerspine.sampling import spine_points
 
 from builders import cycle_rows, parallel_graph
-from oracles import grid_lp_min, o_axis, o_minimize
+from oracles import crossing_vector, grid_lp_min, o_axis, o_minimize
 
 ROSE = unit_rose(3)
 THETA4 = parallel_graph([0.25] * 4)
