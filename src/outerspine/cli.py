@@ -11,12 +11,13 @@ a bound ``--b`` or a radius, a weight or an edge length, and an ``s``
 whose e^s overflows.  ``ball-contract --slack`` and ``tau --c`` must be
 finite and nonnegative, ``iwip --tol`` finite and positive, and ``iwip
 --k`` and each ``tau --powers`` entry at most ``words.MAX_POWER`` in
-absolute value.  The sample counts are capped by ``MAX_SAMPLES``:
-``ball-contract --n`` and ``check-contracting --n-far`` at 10,000,
-``--n-sigma`` and ``--n-balanced`` at 100,000.  Bad input also includes an
-``iwip --base`` on which an iterate has length 0 and, in the ``--json``
-form only, a result that is not finite; the error names its JSON path.
-Each exits 2 instead of reporting a vacuous or meaningless
+absolute value.  The sample counts are capped where they are used:
+``ball-contract --n`` at 10,000 (``diagnostics.ball_projection_diameter``)
+and ``check-contracting --n-far`` at 10,000, ``--n-sigma`` and
+``--n-balanced`` at 100,000 (``diagnostics.SamplerConfig``).  Bad input
+also includes an ``iwip --base`` on which an iterate has length 0 and, in
+the ``--json`` form only, a result that is not finite; the error names its
+JSON path.  Each exits 2 instead of reporting a vacuous or meaningless
 result, or running for hours.  The comma lists ``--s-list``, ``--radii``
 and ``--powers`` may start with a negative entry (``--powers -2,0``).
 
@@ -31,10 +32,13 @@ command.  With the same argv and seed, --json output is byte-identical
 across runs.  Human and CSV output print every numeric with 10
 significant digits, and both are built from the same formatted cells.
 
-Start-up: a command imports only the modules it runs.  Each handler
-imports its own layers, so ``iwip`` loads ``words``, ``graphs``,
-``currents`` and ``jsonio`` but no LP, sampler or diagnostics, and
-``--help`` imports no other ``outerspine`` module at all.
+Start-up: run as ``python -m outerspine.cli``, a command imports only the
+modules it runs.  Each handler imports its own layers, so ``iwip`` loads
+``words``, ``graphs``, ``currents`` and ``jsonio`` but no LP, sampler or
+diagnostics, and ``--help`` imports no other ``outerspine`` module at all.
+Imported as ``outerspine.cli`` (the ``outerspine`` console script, or a
+caller that wraps the layers' functions before calling ``main``, as the
+benchmark's tracer does), the module loads every layer up front.
 """
 
 from __future__ import annotations
@@ -53,12 +57,6 @@ CLAUSE5_NOTE = (
 # the axis that check-minisline fits b on and ball-contract measures the
 # gap to, as (s_min, s_max, step)
 AXIS_GRID = (-3.0, 3.0, 0.5)
-
-# the most samples each count option may ask for: about ten minutes of
-# sampling at the worst cost per sample measured on a 2-vCPU host (39 ms a
-# ball point, 35 ms a far point at an unreachable b, 5 ms a balanced point),
-# and for --n-sigma about 350 MB of spine points held at 3.5 kB each
-MAX_SAMPLES = {"n": 10_000, "n_far": 10_000, "n_sigma": 100_000, "n_balanced": 100_000}
 
 
 def _fmt(v: float) -> str:
@@ -79,13 +77,6 @@ def _floats(text: str) -> list[float]:
 
 def _ints(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
-
-
-def _check_counts(args, *names: str) -> None:
-    for name in names:
-        value, cap = getattr(args, name), MAX_SAMPLES[name]
-        if value > cap:
-            raise ValueError(f"--{name.replace('_', '-')} must be at most {cap}, not {value}")
 
 
 class _Result(namedtuple("_Result", "rank body header rows lines rc", defaults=(0,))):
@@ -404,7 +395,6 @@ def _cmd_check_contracting(args) -> _Result:
     from .diagnostics import SamplerConfig, check_contracting, fit_B
     from .minima import axis
 
-    _check_counts(args, "n_far", "n_sigma", "n_balanced")
     mu, nu = _load_pair(args)
     shift = jsonio.load_automorphism(args.shift) if args.shift else None
     cfg = SamplerConfig(
@@ -455,7 +445,6 @@ def _cmd_ball_contract(args) -> _Result:
 
     if not 0 <= args.slack < math.inf:
         raise ValueError(f"--slack must be finite and nonnegative, not {args.slack}")
-    _check_counts(args, "n")
     mu, nu = _load_pair(args)
     center = _load_graph(args.center, normalize=True)
     radii = _floats(args.radii) if args.radii is not None else [args.radius]
@@ -777,3 +766,9 @@ def main(argv: list[str] | None = None) -> int:
 
 if __name__ == "__main__":
     sys.exit(main())
+else:
+    # an importer finds every layer loaded, so it can wrap their functions
+    # before main runs a command
+    from . import (  # noqa: F401
+        currents, diagnostics, graphs, jsonio, lipschitz, minima, sampling, simplex, words,
+    )

@@ -148,6 +148,13 @@ class ClauseResult:
     vacuous: bool = False
 
 
+# the most samples each count of check_contracting may ask for: about six
+# minutes of sampling at the worst cost per sample measured on a 2-vCPU host
+# (35 ms a far point at an unreachable b, 3.6 ms a balanced point), and for
+# n_sigma about 350 MB of spine points held at 3.5 kB each
+_MAX_COUNTS = {"n_far": 10_000, "n_sigma": 100_000, "n_balanced": 100_000}
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Sampling plan for check_contracting; embedded in the report."""
@@ -161,6 +168,11 @@ class SamplerConfig:
     budget: int = 600
     shift: Automorphism | None = None
     beyond_offsets: tuple[float, ...] = (0.5, 1.5)
+
+    def __post_init__(self):
+        for name, cap in _MAX_COUNTS.items():
+            if getattr(self, name) > cap:
+                raise ValueError(f"{name} must be at most {cap}, not {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -442,6 +454,11 @@ def check_contracting(
 # projections of balls
 
 
+# about six minutes of sampling at 39 ms a ball point, the cost measured on
+# a 2-vCPU host
+_MAX_BALL_SAMPLES = 10_000
+
+
 @dataclass(frozen=True)
 class BallProjection:
     diameter: float
@@ -466,8 +483,10 @@ def ball_projection_diameter(
     projection diameter conflates travel along the line with contraction
     and the comparison is meaningless, so that is an error, not a result.
     """
-    if n_samples < 1:
-        raise ValueError(f"need at least one sample per ball, not {n_samples}")
+    if not 1 <= n_samples <= _MAX_BALL_SAMPLES:
+        raise ValueError(
+            f"need at least one sample per ball and at most {_MAX_BALL_SAMPLES}, not {n_samples}"
+        )
     gap = min(d_sym(center, p) for p in ax.points())
     if gap <= radius:
         raise ValueError(

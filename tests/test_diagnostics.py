@@ -31,7 +31,7 @@ from outerspine import (
     translate_axis,
 )
 from outerspine import graphs
-from outerspine.diagnostics import _max_run, _ray
+from outerspine.diagnostics import _MAX_BALL_SAMPLES, _MAX_COUNTS, _max_run, _ray
 from outerspine.sampling import jitter
 
 from oracles import o_max_run
@@ -201,6 +201,13 @@ class TestCheckContracting:
         with pytest.raises(ValueError, match="near_step"):
             check_contracting(floor_ax, 2.0, dataclasses.replace(CFG, near_step=near_step))
 
+    @pytest.mark.parametrize("name", sorted(_MAX_COUNTS))
+    def test_config_rejects_a_count_over_its_cap(self, name):
+        cap = _MAX_COUNTS[name]
+        with pytest.raises(ValueError, match=f"{name} must be at most {cap}, not {cap + 1}"):
+            dataclasses.replace(CFG, **{name: cap + 1})
+        assert getattr(dataclasses.replace(CFG, **{name: cap}), name) == cap
+
     def test_diagonal_fails_doubling_with_witness(self, diag_report):
         assert not diag_report.passed
         clause = diag_report.clause(2)
@@ -292,6 +299,10 @@ class TestBallProjection:
     def test_rejects_empty_sample(self, ax6, off_axis_center, n):
         with pytest.raises(ValueError, match="at least one sample"):
             ball_projection_diameter(ax6, off_axis_center, 0.5, n)
+
+    def test_rejects_a_sample_over_its_cap(self, ax6, off_axis_center):
+        with pytest.raises(ValueError, match=f"at most {_MAX_BALL_SAMPLES}, not"):
+            ball_projection_diameter(ax6, off_axis_center, 0.5, _MAX_BALL_SAMPLES + 1)
 
     def test_ball_touching_axis_rejected(self, ax6):
         x0 = ax6.samples[ax6.nearest_index(0.0)][1]

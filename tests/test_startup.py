@@ -3,9 +3,10 @@
 ``test_cli.py`` calls ``cli.main`` in-process, where the modules other
 tests imported can hide a command's missing import.  Here every run starts
 a new interpreter: each subcommand's own golden case (the one named after
-it) must replay in every output form, ``--help`` must import none of the
-package's other modules, and ``iwip`` none of the LP, sampling or
-diagnostics layers.
+it) must replay in its human form, and one case in the ``--json`` and the
+``--csv`` form, whose renderers import on their own; ``--help`` must
+import none of the package's other modules, and ``iwip`` none of the LP,
+sampling or diagnostics layers.
 """
 
 import json
@@ -17,7 +18,7 @@ import sys
 import pytest
 
 import outerspine
-from outerspine import cli
+from outerspine import cli, diagnostics
 from record_cli_goldens import DATA, FIXTURE, FIXTURES, FORMS
 
 with open(FIXTURE) as fh:
@@ -56,8 +57,9 @@ def workdir(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("form", sorted(FORMS))
-@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "command, form", [(c, "human") for c in COMMANDS] + [("systole", "csv"), ("systole", "json")]
+)
 def test_fresh_run_matches_golden(workdir, command, form):
     golden = GOLDENS[command]
     before = set(os.listdir(workdir))
@@ -98,21 +100,26 @@ def test_sample_error_exits_2(workdir):
     assert done.stderr == "error: only 0/4 ball samples within radius 0.01 after 360 proposals\n"
 
 
-@pytest.mark.parametrize(
-    "case, name",
-    [
-        ("ball-contract", "n"),
-        ("check-contracting", "n_far"),
-        ("check-contracting", "n_sigma"),
-        ("check-contracting", "n_balanced"),
-    ],
-)
-def test_sample_count_over_its_cap_exits_2(workdir, case, name):
-    """One past its cap a count exits 2 at once, where it used to sample
-    for minutes or hours."""
-    flag, cap = "--" + name.replace("_", "-"), cli.MAX_SAMPLES[name]
+def _over_cap(workdir, case: str, flag: str, cap: int) -> subprocess.CompletedProcess:
+    """The golden ``case`` with ``flag`` one past its cap, which used to
+    sample for minutes or hours."""
     argv = [*GOLDENS[case]["argv"], flag, str(cap + 1)]
     done = _python(["-m", "outerspine.cli", *argv], workdir, timeout=20)
     assert done.returncode == 2
     assert done.stdout == ""
-    assert done.stderr == f"error: {flag} must be at most {cap}, not {cap + 1}\n"
+    return done
+
+
+def test_ball_sample_count_over_its_cap_exits_2(workdir):
+    cap = diagnostics._MAX_BALL_SAMPLES
+    done = _over_cap(workdir, "ball-contract", "--n", cap)
+    assert done.stderr == (
+        f"error: need at least one sample per ball and at most {cap}, not {cap + 1}\n"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(diagnostics._MAX_COUNTS))
+def test_contracting_sample_count_over_its_cap_exits_2(workdir, name):
+    cap = diagnostics._MAX_COUNTS[name]
+    done = _over_cap(workdir, "check-contracting", "--" + name.replace("_", "-"), cap)
+    assert done.stderr == f"error: {name} must be at most {cap}, not {cap + 1}\n"
