@@ -69,6 +69,12 @@ CASES = {
         "check-contracting", *_MU_NU, "--s-max", "0.5", "--n-far", "1", "--n-sigma", "1",
         "--n-balanced", "1", "--budget", "20",
     ],
+    # the benchmark's contract-desk call without --b: the paper's check at
+    # its fitted constant, on the k=6 iwip pair
+    "check-contracting-fitted": [
+        "check-contracting", *_IWIP6, "--seed", "1", "--s-max", "1", "--step", "0.5",
+        "--n-far", "3", "--n-sigma", "4", "--n-balanced", "1", "--shift", _PHI,
+    ],
     "ball-contract": ["ball-contract", *_MU_NU, "--center", _TREE, "--n", "2", "--radii", "0.5,1", "--budget", "5"],
     "ball-contract-one-radius": ["ball-contract", *_MU_NU, "--center", _TREE, "--eps", "0.1", "--n", "1", "--radius", "0.5", "--budget", "5"],
     "ball-contract-negative-radius": ["ball-contract", *_MU_NU, "--center", _TREE, "--radii", "1,-1"],
@@ -77,6 +83,11 @@ CASES = {
         "--from", "-1", "--to", "1", "--step", "0.5", "--check-ultrametric",
     ],
     "tau-one-power": ["tau", *_MU_NU, "--x", _TREE, "--c", "1", "--powers", "0"],
+    # 24 tribonacci powers: transform builds translates with long markings
+    "tau-power24": [
+        "tau", *_MU_NU, "--x", _TREE, "--c", "1", "--shift", _PHI, "--powers", "0,24",
+        "--from", "-1", "--to", "1", "--step", "0.5",
+    ],
     "iwip-rank4": ["iwip", "--phi", _RANK4, "--k", "14"],
     # a local minimum, six topologies in, well inside the default cap
     "min-rank4-budget": ["min", *_IWIP14, "--s", "1"],
