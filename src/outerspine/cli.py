@@ -19,7 +19,8 @@ also includes an ``iwip --base`` on which an iterate has length 0 and, in
 the ``--json`` form only, a result that is not finite; the error names its
 JSON path.  Each exits 2 instead of reporting a vacuous or meaningless
 result, or running for hours.  The comma lists ``--s-list``, ``--radii``
-and ``--powers`` may start with a negative entry (``--powers -2,0``).
+and ``--powers`` may start with a negative entry (``--powers -2,0``) and
+take at most 1,000, 100 and 200 entries (``_LISTS``).
 
 Metric commands (dist, min, axis, project, the checks, ball-contract,
 tau) normalize input graphs to volume one on load; pure measurements
@@ -71,12 +72,28 @@ def _status(passed: bool) -> str:
     return "PASS" if passed else "FAIL"
 
 
-def _floats(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip()]
+# the most entries each comma list takes, set from the cost per entry
+# measured on a 2-vCPU host: an --s-list entry is one descent (57 ms on the
+# k=14 pair, so 1,000 take about a minute), a --radii entry one ball of --n
+# points (2 s at the default 50 and 39 ms a point, so 100 take about three
+# minutes), and n --powers make n(n-1)/2 overlap_tau calls (17 ms a pair of
+# fellow-travelling axes on the default grid, so 200 take about six minutes)
+_LISTS = {"--s-list": 1_000, "--radii": 100, "--powers": 200}
 
 
-def _ints(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+def _entries(text: str, option: str) -> list[str]:
+    entries = [t for t in text.split(",") if t.strip()]
+    if len(entries) > _LISTS[option]:
+        raise ValueError(f"{option} takes at most {_LISTS[option]} entries, not {len(entries)}")
+    return entries
+
+
+def _floats(text: str, option: str) -> list[float]:
+    return [float(t) for t in _entries(text, option)]
+
+
+def _ints(text: str, option: str) -> list[int]:
+    return [int(t) for t in _entries(text, option)]
 
 
 class _Result(namedtuple("_Result", "rank body header rows lines rc", defaults=(0,))):
@@ -367,12 +384,13 @@ def _cmd_check_minisline(args) -> _Result:
     from .diagnostics import check_minisline, fit_B
     from .minima import axis
 
+    s_list = _floats(args.s_list, "--s-list")
     mu, nu = _load_pair(args)
     if args.b is not None:
         b = args.b
     else:
         b = fit_B(axis(mu, nu, *AXIS_GRID, args.eps, args.budget)).value
-    rep = check_minisline(mu, nu, b, _floats(args.s_list), args.eps, args.budget)
+    rep = check_minisline(mu, nu, b, s_list, args.eps, args.budget)
     rows = [
         [_fmt(r.s), _fmt(r.distance), _fmt(r.lower), _fmt(r.upper), _status(r.passed)]
         for r in rep.rows
@@ -447,7 +465,7 @@ def _cmd_ball_contract(args) -> _Result:
         raise ValueError(f"--slack must be finite and nonnegative, not {args.slack}")
     mu, nu = _load_pair(args)
     center = _load_graph(args.center, normalize=True)
-    radii = _floats(args.radii) if args.radii is not None else [args.radius]
+    radii = _floats(args.radii, "--radii") if args.radii is not None else [args.radius]
     if not radii:
         raise ValueError("need at least one radius")
     if not all(r >= 0 for r in radii):
@@ -499,7 +517,7 @@ def _cmd_tau(args) -> _Result:
         raise ValueError(f"--c must be finite and nonnegative, not {args.c}")
     mu, nu = _load_pair(args)
     x = _load_graph(args.x, normalize=True)
-    powers = _ints(args.powers)
+    powers = _ints(args.powers, "--powers")
     if len(powers) < 2:
         raise ValueError("need at least two powers to compare axes")
     shift = jsonio.load_automorphism(args.shift) if args.shift else None
@@ -733,7 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
 # argparse takes a value such as "-2,0" for an option name (only one plain
 # negative number passes as a value), so main attaches a list option's
 # value to it as "--powers=-2,0" before parsing
-_LISTS = ("--s-list", "--radii", "--powers")
 
 
 def _attach_lists(argv: list[str]) -> list[str]:

@@ -30,12 +30,14 @@ and their order) and fixes one simplex of Outer space.  ``edges`` carries
 one point's lengths, which are summed along those cached paths.  Every
 tight loop, of a word or of a candidate's image, is read by
 ``_tight_loop``.
-The constructor builds and validates a fresh graph and topology, marking
-read-back included; ``transform`` keeps its source's graph, already
-validated, and checks only the basepoint and the new marking;
-``with_lengths``, ``rescale`` and ``normalize_volume`` share their
-source's topology and check only the lengths (no negative edge, positive
-volume).
+Only the public constructor validates, for graphs that enter from
+outside (``jsonio``, ``rose``, ``collapse_edge``, ``expansions``, library
+callers): it builds a fresh graph and topology and checks both, marking
+read-back included.  ``transform`` and ``_relength`` build from a
+validated source: ``transform`` keeps its graph and is valid by
+construction; ``with_lengths``, ``rescale`` and ``normalize_volume``
+share its topology and check only the lengths (no negative edge,
+positive volume).
 
 All values are immutable; every operation returns a fresh graph.
 """
@@ -238,7 +240,8 @@ class _Topology:
         for eid, s in path:
             w = self.comarking[eid]
             letters.extend(w.letters if s > 0 else (-x for x in reversed(w.letters)))
-        # comarking words are Words of this rank (checked by _validate)
+        # comarking words are Words of this rank: the constructor checks
+        # them, and a translate's are their images under an automorphism
         return _reduced_word(self.rank, free_reduce(letters))
 
     @cached_property
@@ -283,16 +286,10 @@ class MarkedGraph:
         basepoint: str,
         marking: Sequence[Sequence[OrientedEdge]],
         comarking: dict[str, Word],
-        *,
-        _graph: _Graph | None = None,
     ):
-        # _graph (private): the unmarked graph of these edges and lengths,
-        # already validated, shared by a translate with its source instead
-        # of rebuilt; only the new marking is checked then
         edges = tuple(sorted(edges, key=lambda e: e.id))
-        graph = _Graph(edges) if _graph is None else _graph
-        self._init(_Topology(rank, graph, basepoint, marking, comarking), edges)
-        self._validate(marking_only=_graph is not None)
+        self._init(_Topology(rank, _Graph(edges), basepoint, marking, comarking), edges)
+        self._validate()
 
     def _init(self, topo: _Topology, edges: tuple[Edge, ...]) -> None:
         object.__setattr__(self, "edges", edges)
@@ -347,15 +344,26 @@ class MarkedGraph:
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self, marking_only: bool = False) -> None:
-        """Check the graph (connected, Betti number = rank, valence at least
-        3, positive volume) unless ``marking_only``, then the basepoint, the
-        comarking's rank and every marking loop's read-back."""
+    def _validate(self) -> None:
+        """Check the graph (edges, basepoint, connected, Betti number =
+        rank, valence at least 3, positive volume), the comarking's rank and
+        every marking loop's read-back."""
         t = self._topo.graph
-        if not marking_only:
-            self._validate_graph()
-        elif self.basepoint not in t.adj:
+        if not self.edges:
+            raise ValueError("graph has no edges")
+        verts = self.vertices
+        if self.basepoint not in t.adj:
             raise ValueError(f"basepoint {self.basepoint!r} is not a vertex")
+        if len(t.spanning_tree(self.basepoint)[1]) != len(verts):
+            raise ValueError("graph is not connected")
+        betti = len(self.edges) - len(verts) + 1
+        if betti != self.rank:
+            raise ValueError(f"first Betti number {betti} != rank {self.rank}")
+        for v in verts:
+            if self.valence(v) < 3:
+                raise ValueError(f"vertex {v!r} has valence {self.valence(v)} < 3")
+        if self.volume <= 0:
+            raise ValueError("total volume must be positive")
         if any(w.rank != self.rank for w in self._topo.comarking.values()):
             raise ValueError(f"comarking words must have rank {self.rank}")
         if len(self.marking) != self.rank:
@@ -379,24 +387,6 @@ class MarkedGraph:
                 raise ValueError(
                     f"marking inconsistency: generator {k} reads back as {got}"
                 )
-
-    def _validate_graph(self) -> None:
-        t = self._topo.graph
-        if not self.edges:
-            raise ValueError("graph has no edges")
-        verts = self.vertices
-        if self.basepoint not in t.adj:
-            raise ValueError(f"basepoint {self.basepoint!r} is not a vertex")
-        if len(t.spanning_tree(self.basepoint)[1]) != len(verts):
-            raise ValueError("graph is not connected")
-        betti = len(self.edges) - len(verts) + 1
-        if betti != self.rank:
-            raise ValueError(f"first Betti number {betti} != rank {self.rank}")
-        for v in verts:
-            if self.valence(v) < 3:
-                raise ValueError(f"vertex {v!r} has valence {self.valence(v)} < 3")
-        if self.volume <= 0:
-            raise ValueError("total volume must be positive")
 
     # -- paths ---------------------------------------------------------------
 
@@ -798,15 +788,20 @@ def transform(g: MarkedGraph, phi) -> MarkedGraph:
     does: the image graph measures a word w the way ``g`` measures
     phi^-1(w).  Together with the current action this gives the exact
     equivariance pairing(transform(g, phi), nu) = pairing(g, phi^-1 nu).
+
     The image keeps ``g``'s unmarked graph, so its cycles and candidate
-    paths; the constructor checks only its basepoint and new marking.
+    paths.  It is valid by construction and not validated again: generator
+    k is marked by the path of phi^-1(x_k) and phi carries every comarking
+    word, so x_k reads back phi(phi^-1(x_k)) = x_k, given that
+    ``phi.inverse_images`` inverts ``phi.images`` (see ``Automorphism``).
     """
     if phi.rank != g.rank:
         raise ValueError(f"rank mismatch: {phi.rank} != {g.rank}")
-    # generator k is marked by the path of phi^-1(x_k), which phi carries
     marking = [g.path_of(_reduced_word(g.rank, img)) for img in phi.inverse_images]
     comarking = {e.id: apply(phi, g.comarking_word(e.id)) for e in g.edges}
-    return MarkedGraph(g.rank, g.edges, g.basepoint, marking, comarking, _graph=g._topo.graph)
+    h = object.__new__(MarkedGraph)
+    h._init(_Topology(g.rank, g._topo.graph, g.basepoint, marking, comarking), g.edges)
+    return h
 
 
 # -- builders ---------------------------------------------------------------------

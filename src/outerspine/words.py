@@ -330,10 +330,13 @@ def _replay(rank: int, moves: Sequence[NielsenMove]) -> tuple[tuple[int, ...], .
 class Automorphism:
     """An automorphism of F_rank: generator images and those of its inverse.
 
-    Every instance carries ``inverse_images``: ``from_moves`` replays the
-    inverted moves once, ``from_images`` folds the images (``invert_basis``),
-    ``compose`` composes both sides, and ``invert`` swaps the two, so
-    inversion does no word work.  ``moves`` is the optional Nielsen
+    Every instance carries ``inverse_images``, and the raw constructor
+    trusts them to invert ``images``.  ``from_moves`` (which replays the
+    inverted moves) and ``from_images`` (which folds the images,
+    ``invert_basis``) certify it; ``compose`` (both sides), ``invert`` (a
+    swap, no word work) and ``power`` preserve it; ``jsonio`` builds only
+    through the two certifying constructors; ``graphs.transform`` relies
+    on it to skip its marking read-back.  ``moves`` is the optional Nielsen
     factorization that JSON writes; ``compose`` and ``invert`` keep it when
     their inputs have one.
 

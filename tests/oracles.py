@@ -375,6 +375,27 @@ def crossing_vector(g, w) -> dict[str, int]:
     return counts
 
 
+def o_marking_reads_back(g) -> bool:
+    """Whether each of ``g``'s ``rank`` marking paths is a loop at the
+    basepoint along which the comarking letters reduce to its generator
+    ``(k,)``, read step by step off ``g.edge`` and ``g.comarking_word``."""
+    if len(g.marking) != g.rank:
+        return False
+    for k, path in enumerate(g.marking, start=1):
+        cur, letters = g.basepoint, []
+        for eid, s in path:
+            e = g.edge(eid)
+            src, dst = (e.src, e.dst) if s > 0 else (e.dst, e.src)
+            if src != cur:
+                return False
+            cur = dst
+            w = g.comarking_word(eid).letters
+            letters.extend(w if s > 0 else o_invert(w))
+        if cur != g.basepoint or o_reduce(letters) != (k,):
+            return False
+    return True
+
+
 def o_stretch(x, y) -> tuple:
     """``stretch`` by words: (factor, witness, per_candidate), each of
     ``o_candidates(x)``'s words measured in ``y`` by ``translation_length``
@@ -396,7 +417,7 @@ def o_stretch(x, y) -> tuple:
 def o_minimize(current, eps: float, start, budget: int = 600) -> MinResult:
     """``minimize`` with every neighbour built: the collapsed carrier, each
     expansion (``expansions``) and each translate (``transform``) is a
-    validated graph probed through ``min_on_topology``.  The reference for
+    whole graph probed through ``min_on_topology``.  The reference for
     the descent's read-offs on the carrier, expansions and translates
     alike.  Same order, ``seen`` set, budget and tie-break."""
     if not in_spine(start, eps):

@@ -191,6 +191,25 @@ def test_list_option_takes_a_negative_first_entry(capsys, argv, rc, read):
         assert read(json.loads(got.out)) == argv[-1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-minisline", *MU_NU, "--b", "2", "--s-list"],
+        ["ball-contract", *MU_NU, "--center", CENTER, "--radii"],
+        ["tau", *MU_NU, "--x", CENTER, "--c", "1", "--powers"],
+    ],
+    ids=["s-list", "radii", "powers"],
+)
+def test_list_over_its_cap_exits_2(capsys, argv):
+    """One entry past a list's cap exits 2 naming the option, before any
+    descent, ball or axis runs."""
+    cap = cli._LISTS[argv[-1]]
+    assert cli.main([*argv, ",".join(["0"] * (cap + 1))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {argv[-1]} takes at most {cap} entries, not {cap + 1}\n"
+
+
 def test_json_and_csv_exclude_each_other(tmp_path, capsys):
     csv_path = tmp_path / "out.csv"
     argv = ["dist", "--from", ROSE, "--to", CENTER, "--json", "--csv", str(csv_path)]

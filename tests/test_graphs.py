@@ -40,7 +40,14 @@ from outerspine.graphs import (
     collapse_zero_edges,
 )
 from outerspine.sampling import random_automorphism, spine_points
-from outerspine.words import canonical_representative, elementary_automorphisms, invert
+from outerspine.words import (
+    Automorphism,
+    canonical_representative,
+    compose,
+    elementary_automorphisms,
+    invert,
+    power,
+)
 
 from builders import parallel_graph
 from oracles import (
@@ -49,6 +56,7 @@ from oracles import (
     o_candidates,
     o_cycle_rows,
     o_cyclic_tighten,
+    o_marking_reads_back,
     rose_length,
 )
 from record_float_pins import FIXTURE, KEPT, float_pins, pin_points
@@ -58,6 +66,23 @@ ROSE = unit_rose(3)
 
 def tl(g, text):
     return translation_length(g, parse_word(text, 3))[0]
+
+
+@st.composite
+def automorphisms(draw, rank):
+    """A random Nielsen product, or one of its powers (|k| <= 2), its
+    composite with another, or the automorphism ``from_images`` inverts
+    by folding."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    phi = random_automorphism(rng, rank, rng.randrange(1, 6))
+    kind = draw(st.sampled_from(["moves", "power", "compose", "images"]))
+    if kind == "power":
+        return power(phi, draw(st.integers(-2, 2)))
+    if kind == "compose":
+        return compose(phi, random_automorphism(rng, rank, rng.randrange(1, 6)))
+    if kind == "images":
+        return Automorphism.from_images(rank, phi.image_words())
+    return phi
 
 
 def random_rose_word(rng, n):
@@ -414,17 +439,12 @@ class TestMarkingConsistency:
             assert h._topo.graph is g._topo.graph
             assert h._topo is not g._topo
 
-    def test_translate_checks_only_its_marking(self, monkeypatch):
-        """A translate shares its source's validated graph, so only its
-        basepoint and marking are checked; a corrupted marking still
-        raises."""
+    def test_translate_is_valid_by_construction(self, monkeypatch):
+        """The public constructor rejects a corrupted marking of a
+        translate's graph, while ``transform`` itself never validates."""
         g = pin_points()[0]
-
-        def fail(self):
-            raise AssertionError("the shared graph was validated again")
-
-        monkeypatch.setattr(MarkedGraph, "_validate_graph", fail)
-        for psi in elementary_automorphisms(3)[:6]:
+        psis = elementary_automorphisms(3)[:6]
+        for psi in psis:
             h = transform(g, psi)
             comarking = {e.id: h.comarking_word(e.id) for e in h.edges}
             m = list(h.marking)
@@ -435,9 +455,30 @@ class TestMarkingConsistency:
                 m[:2],  # a generator missing
             ):
                 with pytest.raises(ValueError):
-                    MarkedGraph(3, h.edges, h.basepoint, bad, comarking, _graph=g._topo.graph)
+                    MarkedGraph(3, h.edges, h.basepoint, bad, comarking)
             with pytest.raises(ValueError, match="basepoint"):
-                MarkedGraph(3, h.edges, "nowhere", m, comarking, _graph=g._topo.graph)
+                MarkedGraph(3, h.edges, "nowhere", m, comarking)
+
+        def fail(self):
+            raise AssertionError("a translate was validated")
+
+        monkeypatch.setattr(MarkedGraph, "_validate", fail)
+        for psi in psis:
+            assert o_marking_reads_back(transform(g, psi))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([3, 4]), st.integers(0, 5), st.data())
+    def test_every_translate_reads_back(self, rank, i, data):
+        """Translates of seeded spine points, once and twice, by random,
+        powered, composed and ``from_images`` automorphisms: each marking
+        loop reads back its generator (the oracle), and the public
+        constructor accepts the translate as given."""
+        h = spine_points(rank, 0.05, seed=rank, n=6)[i]
+        for _ in range(2):
+            h = transform(h, data.draw(automorphisms(rank)))
+            assert o_marking_reads_back(h)
+            comarking = {e.id: h.comarking_word(e.id) for e in h.edges}
+            assert MarkedGraph(rank, h.edges, h.basepoint, h.marking, comarking) == h
 
     @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_translate_marks_each_generator_by_its_inverse_image(self, rank):

@@ -6,11 +6,13 @@ a new interpreter: each subcommand's own golden case (the one named after
 it) must replay in its human form, and one case in the ``--json`` and the
 ``--csv`` form, whose renderers import on their own; ``--help`` must
 import none of the package's other modules, and ``iwip`` none of the LP,
-sampling or diagnostics layers.
+sampling or diagnostics layers.  A fresh interpreter can also run under a
+memory limit: far ``tau`` powers must finish, or exit 2, in 2 GB.
 """
 
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -32,10 +34,10 @@ ENV = {
 COMMANDS = sorted(next(a for a in cli.build_parser()._actions if a.dest == "command").choices)
 
 
-def _python(args: list[str], cwd, timeout: float = 60) -> subprocess.CompletedProcess:
+def _python(args: list[str], cwd, timeout: float = 60, **kw) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *args], cwd=cwd, env=ENV, capture_output=True, text=True,
-        timeout=timeout,
+        timeout=timeout, **kw,
     )
 
 
@@ -123,3 +125,28 @@ def test_contracting_sample_count_over_its_cap_exits_2(workdir, name):
     cap = diagnostics._MAX_COUNTS[name]
     done = _over_cap(workdir, "check-contracting", "--" + name.replace("_", "-"), cap)
     assert done.stderr == f"error: {name} must be at most {cap}, not {cap + 1}\n"
+
+
+def _two_gigabytes():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("powers", ["0,30", "0,36"])
+def test_far_tribonacci_powers_fit_in_two_gigabytes(workdir, powers):
+    """Axes translated by tribonacci^30 fit in 2 GB of address space, and
+    at power 36, whose words pass ``words.MAX_LETTERS``, the run exits 2
+    with the word-length error: neither ends in a ``MemoryError``."""
+    argv = [
+        "tau", "--mu", "data/current_a.json", "--nu", "data/current_b.json",
+        "--x", "data/rose_half_quarter.json", "--c", "1", "--shift", "data/tribonacci.json",
+        "--powers", powers, "--from", "-1", "--to", "1", "--step", "0.5", "--json",
+    ]
+    done = _python(["-m", "outerspine.cli", *argv], workdir, timeout=30, preexec_fn=_two_gigabytes)
+    assert "Traceback" not in done.stderr
+    if powers == "0,30":
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["powers"] == [0, 30]
+    else:
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: word too long: ")
