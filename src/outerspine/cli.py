@@ -523,20 +523,29 @@ def _cmd_tau(args) -> _Result:
     shift = jsonio.load_automorphism(args.shift) if args.shift else None
     if shift is None and any(p != 0 for p in powers):
         raise ValueError("nonzero powers need --shift")
-    maps = [power(shift, p) if p else None for p in powers]
     base = axis(
         mu, nu, getattr(args, "from"), args.to, args.step, args.eps, args.budget
     )
-    axes = [base if m is None else translate_axis(base, m) for m in maps]
-    n = len(axes)
-    # tau is symmetric bit for bit (d_sym is, and _max_run asks the same
-    # two conditions of swapped rays), so each unordered pair is measured once
-    upper = {
-        (i, j): overlap_tau(axes[i], axes[j], x, args.c)
-        for i in range(n)
-        for j in range(i + 1, n)
+    # one axis per distinct power, however often it is listed
+    axes = {
+        p: translate_axis(base, power(shift, p)) if p else base for p in dict.fromkeys(powers)
     }
-    taus = {(i, j): upper[min(i, j), max(i, j)] for i in range(n) for j in range(n) if i != j}
+    n = len(powers)
+    # tau is symmetric bit for bit (d_sym is, and _max_run asks the same
+    # two conditions of swapped rays), so each unordered pair of powers is
+    # measured once, a repeated power against itself included
+    upper: dict[frozenset, float] = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            pair = frozenset((powers[i], powers[j]))
+            if pair not in upper:
+                upper[pair] = overlap_tau(axes[powers[i]], axes[powers[j]], x, args.c)
+    taus = {
+        (i, j): upper[frozenset((powers[i], powers[j]))]
+        for i in range(n)
+        for j in range(n)
+        if i != j
+    }
     rows = [[str(powers[i]), str(powers[j]), _fmt(t)] for (i, j), t in taus.items()]
     lines = [f"tau[{pi}][{pj}] {t}" for pi, pj, t in rows]
     checked = args.check_ultrametric and n >= 3

@@ -22,7 +22,9 @@ A point is its edges, lengths, basepoint and marking; the comarking is not
 part of its identity.  Three layers keep combinatorics apart from
 lengths.  The private unmarked graph holds edge ends, adjacency and what
 they alone fix: embedded cycles (one search, read as paths, as masks and
-sorted rows, and as the lengths the spine test and repair read),
+sorted rows, as the lengths the spine test and repair read, and as a
+per-vertex table of the cycles through each vertex with their turns
+there), the rows of every splitting of a vertex (read off that table),
 candidate loop paths, and the spanning tree that validation and the
 graph-file loader share.  The private topology is a marking of it
 (basepoint, marking, comarking, letter paths, the candidates' class words
@@ -143,7 +145,8 @@ def _topology_key(rank: int, edges, basepoint: str, marking) -> tuple:
 class _Graph:
     """The unmarked part of a topology: edge indices, edge ends, adjacency
     and vertices, and what they alone fix: its embedded cycles, their
-    masks and rows (the region a topology on this graph poses) and
+    masks and rows (the region a topology on this graph poses), the
+    cycles through each vertex and the rows of each splitting of it, and
     lengths under given edge lengths, its candidate loop paths and its
     spanning tree.  Every topology on this graph (its translates under
     ``transform`` and their relengthings) shares it, so each is enumerated
@@ -185,6 +188,43 @@ class _Graph:
         {x >= 0, sum x = 1, every cycle >= eps} of any topology on this
         graph."""
         return tuple(sorted(self.masks))
+
+    @cached_property
+    def through(self) -> dict[str, list[tuple[int, tuple, int]]]:
+        """Per vertex, the embedded cycles through it: (mask, turn, others).
+        The turn is the end the cycle comes in by and the end it leaves by,
+        named as in ``_partitions``; ``others`` are its other vertices, as
+        a bitmask over ``vertices``."""
+        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        table: dict[str, list[tuple[int, tuple, int]]] = {v: [] for v in self.vertices}
+        for (path, _), mask in zip(self._dfs_cycles, self.masks):
+            heads = [self.ends[e][s > 0] for e, s in path]
+            verts = sum(bit[u] for u in heads)
+            for (a, sa), (b, sb), u in zip(path, path[1:] + path[:1], heads):
+                table[u].append((mask, ((a, int(sa > 0)), (b, int(sb < 0))), verts & ~bit[u]))
+        return table
+
+    def split_rows(self, v: str, moved: set[tuple[str, int]], at: int) -> tuple[int, ...]:
+        """The rows of the graph that splits ``v``, moving the edge ends
+        ``moved`` to a fresh vertex joined to ``v`` by a fresh edge of index
+        ``at``, read off this graph's cycles with no graph built and no
+        search.  The split's embedded cycles are the lift of each cycle,
+        through the fresh edge exactly when its turn at ``v`` crosses
+        between the two sides, and one figure-eight per pair of crossing
+        cycles that share no edge and no vertex but ``v``; every old edge
+        index at or above ``at`` moves up by one."""
+        low = (1 << at) - 1
+        shift = lambda m: m & low | (m >> at) << (at + 1)
+        crossing = [(m, o) for m, (a, b), o in self.through[v] if (a in moved) != (b in moved)]
+        lifted = {m for m, _ in crossing}
+        rows = [shift(m) | (1 << at if m in lifted else 0) for m in self.masks]
+        rows += [
+            shift(m | n)
+            for i, (m, o) in enumerate(crossing)
+            for n, p in crossing[i + 1 :]
+            if not (m & n or o & p)
+        ]
+        return tuple(sorted(rows))
 
     def cycle_lengths(self, lengths: Sequence[float]) -> list[float]:
         """Each embedded cycle's length under ``lengths`` (in edge order),

@@ -17,11 +17,11 @@ moves to.  A translate under an automorphism keeps the carrier's edges,
 so its region; its cost is each atom's loop under the translated
 marking.  An expansion keeps every old edge's crossing count, its fresh
 edge is crossed once per turn between the two sides of the split, and its
-region is the bare split's rows.  So ``min_on_topology`` runs once per
-descent, for its start, and a descent ends on its last carrier.  A line
-of minima is walked one way (``_walk``): each s warm-started from the
-previous minimizer.  The simplex runs only for what vertices do not give:
-the duals of ``certificate`` and the best systole of
+region is read off the carrier's cycles.  So ``min_on_topology`` runs
+once per descent, for its start, and a descent ends on its last carrier.
+A line of minima is walked one way (``_walk``): each s warm-started from
+the previous minimizer.  The simplex runs only for what vertices do not
+give: the duals of ``certificate`` and the best systole of
 ``max_systole_lengths``.
 """
 
@@ -40,7 +40,6 @@ from .graphs import (
     MarkedGraph,
     OrientedEdge,
     _fresh_names,
-    _Graph,
     _letter_paths,
     _partitions,
     _split,
@@ -167,7 +166,7 @@ def _vertices(n: int, rows: tuple[int, ...], eps: float) -> tuple[int, tuple[tup
     wherever both are (a necessary count, n - 2 common tight constraints,
     filters first).  No vertices means the region is empty.
     """
-    p, q = Fraction(eps).as_integer_ratio()
+    p, q = eps.as_integer_ratio()
     verts = [
         (tuple(int(i == j) for i in range(n)), ((1 << n) - 1) & ~(1 << j))
         for j in range(n)
@@ -202,11 +201,11 @@ def _vertices(n: int, rows: tuple[int, ...], eps: float) -> tuple[int, tuple[tup
     return den, tuple(tuple(v * (den // sum(x)) for v in x) for x, _ in verts)
 
 
-def _least_vertex(
-    cost: list[int], scale: int, n: int, rows: tuple[int, ...], eps: float | Fraction
-) -> tuple[Fraction, tuple[Fraction, ...]] | None:
-    """The least (cost . v / scale, v) over the region's vertices; None if
-    the region is empty.
+def _argmin(
+    cost: list[int], n: int, rows: tuple[int, ...], eps: float | Fraction
+) -> tuple[int, int, tuple[int, ...]] | None:
+    """The least (cost . x, x) over the region's vertices x / den, in
+    integers: (cost . x, den, x), or None if the region is empty.
 
     The lexicographically least point of the optimal face is a vertex, so
     this is the LP's value and its lexicographically least optimal point.
@@ -215,7 +214,19 @@ def _least_vertex(
     if not verts:
         return None
     dot, best = min((sum(c * v for c, v in zip(cost, x)), x) for x in verts)
-    return Fraction(dot, scale * den), tuple(Fraction(v, den) for v in best)
+    return dot, den, best
+
+
+def _least_vertex(
+    cost: list[int], scale: int, n: int, rows: tuple[int, ...], eps: float | Fraction
+) -> tuple[Fraction, tuple[Fraction, ...]] | None:
+    """``_argmin`` as exact fractions: the least (cost . v / scale, v)
+    over the region's vertices v, or None."""
+    hit = _argmin(cost, n, rows, eps)
+    if hit is None:
+        return None
+    dot, den, x = hit
+    return Fraction(dot, scale * den), tuple(Fraction(v, den) for v in x)
 
 
 @functools.cache
@@ -311,22 +322,24 @@ def certificate(g: MarkedGraph, current: RationalCurrent, eps: float) -> tuple[f
 def _read_off(key: tuple, cost: list[int], scale: int, rows: tuple[int, ...], eps: float, graph):
     """A topology's least vertex read off its key, cost and rows, with no
     graph built: (value, point key, build), or None when the region is
-    empty.  The returned build makes the point from ``graph()``, a graph of
-    this topology, with the vertex's lengths, and checks that it is the
-    point read."""
-    hit = _least_vertex(cost, scale, len(cost), rows, eps)
+    empty.  The floats are ``_argmin``'s integers divided once, each the
+    correctly rounded float of ``_least_vertex``'s fraction.  The returned
+    build makes the point from ``graph()``, a graph of this topology, with
+    the vertex's lengths, and checks that it is the point read."""
+    hit = _argmin(cost, len(cost), rows, eps)
     if hit is None:
         return None
-    value, x = hit
+    dot, den, x = hit
     rank, edges, basepoint, marking = key
-    point_key = (rank, tuple((*e, float(v)) for e, v in zip(edges, x)), basepoint, marking)
+    lengths = [v / den for v in x]
+    point_key = (rank, tuple((*e, v) for e, v in zip(edges, lengths)), basepoint, marking)
 
     def make() -> MarkedGraph:
-        point = with_lengths(graph(), {e[0]: v for e, v in zip(edges, x)})
+        point = with_lengths(graph(), {e[0]: v for e, v in zip(edges, lengths)})
         assert point.key() == point_key, "a probe disagrees with its graph"
         return point
 
-    return float(value), point_key, make
+    return dot / (scale * den), point_key, make
 
 
 def _neighbor_probes(
@@ -341,14 +354,16 @@ def _neighbor_probes(
     in ``seen``, in probe order, adding each key to ``seen``: its
     expansions, then its translates under ``gens`` (``images``: the
     generators' images under each one's inverse).  A move is ``_read_off``
-    of the neighbour, read as soon as its key is new, and builds nothing:
-    an expansion's with the cost read off the carrier's atom loops
-    (``_expansion_cost``) and the bare split's rows; a translate, which
-    keeps the carrier's edges and so its rows, with the crossing counts of
-    each atom's loop under the translate's marking.  A topology already
-    seen costs no more than its key."""
+    of the neighbour, read as soon as its key is new, and builds nothing,
+    graph or search: an expansion's with the cost read off the carrier's
+    atom loops (``_expansion_cost``) and the rows off the carrier's cycles
+    (``_Graph.split_rows``); a translate, which keeps the carrier's edges
+    and so its rows, with the crossing counts of each atom's loop under
+    the translate's marking.  A topology already seen costs no more than
+    its key."""
     rank, edges, basepoint, _ = carrier._topo.key
-    rows = carrier._topo.graph.rows
+    graph = carrier._topo.graph
+    rows = graph.rows
     index = carrier._topo.index
     weights, scale = _weights(current)
     loops = _atom_loops(carrier.marking, current)
@@ -361,6 +376,7 @@ def _neighbor_probes(
     base = dict(zip(index, _tally(loops, weights, index)))
     turns = _turns(carrier, loops, weights)
     new_v, new_e = _fresh_names(carrier)
+    at = sum(eid < new_e for eid in index)
     for v in carrier.vertices:
         if carrier.valence(v) < 4:
             continue
@@ -370,7 +386,7 @@ def _neighbor_probes(
             if new(key):
                 yield key, _read_off(
                     key, _expansion_cost(base, turns.get(v, []), split_edges, new_e, moved),
-                    scale, _Graph(split_edges).rows, eps,
+                    scale, graph.split_rows(v, moved, at), eps,
                     functools.partial(_split, carrier, v, new_v, new_e, moved),
                 )
     for psi, imgs in zip(gens, images):

@@ -1,8 +1,9 @@
-"""Graph builders, and a reader of their cycle rows, that only the tests use."""
+"""Graph builders, a reader of their cycle rows and an enumerator of their
+bare splits, that only the tests use."""
 
 from typing import Sequence
 
-from outerspine.graphs import Edge, MarkedGraph
+from outerspine.graphs import Edge, MarkedGraph, _fresh_names, _partitions, _split_parts
 from outerspine.words import Word
 
 
@@ -26,3 +27,15 @@ def cycle_rows(g: MarkedGraph) -> list[tuple[int, ...]]:
     ``embedded_cycles`` order: the rows ``certificate`` poses."""
     n = len(g.edges)
     return [tuple(m >> i & 1 for i in range(n)) for m in g._topo.graph.masks]
+
+
+def bare_splits(g: MarkedGraph):
+    """(vertex, moved ends, edges in id order, marking, the fresh edge's
+    index) of every splitting of every vertex of valence at least 4, in
+    ``expansions`` order, with no graph built."""
+    new_v, new_e = _fresh_names(g)
+    for v in g.vertices:
+        if g.valence(v) >= 4:
+            for moved in _partitions(g, v):
+                edges, marking = _split_parts(g, v, new_v, new_e, moved)
+                yield v, moved, edges, marking, [e.id for e in edges].index(new_e)

@@ -9,7 +9,7 @@ import shutil
 
 import pytest
 
-from outerspine import cli, diagnostics, exp_combination, jsonio
+from outerspine import cli, diagnostics, exp_combination, jsonio, minima
 from outerspine.minima import _objective, _vertices
 from record_cli_goldens import CASES, DATA, FIXTURE, FIXTURES, FORMS, run_case, run_form
 
@@ -54,6 +54,38 @@ def test_tau_measures_each_unordered_pair_once(tmp_path, monkeypatch):
     golden = GOLDENS["tau"]
     assert run_form(golden["argv"] + FORMS["json"], str(tmp_path)) == golden["forms"]["json"]
     assert len(calls) == 3
+
+
+def test_tau_builds_each_distinct_power_once(tmp_path, monkeypatch):
+    """A power listed three times is raised and its axis translated once,
+    and ``overlap_tau`` runs once per unordered pair of distinct powers, a
+    repeated power against itself included.  The output still lists every
+    ordered pair of entries, and the pair (0, 2) reads as it does when
+    each power is listed once."""
+    translated, measured = [], []
+    translate, overlap = minima.translate_axis, diagnostics.overlap_tau
+    monkeypatch.setattr(
+        minima, "translate_axis", lambda ax, phi: translated.append(1) or translate(ax, phi)
+    )
+    monkeypatch.setattr(
+        diagnostics, "overlap_tau", lambda *args: measured.append(1) or overlap(*args)
+    )
+    argv = [
+        "tau", *MU_NU, "--x", CENTER, "--c", "1", "--shift", TRIBONACCI,
+        "--from", "-1", "--to", "1", "--step", "0.5", "--json", "--powers",
+    ]
+    got = run_form(argv + ["0,2,2,2"], str(tmp_path))
+    assert got["rc"] == 0, got["stderr"]
+    assert (len(translated), len(measured)) == (1, 2)
+    taus = json.loads(got["stdout"])["taus"]
+    powers = [0, 2, 2, 2]
+    assert [(t["i"], t["j"]) for t in taus] == [
+        (powers[i], powers[j]) for i in range(4) for j in range(4) if i != j
+    ]
+    once = json.loads(run_form(argv + ["0,2"], str(tmp_path))["stdout"])["taus"]
+    assert {(t["i"], t["j"]): t["tau"] for t in taus if t["i"] != t["j"]} == {
+        (t["i"], t["j"]): t["tau"] for t in once
+    }
 
 
 def test_tied_golden_prints_a_tie_break():

@@ -32,10 +32,7 @@ from outerspine.graphs import (
     _candidate_paths,
     _canonical_cycle,
     _cyclic_tighten,
-    _fresh_names,
     _Graph,
-    _partitions,
-    _split_parts,
     _tight_loop,
     collapse_zero_edges,
 )
@@ -49,7 +46,7 @@ from outerspine.words import (
     power,
 )
 
-from builders import parallel_graph
+from builders import bare_splits, parallel_graph
 from oracles import (
     conjugacy_classes,
     crossing_vector,
@@ -182,21 +179,33 @@ class TestEmbeddedCycles:
     @pytest.mark.parametrize("rank", [3, 4])
     def test_rows_are_the_connected_two_regular_edge_sets(self, rank):
         """``_Graph.rows`` of seeded points and of every bare split of each,
-        against the brute-force edge-subset search."""
+        and each split's rows read off its carrier (``split_rows``), against
+        the brute-force edge-subset search."""
         splits = 0
         for g in spine_points(rank, 0.05, 11 * rank, 6):
-            new_v, new_e = _fresh_names(g)
-            bare = [
-                _split_parts(g, v, new_v, new_e, moved)[0]
-                for v in g.vertices
-                if g.valence(v) >= 4
-                for moved in _partitions(g, v)
-            ]
-            for edges, rows in [(g.edges, g._topo.graph.rows)] + [(b, _Graph(b).rows) for b in bare]:
+            t = g._topo.graph
+            cases = [(g.edges, [t.rows])]
+            for v, moved, edges, _, at in bare_splits(g):
+                cases.append((edges, [_Graph(edges).rows, t.split_rows(v, moved, at)]))
+            for edges, readings in cases:
                 dense = o_cycle_rows([(e.src, e.dst) for e in edges])
-                assert rows == tuple(sorted(sum(b << i for i, b in enumerate(r)) for r in dense))
-            splits += len(bare)
+                want = tuple(sorted(sum(b << i for i, b in enumerate(r)) for r in dense))
+                assert readings == [want] * len(readings)
+            splits += len(cases) - 1
         assert splits > 20
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([3, 4]), st.integers(0, 10**6))
+    def test_split_rows_are_the_split_graphs_rows(self, rank, seed):
+        """The rows of every bare split of a seeded point, at every vertex
+        of valence at least 4 and for every ``_partitions`` set, read off
+        the carrier's cycles, are the rows the split graph's own cycle
+        search finds: no cycle is lost or invented, figure-eights through
+        the split vertex included."""
+        for g in spine_points(rank, 0.05, seed, 2):
+            t = g._topo.graph
+            for v, moved, edges, _, at in bare_splits(g):
+                assert t.split_rows(v, moved, at) == _Graph(edges).rows
 
     @pytest.mark.parametrize("rank", [3, 4])
     def test_masks_follow_the_cycles(self, rank):

@@ -370,6 +370,38 @@ class TestMinimize:
             expanded += len(splits)
         assert expanded >= 1
 
+    def test_probes_build_no_graph_and_no_fraction(self, monkeypatch):
+        """Probes construct no unmarked graph and run no cycle search: an
+        expansion's rows are read off its carrier's cycles, so a graph is
+        constructed only inside ``MarkedGraph``'s constructor and searched
+        at most once.  Every least vertex is read in integers, with no
+        ``Fraction``."""
+        counts = dict.fromkeys(("graphs", "marked", "searches", "fractions"), 0)
+
+        def counting(name, f):
+            def counted(*args, **kw):
+                counts[name] += 1
+                return f(*args, **kw)
+
+            return counted
+
+        monkeypatch.setattr(graphs._Graph, "__init__", counting("graphs", graphs._Graph.__init__))
+        monkeypatch.setattr(
+            graphs.MarkedGraph, "__init__", counting("marked", graphs.MarkedGraph.__init__)
+        )
+        monkeypatch.setattr(graphs, "_cycle_paths", counting("searches", graphs._cycle_paths))
+        monkeypatch.setattr(minima, "Fraction", counting("fractions", minima.Fraction))
+        mu, nu = (jsonio.load_current(os.path.join(FIXTURES, f)) for f in ("mu6.json", "nu6.json"))
+        visits = 0
+        for s in (-2, 0, 2):
+            # ROSE, rebuilt here so that its graph's search is counted
+            # with its construction
+            visits += minimize(exp_combination(mu, nu, s), 0.05, unit_rose(3)).topology_visits
+        assert visits > 3
+        assert counts["graphs"] <= counts["marked"]
+        assert counts["searches"] <= counts["graphs"]
+        assert counts["fractions"] == 0
+
 
 class TestExpansionProbe:
     """An expansion read off its carrier against the expansion built."""

@@ -11,12 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from outerspine import RationalCurrent, axis, jsonio, minima, rose, sampling
-from outerspine.graphs import expansions
-from outerspine.minima import _least_vertex, _objective, _vertices
+from outerspine.graphs import _topology_key, expansions
+from outerspine.minima import _least_vertex, _objective, _read_off, _vertices
 from outerspine.simplex import Infeasible, solve_lp
 from outerspine.words import Word
 
-from builders import cycle_rows
+from builders import bare_splits, cycle_rows
 from oracles import o_cycle_rows, o_lex_least_point, o_region_vertices
 
 DATA = os.path.join(os.path.dirname(minima.__file__), "data")
@@ -120,6 +120,41 @@ def test_least_vertex_is_the_lp_point(data, rank, eps):
         assert got is None
         return
     assert got == (sol.value, o_lex_least_point(*lp))
+
+
+def seeded_regions(rank, seed):
+    """(topology key, rows) of two seeded points and of every splitting
+    of each, rows read off the point's cycles."""
+    for g in sampling.spine_points(rank, 0.05, seed, 2):
+        t = g._topo.graph
+        yield g._topo.key, t.rows
+        for v, moved, edges, marking, at in bare_splits(g):
+            yield _topology_key(rank, edges, g.basepoint, marking), t.split_rows(v, moved, at)
+
+
+@given(
+    data=st.data(),
+    rank=st.sampled_from([3, 4]),
+    seed=st.integers(0, 10**6),
+    eps=st.sampled_from([0.05, 0.1, 0.2, 0.25]),
+)
+@settings(max_examples=40, deadline=None)
+def test_read_off_floats_are_the_least_vertex_fractions(data, rank, seed, eps):
+    """``_read_off`` divides ``_least_vertex``'s integers itself: its value
+    and its point key's lengths are the floats of the exact fractions, on
+    every region of seeded points and their splits, for random nonnegative
+    integer costs and scales."""
+    for key, rows in seeded_regions(rank, seed):
+        n = len(key[1])
+        cost = data.draw(st.lists(st.integers(0, 10**12), min_size=n, max_size=n))
+        scale = data.draw(st.integers(1, 10**12))
+        hit = _read_off(key, cost, scale, rows, eps, None)
+        exact = _least_vertex(cost, scale, n, rows, eps)
+        assert (hit is None) == (exact is None)
+        if hit is not None:
+            value, x = exact
+            lengths = tuple((*e, float(v)) for e, v in zip(key[1], x))
+            assert hit[:2] == (float(value), (key[0], lengths, *key[2:]))
 
 
 def test_max_systole_point_is_the_lex_least_optimum():

@@ -7,7 +7,8 @@ it) must replay in its human form, and one case in the ``--json`` and the
 ``--csv`` form, whose renderers import on their own; ``--help`` must
 import none of the package's other modules, and ``iwip`` none of the LP,
 sampling or diagnostics layers.  A fresh interpreter can also run under a
-memory limit: far ``tau`` powers must finish, or exit 2, in 2 GB.
+memory limit: far ``tau`` powers, repeated ones too, must finish, or exit
+2, in 2 GB.
 """
 
 import json
@@ -129,6 +130,21 @@ def test_contracting_sample_count_over_its_cap_exits_2(workdir, name):
 
 def _two_gigabytes():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_repeated_far_powers_fit_in_two_gigabytes(workdir):
+    """A power listed many times is built once: seven entries of
+    tribonacci^30 on the default grid fit in 2 GB of address space, where
+    building each entry's axis ended in a ``MemoryError``."""
+    argv = [
+        "tau", "--mu", "data/current_a.json", "--nu", "data/current_b.json",
+        "--x", "data/rose_half_quarter.json", "--c", "1", "--shift", "data/tribonacci.json",
+        "--powers", "0,30,30,30,30,30,30,30", "--json",
+    ]
+    done = _python(["-m", "outerspine.cli", *argv], workdir, timeout=30, preexec_fn=_two_gigabytes)
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["powers"] == [0] + [30] * 7
 
 
 @pytest.mark.parametrize("powers", ["0,30", "0,36"])
