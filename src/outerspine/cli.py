@@ -37,9 +37,11 @@ Start-up: run as ``python -m outerspine.cli``, a command imports only the
 modules it runs.  Each handler imports its own layers, so ``iwip`` loads
 ``words``, ``graphs``, ``currents`` and ``jsonio`` but no LP, sampler or
 diagnostics, and ``--help`` imports no other ``outerspine`` module at all.
-Imported as ``outerspine.cli`` (the ``outerspine`` console script, or a
-caller that wraps the layers' functions before calling ``main``, as the
-benchmark's tracer does), the module loads every layer up front.
+No command loads ``dataclasses`` (nor the ``inspect`` it imports): the
+package's records are named tuples and slotted classes.  Imported as
+``outerspine.cli`` (the ``outerspine`` console script, or a caller that
+wraps the layers' functions before calling ``main``, as the benchmark's
+tracer does), the module loads every layer up front.
 """
 
 from __future__ import annotations
@@ -379,8 +381,6 @@ def _cmd_project(args) -> _Result:
 
 
 def _cmd_check_minisline(args) -> _Result:
-    from dataclasses import asdict
-
     from .diagnostics import check_minisline, fit_B
     from .minima import axis
 
@@ -400,15 +400,13 @@ def _cmd_check_minisline(args) -> _Result:
     body = {
         "b": b,
         "passed": rep.passed,
-        "rows": [{**asdict(r), "passed": r.passed} for r in rep.rows],
+        "rows": [{**r._asdict(), "passed": r.passed} for r in rep.rows],
     }
     header = ["s", "distance", "lower", "upper", "status"]
     return _Result(mu.rank, body, header, rows, lines, 0 if rep.passed else 3)
 
 
 def _cmd_check_contracting(args) -> _Result:
-    from dataclasses import asdict
-
     from . import jsonio
     from .diagnostics import SamplerConfig, check_contracting, fit_B
     from .minima import axis
@@ -443,13 +441,13 @@ def _cmd_check_contracting(args) -> _Result:
         "passed": rep.passed,
         "note": CLAUSE5_NOTE,
         "sampler": {
-            **vars(cfg),
+            **cfg._asdict(),
             "s_max": args.s_max,
             "step": args.step,
             "shift": jsonio.automorphism_to_obj(shift) if shift else None,
         },
         "clauses": [
-            {**asdict(c), "margin": c.margin if math.isfinite(c.margin) else None}
+            {**c._asdict(), "margin": c.margin if math.isfinite(c.margin) else None}
             for c in rep.clauses
         ],
     }

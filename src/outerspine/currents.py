@@ -11,8 +11,7 @@ sequences produced by iwip_pair_approx.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graphs import MarkedGraph, translation_length, unit_rose
 from .words import (
@@ -28,7 +27,6 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
 class RationalCurrent:
     """Finite weighted sum of conjugacy-class duals.
 
@@ -41,10 +39,10 @@ class RationalCurrent:
     ``scale`` and ``add`` start from atoms already canonical, so they only
     merge and sort them (``_from_canonical``), under the same weight rules:
     each weight finite and nonnegative, else ValueError, and zero dropped.
+    Currents compare and hash by (rank, atoms), and are immutable.
     """
 
-    rank: int
-    atoms: tuple[tuple[tuple[int, ...], float], ...] = ()
+    __slots__ = ("rank", "atoms")
 
     def __init__(self, rank: int, atoms: Iterable[tuple[Word, float]] = ()):
         merged: dict[tuple[int, ...], float] = {}
@@ -65,6 +63,22 @@ class RationalCurrent:
             atoms = tuple(sorted(atoms, key=lambda kv: (len(kv[0]), spelling_key(kv[0]))))
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "atoms", atoms)
+
+    def __setattr__(self, *_):
+        raise AttributeError("RationalCurrent is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rank == other.rank and self.atoms == other.atoms
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.atoms))
+
+    def __repr__(self) -> str:
+        return f"RationalCurrent(rank={self.rank!r}, atoms={self.atoms!r})"
 
     def __bool__(self) -> bool:
         return bool(self.atoms)
@@ -159,8 +173,7 @@ def apply_to_current(phi: Automorphism, nu: RationalCurrent) -> RationalCurrent:
     )
 
 
-@dataclass(frozen=True)
-class IwipApproximation:
+class IwipApproximation(NamedTuple):
     """Power-iteration snapshot of the fixed current pair of an automorphism.
 
     ``forward``/``backward`` are the normalized duals of the k-th images of

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from typing import NamedTuple, Sequence
 
 from .currents import RationalCurrent, add, dual, normalize_at, pairing
 from .graphs import MarkedGraph, candidates as graph_candidates, rescale, transform, unit_rose
@@ -39,8 +39,7 @@ from .words import Automorphism, NielsenMove, compose, elementary_automorphisms,
 # minisline bounds
 
 
-@dataclass(frozen=True)
-class MinislineRow:
+class MinislineRow(NamedTuple):
     s: float
     distance: float
     lower: float
@@ -51,8 +50,7 @@ class MinislineRow:
         return self.lower - 1e-9 <= self.distance <= self.upper + 1e-9
 
 
-@dataclass(frozen=True)
-class MinislineReport:
+class MinislineReport(NamedTuple):
     b: float
     rows: tuple[MinislineRow, ...]
     eps: float
@@ -103,8 +101,7 @@ def check_minisline(
 # fitting the contraction constant
 
 
-@dataclass(frozen=True)
-class BFit:
+class BFit(NamedTuple):
     """Smallest representative-ratio bound seen along the sampled axis."""
 
     value: float
@@ -138,8 +135,7 @@ def fit_B(ax: AxisSample) -> BFit:
 # the five contraction clauses
 
 
-@dataclass(frozen=True)
-class ClauseResult:
+class ClauseResult(NamedTuple):
     clause: int
     passed: bool
     margin: float
@@ -155,28 +151,35 @@ class ClauseResult:
 _MAX_COUNTS = {"n_far": 10_000, "n_sigma": 100_000, "n_balanced": 100_000}
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Sampling plan for check_contracting; embedded in the report."""
+class SamplerConfig(
+    namedtuple(
+        "SamplerConfig",
+        "seed near_step n_far far_depth n_sigma n_balanced budget shift beyond_offsets",
+        defaults=(0, 0.25, 12, 24, 10, 3, 600, None, (0.5, 1.5)),
+    )
+):
+    """Sampling plan for check_contracting; embedded in the report.
 
-    seed: int = 0
-    near_step: float = 0.25
-    n_far: int = 12
-    far_depth: int = 24
-    n_sigma: int = 10
-    n_balanced: int = 3
-    budget: int = 600
-    shift: Automorphism | None = None
-    beyond_offsets: tuple[float, ...] = (0.5, 1.5)
+    ``shift`` is an ``Automorphism`` or None.  Every way of making one
+    checks the counts against ``_MAX_COUNTS``, ``_make`` and ``_replace``
+    too.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        cfg = super().__new__(cls, *args, **kwargs)
         for name, cap in _MAX_COUNTS.items():
-            if getattr(self, name) > cap:
-                raise ValueError(f"{name} must be at most {cap}, not {getattr(self, name)}")
+            if getattr(cfg, name) > cap:
+                raise ValueError(f"{name} must be at most {cap}, not {getattr(cfg, name)}")
+        return cfg
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ContractionReport:
+class ContractionReport(NamedTuple):
     b: float
     fitted: float
     clauses: tuple[ClauseResult, ...]
@@ -459,8 +462,7 @@ def check_contracting(
 _MAX_BALL_SAMPLES = 10_000
 
 
-@dataclass(frozen=True)
-class BallProjection:
+class BallProjection(NamedTuple):
     diameter: float
     n_samples: int
     n_distinct: int

@@ -47,10 +47,10 @@ All values are immutable; every operation returns a fresh graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .words import (
     Word,
@@ -64,22 +64,23 @@ from .words import (
 OrientedEdge = tuple[str, int]  # (edge id, +1 along src->dst, -1 against)
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: str
-    src: str
-    dst: str
-    length: float
+class Edge(namedtuple("Edge", "id src dst length")):
+    """An edge with its ends and a finite nonnegative length; every way of
+    making one checks the length, ``_make`` and ``_replace`` too."""
 
-    def __post_init__(self):
-        if not 0 <= self.length < math.inf:
-            raise ValueError(
-                f"edge {self.id} needs a finite nonnegative length, not {self.length}"
-            )
+    __slots__ = ()
+
+    def __new__(cls, id: str, src: str, dst: str, length: float):
+        if not 0 <= length < math.inf:
+            raise ValueError(f"edge {id} needs a finite nonnegative length, not {length}")
+        return super().__new__(cls, id, src, dst, length)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class LoopPath:
+class LoopPath(NamedTuple):
     """A closed, cyclically reduced oriented edge path in a host graph."""
 
     path: tuple[OrientedEdge, ...]
@@ -136,30 +137,24 @@ def _shape(edges) -> tuple:
     return tuple((e.id, e.src, e.dst) for e in edges)
 
 
-def _topology_key(rank: int, edges, basepoint: str, marking) -> tuple:
-    """A topology's identity: rank, edge ends in edge order, basepoint and
-    marking; everything of a point but its lengths."""
-    return rank, _shape(edges), basepoint, marking
-
-
 class _Graph:
-    """The unmarked part of a topology: edge indices, edge ends, adjacency
-    and vertices, and what they alone fix: its embedded cycles, their
-    masks and rows (the region a topology on this graph poses), the
-    cycles through each vertex and the rows of each splitting of it, and
-    lengths under given edge lengths, its candidate loop paths and its
-    spanning tree.  Every topology on this graph (its translates under
-    ``transform`` and their relengthings) shares it, so each is enumerated
-    once, by one cycle search."""
+    """The unmarked part of a topology, made from its shape (``_shape``):
+    edge indices, edge ends, adjacency and vertices, and what they alone
+    fix: its embedded cycles, their masks and rows (the region a topology
+    on this graph poses), the cycles through each vertex and the rows of
+    each splitting of it, and lengths under given edge lengths, its
+    candidate loop paths and its spanning tree.  Every topology on this
+    graph (its translates under ``transform`` and their relengthings)
+    shares it, so each is enumerated once, by one cycle search."""
 
-    def __init__(self, edges):
-        self.shape = _shape(edges)
-        self.index = {e.id: i for i, e in enumerate(edges)}
-        self.ends = {e.id: (e.src, e.dst) for e in edges}
+    def __init__(self, shape: tuple[tuple[str, str, str], ...]):
+        self.shape = shape
+        self.index = {eid: i for i, (eid, _, _) in enumerate(shape)}
+        self.ends = {eid: (src, dst) for eid, src, dst in shape}
         adj: dict[str, list[tuple[str, int, str]]] = {}
-        for e in edges:
-            adj.setdefault(e.src, []).append((e.id, 1, e.dst))
-            adj.setdefault(e.dst, []).append((e.id, -1, e.src))
+        for eid, src, dst in shape:
+            adj.setdefault(src, []).append((eid, 1, dst))
+            adj.setdefault(dst, []).append((eid, -1, src))
         for v in adj:
             adj[v].sort()
         self.adj = adj
@@ -328,7 +323,7 @@ class MarkedGraph:
         comarking: dict[str, Word],
     ):
         edges = tuple(sorted(edges, key=lambda e: e.id))
-        self._init(_Topology(rank, _Graph(edges), basepoint, marking, comarking), edges)
+        self._init(_Topology(rank, _Graph(_shape(edges)), basepoint, marking, comarking), edges)
         self._validate()
 
     def _init(self, topo: _Topology, edges: tuple[Edge, ...]) -> None:
@@ -771,28 +766,21 @@ def _partitions(g: MarkedGraph, v: str):
 
 def _split_parts(
     g: MarkedGraph, v: str, new_v: str, new_e: str, moved: set[tuple[str, int]]
-) -> tuple[tuple[Edge, ...], tuple[tuple[OrientedEdge, ...], ...]]:
-    """The edges, in id order, and the marking of ``_split``'s graph,
-    without building it: each marking path takes the fresh edge wherever
-    it passes between the two sides."""
-    edges = []
-    for e in g.edges:
-        src = new_v if (e.id, 0) in moved else e.src
-        dst = new_v if (e.id, 1) in moved else e.dst
-        edges.append(Edge(e.id, src, dst, e.length))
-    edges.append(Edge(new_e, v, new_v, 0.0))
-    by_id = {e.id: e for e in edges}
-
-    def endpoints(step: OrientedEdge) -> tuple[str, str]:
-        e = by_id[step[0]]
-        return (e.src, e.dst) if step[1] > 0 else (e.dst, e.src)
-
+) -> tuple[tuple[tuple[str, str, str], ...], tuple[tuple[OrientedEdge, ...], ...]]:
+    """The shape, (id, src, dst) in id order, and the marking of
+    ``_split``'s graph, with no graph and no edge built: each marking path
+    takes the fresh edge wherever it passes between the two sides."""
+    ends = {
+        e.id: (new_v if (e.id, 0) in moved else e.src, new_v if (e.id, 1) in moved else e.dst)
+        for e in g.edges
+    }
+    ends[new_e] = (v, new_v)
     marking = []
     for path in g.marking:
         new_path: list[OrientedEdge] = []
         cur = g.basepoint
         for step in path:
-            a, b = endpoints(step)
+            a, b = ends[step[0]] if step[1] > 0 else ends[step[0]][::-1]
             if a != cur:
                 new_path.append((new_e, 1) if a == new_v else (new_e, -1))
             new_path.append(step)
@@ -800,13 +788,16 @@ def _split_parts(
         if cur != g.basepoint:
             new_path.append((new_e, 1) if cur == v else (new_e, -1))
         marking.append(tuple(_tighten(new_path)))
-    return tuple(sorted(edges, key=lambda e: e.id)), tuple(marking)
+    return tuple((eid, *ends[eid]) for eid in sorted(ends)), tuple(marking)
 
 
 def _split(g: MarkedGraph, v: str, new_v: str, new_e: str, moved: set[tuple[str, int]]) -> MarkedGraph:
-    edges, marking = _split_parts(g, v, new_v, new_e, moved)
+    shape, marking = _split_parts(g, v, new_v, new_e, moved)
+    lengths = {e.id: e.length for e in g.edges}
+    lengths[new_e] = 0.0
     comarking = dict(g._topo.comarking)
     comarking[new_e] = Word(g.rank)
+    edges = [Edge(eid, src, dst, lengths[eid]) for eid, src, dst in shape]
     return MarkedGraph(g.rank, edges, g.basepoint, marking, comarking)
 
 

@@ -22,7 +22,7 @@ import math
 from typing import Any
 
 from .currents import RationalCurrent
-from .graphs import Edge, MarkedGraph, OrientedEdge, _Graph
+from .graphs import Edge, MarkedGraph, OrientedEdge, _Graph, _shape
 from .words import (
     _LETTER_NAMES,
     Automorphism,
@@ -123,7 +123,7 @@ def graph_from_obj(data: dict) -> MarkedGraph:
     if basepoint not in touched:
         raise ValueError(f"basepoint {basepoint!r} is not a vertex")
 
-    tree, reached = _Graph(edges).spanning_tree(basepoint)
+    tree, reached = _Graph(_shape(edges)).spanning_tree(basepoint)
     if len(reached) != len(touched):
         raise ValueError("graph is not connected")
 

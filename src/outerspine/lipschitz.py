@@ -15,14 +15,13 @@ dilatation wherever the diagnostics need one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import MarkedGraph, _crossings, _reverse, _tight_loop, _weigh
 from .words import Word
 
 
-@dataclass(frozen=True)
-class StretchReport:
+class StretchReport(NamedTuple):
     factor: float
     witness: Word
     per_candidate: tuple[tuple[Word, float], ...]

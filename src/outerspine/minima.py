@@ -29,13 +29,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .currents import RationalCurrent, apply_to_current, exp_combination, pairing
 from .graphs import (
-    Edge,
     LoopPath,
     MarkedGraph,
     OrientedEdge,
@@ -45,7 +43,6 @@ from .graphs import (
     _split,
     _split_parts,
     _tight_loop,
-    _topology_key,
     collapse_zero_edges,
     embedded_cycles,
     in_spine,
@@ -65,8 +62,7 @@ class InfeasibleSpine(ValueError):
         self.cycle = cycle
 
 
-@dataclass(frozen=True)
-class MinResult:
+class MinResult(NamedTuple):
     """Minimum of a current over (part of) the spine.
 
     ``point`` is the least vertex of its topology's region, which
@@ -135,9 +131,10 @@ def _turns(c: MarkedGraph, loops, weights: list[int]) -> dict[str, list]:
 
 
 def _expansion_cost(
-    base: dict[str, int], turns: list, edges: tuple[Edge, ...], new_e: str, moved: set
+    base: dict[str, int], turns: list, shape: tuple, new_e: str, moved: set
 ) -> list[int]:
-    """The cost of a splitting in its edge order, read off the carrier.
+    """The cost of a splitting in the edge order of its ``shape``, read off
+    the carrier.
 
     Collapsing the fresh edge maps tight loops to tight loops, so every old
     edge keeps its carrier cost ``base``.  A loop crosses the fresh edge
@@ -145,7 +142,7 @@ def _expansion_cost(
     (Whitehead 1936; Culler and Vogtmann 1986).
     """
     fresh = sum(w for w, a, b in turns if (a in moved) != (b in moved))
-    return [fresh if e.id == new_e else base[e.id] for e in edges]
+    return [fresh if eid == new_e else base[eid] for eid, _, _ in shape]
 
 
 # -- spine polytopes ----------------------------------------------------------
@@ -381,11 +378,11 @@ def _neighbor_probes(
         if carrier.valence(v) < 4:
             continue
         for moved in _partitions(carrier, v):
-            split_edges, marking = _split_parts(carrier, v, new_v, new_e, moved)
-            key = _topology_key(rank, split_edges, basepoint, marking)
+            shape, marking = _split_parts(carrier, v, new_v, new_e, moved)
+            key = (rank, shape, basepoint, marking)
             if new(key):
                 yield key, _read_off(
-                    key, _expansion_cost(base, turns.get(v, []), split_edges, new_e, moved),
+                    key, _expansion_cost(base, turns.get(v, []), shape, new_e, moved),
                     scale, graph.split_rows(v, moved, at), eps,
                     functools.partial(_split, carrier, v, new_v, new_e, moved),
                 )
@@ -481,8 +478,7 @@ def balance_param(t: MarkedGraph, mu: RationalCurrent, nu: RationalCurrent) -> f
     return 0.5 * math.log(pn / pm)
 
 
-@dataclass(frozen=True)
-class AxisSample:
+class AxisSample(NamedTuple):
     """A sampled line of minima for the pair (mu, nu).
 
     samples: strictly increasing s, each with the minimizing spine point

@@ -20,9 +20,8 @@ callers that need one canonical point read it off the region's vertices
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class Infeasible(Exception):
@@ -37,8 +36,7 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(NamedTuple):
     value: Fraction
     x: tuple[Fraction, ...]
     duals: tuple[Fraction, ...]  # one per constraint row, equality rows first

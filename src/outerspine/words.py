@@ -25,7 +25,7 @@ inverse images are range-checked and reduced once, when it is made.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
@@ -64,7 +64,6 @@ def _inverse(letters: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(operator.neg, reversed(letters)))
 
 
-@dataclass(frozen=True)
 class Word:
     """A freely reduced word in F_rank.
 
@@ -72,15 +71,27 @@ class Word:
     ``Word(3, [1, 2, -2, 3])`` equals ``Word(3, [1, 3])``.  Internal code
     holding letters already in range and reduced uses ``_reduced_word``
     instead (see the module docstring).  Words compare and hash by (rank,
-    letters).
+    letters), and are immutable.
     """
 
-    rank: int
-    letters: tuple[int, ...] = ()
+    __slots__ = ("rank", "letters")
 
     def __init__(self, rank: int, letters: Iterable[int] = ()):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "letters", free_reduce(_check_letters(rank, letters)))
+
+    def __setattr__(self, *_):
+        raise AttributeError("Word is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rank == other.rank and self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -239,27 +250,30 @@ def canonical_representative(w: Word) -> Word:
 # --- automorphisms ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NielsenMove:
+class NielsenMove(namedtuple("NielsenMove", "kind target other inverse", defaults=(0, False))):
     """One elementary Nielsen move.
 
     kind "invert":          x_target -> x_target^-1
     kind "transpose":       x_target <-> x_other
     kind "right_multiply":  x_target -> x_target * x_other^(+-1)
+
+    Every way of making one checks it, ``_make`` and ``_replace`` too.
     """
 
-    kind: str
-    target: int
-    other: int = 0
-    inverse: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("invert", "transpose", "right_multiply"):
-            raise ValueError(f"unknown move kind {self.kind!r}")
-        if self.target < 1 or (self.kind != "invert" and self.other < 1):
+    def __new__(cls, kind: str, target: int, other: int = 0, inverse: bool = False):
+        if kind not in ("invert", "transpose", "right_multiply"):
+            raise ValueError(f"unknown move kind {kind!r}")
+        if target < 1 or (kind != "invert" and other < 1):
             raise ValueError("move generators are positive indices")
-        if self.kind != "invert" and self.other == self.target:
-            raise ValueError(f"{self.kind} needs two distinct generators")
+        if kind != "invert" and other == target:
+            raise ValueError(f"{kind} needs two distinct generators")
+        return super().__new__(cls, kind, target, other, inverse)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def inverted(self) -> "NielsenMove":
         if self.kind == "right_multiply":
@@ -326,7 +340,6 @@ def _replay(rank: int, moves: Sequence[NielsenMove]) -> tuple[tuple[int, ...], .
     return tuple(images)
 
 
-@dataclass(frozen=True)
 class Automorphism:
     """An automorphism of F_rank: generator images and those of its inverse.
 
@@ -340,28 +353,53 @@ class Automorphism:
     factorization that JSON writes; ``compose`` and ``invert`` keep it when
     their inputs have one.
 
-    Two automorphisms are equal when they have the same rank and images,
-    whatever their factorizations.
+    Two automorphisms are equal, and hash alike, when they have the same
+    rank and images, whatever their inverse images and factorizations.
+    They are immutable.
 
     Both image tuples are checked once, here: one per generator, each
     freely reduced with letters in range.  ``apply``, ``compose`` and
     ``image_words`` trust them from then on.
     """
 
-    rank: int
-    images: tuple[tuple[int, ...], ...]
-    inverse_images: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    moves: tuple[NielsenMove, ...] | None = field(default=None, compare=False)
+    # the __dict__ holds the two cached substitution tables
+    __slots__ = ("rank", "images", "inverse_images", "moves", "__dict__")
 
-    def __post_init__(self):
-        for side in (self.images, self.inverse_images):
-            if len(side) != self.rank:
-                raise ValueError(f"need {self.rank} images, got {len(side)}")
+    def __init__(
+        self,
+        rank: int,
+        images: tuple[tuple[int, ...], ...],
+        inverse_images: tuple[tuple[int, ...], ...],
+        moves: tuple[NielsenMove, ...] | None = None,
+    ):
+        for side in (images, inverse_images):
+            if len(side) != rank:
+                raise ValueError(f"need {rank} images, got {len(side)}")
             # the distinct letters, so the per-letter test runs O(rank) times
-            _check_letters(self.rank, set(chain.from_iterable(side)))
+            _check_letters(rank, set(chain.from_iterable(side)))
             for img in side:
                 if any(map(operator.eq, img, map(operator.neg, img[1:]))):
                     raise ValueError(f"image {img} is not freely reduced")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "inverse_images", inverse_images)
+        object.__setattr__(self, "moves", moves)
+
+    def __setattr__(self, *_):
+        raise AttributeError("Automorphism is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rank == other.rank and self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.images))
+
+    def __repr__(self) -> str:
+        return f"Automorphism(rank={self.rank!r}, images={self.images!r}, moves={self.moves!r})"
 
     @staticmethod
     def identity(rank: int) -> "Automorphism":

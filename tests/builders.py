@@ -30,12 +30,12 @@ def cycle_rows(g: MarkedGraph) -> list[tuple[int, ...]]:
 
 
 def bare_splits(g: MarkedGraph):
-    """(vertex, moved ends, edges in id order, marking, the fresh edge's
-    index) of every splitting of every vertex of valence at least 4, in
-    ``expansions`` order, with no graph built."""
+    """(vertex, moved ends, shape (id, src, dst) in id order, marking, the
+    fresh edge's index) of every splitting of every vertex of valence at
+    least 4, in ``expansions`` order, with no graph built."""
     new_v, new_e = _fresh_names(g)
     for v in g.vertices:
         if g.valence(v) >= 4:
             for moved in _partitions(g, v):
-                edges, marking = _split_parts(g, v, new_v, new_e, moved)
-                yield v, moved, edges, marking, [e.id for e in edges].index(new_e)
+                shape, marking = _split_parts(g, v, new_v, new_e, moved)
+                yield v, moved, shape, marking, [eid for eid, _, _ in shape].index(new_e)

@@ -1,6 +1,5 @@
 """Empirical certification: minisline bounds, contraction, ball projections, axis overlaps."""
 
-import dataclasses
 import math
 import random
 
@@ -199,14 +198,14 @@ class TestCheckContracting:
     def test_rejects_a_near_step_that_never_reaches_one(self, floor_ax, near_step):
         # clause 3 lists s = -1, -1 + near_step, ... up to 1 before it walks
         with pytest.raises(ValueError, match="near_step"):
-            check_contracting(floor_ax, 2.0, dataclasses.replace(CFG, near_step=near_step))
+            check_contracting(floor_ax, 2.0, CFG._replace(near_step=near_step))
 
     @pytest.mark.parametrize("name", sorted(_MAX_COUNTS))
     def test_config_rejects_a_count_over_its_cap(self, name):
         cap = _MAX_COUNTS[name]
         with pytest.raises(ValueError, match=f"{name} must be at most {cap}, not {cap + 1}"):
-            dataclasses.replace(CFG, **{name: cap + 1})
-        assert getattr(dataclasses.replace(CFG, **{name: cap}), name) == cap
+            CFG._replace(**{name: cap + 1})
+        assert getattr(CFG._replace(**{name: cap}), name) == cap
 
     def test_diagonal_fails_doubling_with_witness(self, diag_report):
         assert not diag_report.passed
@@ -260,7 +259,7 @@ class TestCheckContracting:
         cfg = SamplerConfig(seed=0, n_far=1, n_sigma=1, n_balanced=1, budget=20, shift=TRIB)
         ax = walk(pair6.forward, pair6.backward, s_max=0.5, budget=20)
         one, three = (
-            check_contracting(ax, 1.0, dataclasses.replace(cfg, n_balanced=k)).clause(5)
+            check_contracting(ax, 1.0, cfg._replace(n_balanced=k)).clause(5)
             for k in (1, 3)
         )
         assert not one.vacuous and one.n_samples > 0

@@ -184,11 +184,11 @@ class TestEmbeddedCycles:
         splits = 0
         for g in spine_points(rank, 0.05, 11 * rank, 6):
             t = g._topo.graph
-            cases = [(g.edges, [t.rows])]
-            for v, moved, edges, _, at in bare_splits(g):
-                cases.append((edges, [_Graph(edges).rows, t.split_rows(v, moved, at)]))
-            for edges, readings in cases:
-                dense = o_cycle_rows([(e.src, e.dst) for e in edges])
+            cases = [(t.shape, [t.rows])]
+            for v, moved, shape, _, at in bare_splits(g):
+                cases.append((shape, [_Graph(shape).rows, t.split_rows(v, moved, at)]))
+            for shape, readings in cases:
+                dense = o_cycle_rows([(src, dst) for _, src, dst in shape])
                 want = tuple(sorted(sum(b << i for i, b in enumerate(r)) for r in dense))
                 assert readings == [want] * len(readings)
             splits += len(cases) - 1
@@ -204,8 +204,8 @@ class TestEmbeddedCycles:
         the split vertex included."""
         for g in spine_points(rank, 0.05, seed, 2):
             t = g._topo.graph
-            for v, moved, edges, _, at in bare_splits(g):
-                assert t.split_rows(v, moved, at) == _Graph(edges).rows
+            for v, moved, shape, _, at in bare_splits(g):
+                assert t.split_rows(v, moved, at) == _Graph(shape).rows
 
     @pytest.mark.parametrize("rank", [3, 4])
     def test_masks_follow_the_cycles(self, rank):

@@ -24,7 +24,7 @@ from outerspine import (
     transform,
     unit_rose,
 )
-from outerspine.graphs import Edge, _Graph
+from outerspine.graphs import Edge, _Graph, _shape
 from outerspine.sampling import random_automorphism, spine_points
 
 from oracles import o_bfs_tree
@@ -242,7 +242,7 @@ def test_spanning_tree_is_the_loaders_own_bfs_tree():
     pieces = [
         Edge(k + e.id, k + e.src, k + e.dst, e.length) for k, g in (("p", a), ("q", b)) for e in g.edges
     ]
-    got = _Graph(pieces).spanning_tree("p" + a.basepoint)
+    got = _Graph(_shape(pieces)).spanning_tree("p" + a.basepoint)
     assert got == o_bfs_tree(pieces, "p" + a.basepoint)
     assert got[1] == {"p" + v for v in a.vertices}
 

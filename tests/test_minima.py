@@ -374,9 +374,13 @@ class TestMinimize:
         """Probes construct no unmarked graph and run no cycle search: an
         expansion's rows are read off its carrier's cycles, so a graph is
         constructed only inside ``MarkedGraph``'s constructor and searched
-        at most once.  Every least vertex is read in integers, with no
-        ``Fraction``."""
-        counts = dict.fromkeys(("graphs", "marked", "searches", "fractions"), 0)
+        at most once.  Nor do they build an ``Edge``: an expansion is keyed
+        by its shape, so edges are made only for a graph built or
+        relengthed, at most 6 (a rank-3 graph's most) for each.  Every
+        least vertex is read in integers, with no ``Fraction``."""
+        counts = dict.fromkeys(
+            ("graphs", "marked", "relengths", "edges", "searches", "fractions"), 0
+        )
 
         def counting(name, f):
             def counted(*args, **kw):
@@ -389,6 +393,8 @@ class TestMinimize:
         monkeypatch.setattr(
             graphs.MarkedGraph, "__init__", counting("marked", graphs.MarkedGraph.__init__)
         )
+        monkeypatch.setattr(graphs, "_relength", counting("relengths", graphs._relength))
+        monkeypatch.setattr(graphs, "Edge", counting("edges", graphs.Edge))
         monkeypatch.setattr(graphs, "_cycle_paths", counting("searches", graphs._cycle_paths))
         monkeypatch.setattr(minima, "Fraction", counting("fractions", minima.Fraction))
         mu, nu = (jsonio.load_current(os.path.join(FIXTURES, f)) for f in ("mu6.json", "nu6.json"))
@@ -399,6 +405,7 @@ class TestMinimize:
             visits += minimize(exp_combination(mu, nu, s), 0.05, unit_rose(3)).topology_visits
         assert visits > 3
         assert counts["graphs"] <= counts["marked"]
+        assert counts["edges"] <= 6 * (counts["marked"] + counts["relengths"])
         assert counts["searches"] <= counts["graphs"]
         assert counts["fractions"] == 0
 
@@ -437,11 +444,11 @@ class TestExpansionProbe:
             ]
             assert len(splits) == len(built)
             for (v, moved), h in zip(splits, built):
-                edges, _ = _split_parts(c, v, new_v, new_e, moved)
+                shape, _ = _split_parts(c, v, new_v, new_e, moved)
                 for a, cv, turn in zip(atoms, counts, turns):
                     # old edges keep their counts; the fresh edge counts the
                     # loop's turns at v between the two sides
-                    rule = _expansion_cost(cv, turn.get(v, []), edges, new_e, moved)
+                    rule = _expansion_cost(cv, turn.get(v, []), shape, new_e, moved)
                     assert rule == [crossing_vector(h, a)[e.id] for e in h.edges]
                     triples += 1
             # the probes' keys and least vertices are the built graphs'

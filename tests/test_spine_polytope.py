@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from outerspine import RationalCurrent, axis, jsonio, minima, rose, sampling
-from outerspine.graphs import _topology_key, expansions
+from outerspine.graphs import expansions
 from outerspine.minima import _least_vertex, _objective, _read_off, _vertices
 from outerspine.simplex import Infeasible, solve_lp
 from outerspine.words import Word
@@ -128,8 +128,8 @@ def seeded_regions(rank, seed):
     for g in sampling.spine_points(rank, 0.05, seed, 2):
         t = g._topo.graph
         yield g._topo.key, t.rows
-        for v, moved, edges, marking, at in bare_splits(g):
-            yield _topology_key(rank, edges, g.basepoint, marking), t.split_rows(v, moved, at)
+        for v, moved, shape, marking, at in bare_splits(g):
+            yield (rank, shape, g.basepoint, marking), t.split_rows(v, moved, at)
 
 
 @given(

@@ -5,10 +5,10 @@ tests imported can hide a command's missing import.  Here every run starts
 a new interpreter: each subcommand's own golden case (the one named after
 it) must replay in its human form, and one case in the ``--json`` and the
 ``--csv`` form, whose renderers import on their own; ``--help`` must
-import none of the package's other modules, and ``iwip`` none of the LP,
-sampling or diagnostics layers.  A fresh interpreter can also run under a
-memory limit: far ``tau`` powers, repeated ones too, must finish, or exit
-2, in 2 GB.
+import none of the package's other modules, ``iwip`` none of the LP,
+sampling or diagnostics layers, and no command ``dataclasses``.  A fresh
+interpreter can also run under a memory limit: far ``tau`` powers,
+repeated ones too, must finish, or exit 2, in 2 GB.
 """
 
 import json
@@ -42,10 +42,11 @@ def _python(args: list[str], cwd, timeout: float = 60, **kw) -> subprocess.Compl
     )
 
 
-def _imported(args: list[str], cwd) -> set[str]:
-    """Every module ``python -X importtime ARGS`` imports, start-up included."""
+def _imported(args: list[str], cwd, rc: int = 0) -> set[str]:
+    """Every module ``python -X importtime ARGS`` imports, start-up
+    included; the run must exit ``rc``."""
     done = _python(["-X", "importtime", *args], cwd)
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == rc, done.stderr
     lines = [line for line in done.stderr.splitlines() if line.startswith("import time:")]
     return {line.rsplit("|", 1)[1].strip() for line in lines[1:]}
 
@@ -87,6 +88,20 @@ def test_iwip_imports_no_lp_sampler_or_diagnostics(workdir):
     loaded = _imported(["-m", "outerspine.cli", *GOLDENS["iwip"]["argv"], "--json"], workdir)
     layers = {m.split(".", 1)[1] for m in loaded if m.startswith("outerspine.")}
     assert layers & {"minima", "simplex", "sampling", "diagnostics", "lipschitz"} == set()
+
+
+@pytest.mark.parametrize("command", ["iwip", "axis", "ball-contract", "check-contracting"])
+def test_commands_import_no_dataclasses(workdir, command):
+    """The package's records are named tuples and slotted classes, so no
+    command loads ``dataclasses``, nor the ``inspect`` it imports."""
+    golden = GOLDENS[command]
+    before = set(os.listdir(workdir))
+    loaded = _imported(
+        ["-m", "outerspine.cli", *golden["argv"]], workdir, golden["forms"]["human"]["rc"]
+    )
+    for name in set(os.listdir(workdir)) - before:
+        (workdir / name).unlink()
+    assert loaded & {"dataclasses", "inspect"} == set()
 
 
 def test_sample_error_exits_2(workdir):
