@@ -77,22 +77,29 @@ def check_minisline(
     """Two-sided bound 2s - 2 log b <= d_sym(x, y_s) <= 2s + 8 log b + 2 log 2.
 
     x minimizes mu + nu from the unit rose; y_s minimizes e^s mu + e^-s nu,
-    walked over ``s_list`` in turn from x.  Parameters are taken at |s|
+    each distinct s walked once from x as ``axis`` walks (nonnegative s up,
+    negative s down); rows follow ``s_list``.  Parameters are taken at |s|
     since the pairing sum is symmetric under (s, mu, nu) -> (-s, nu, mu).
     """
     if not 1 <= b < math.inf:
         raise ValueError(f"b must be finite and at least 1, not {b}")
     if not s_list:
         raise ValueError("need at least one s to check")
+    if not all(map(math.isfinite, s_list)):
+        raise ValueError("every s must be finite")
     x = minimize(add(mu, nu), eps, unit_rose(mu.rank), budget).point
+    up = sorted({s for s in s_list if s >= 0})
+    down = sorted({s for s in s_list if s < 0}, reverse=True)
+    walked = _walk(mu, nu, up, eps, x, budget) + _walk(mu, nu, down, eps, x, budget)
+    distance = {s: d_sym(x, y) for s, y, _ in walked}
     rows = tuple(
         MinislineRow(
             s=s,
-            distance=d_sym(x, y),
+            distance=distance[s],
             lower=2 * abs(s) - 2 * math.log(b),
             upper=2 * abs(s) + 8 * math.log(b) + 2 * math.log(2),
         )
-        for s, y, _ in _walk(mu, nu, s_list, eps, x, budget)
+        for s in s_list
     )
     return MinislineReport(b=b, rows=rows, eps=eps)
 

@@ -14,9 +14,10 @@ returns ``x_k`` on the marking loop of ``x_k``.  The homotopy inverse is
 defined only up to homotopy, so the comarking is fixed only up to gauge: a
 word ``h`` at a non-base vertex, appended to the words of the edges that
 enter it and prepended inverted to those that leave it, changes no based
-loop's reading.  Validation checks the read-back on every generator; with
-Betti number = rank this makes the read-back map onto F_rank, hence (free
-groups being Hopfian) an isomorphism; nothing more needs checking.
+loop's reading.  Validation derives a comarking that reads every
+generator back; with Betti number = rank this makes the read-back map onto
+F_rank, hence (free groups being Hopfian) an isomorphism, and the
+derivation fails exactly when the marking loops are not a basis.
 
 A point is its edges, lengths, basepoint and marking; the comarking is not
 part of its identity.  Three layers keep combinatorics apart from
@@ -25,21 +26,21 @@ they alone fix: embedded cycles (one search, read as paths, as masks and
 sorted rows, as the lengths the spine test and repair read, and as a
 per-vertex table of the cycles through each vertex with their turns
 there), the rows of every splitting of a vertex (read off that table),
-candidate loop paths, and the spanning tree that validation and the
-graph-file loader share.  The private topology is a marking of it
-(basepoint, marking, comarking, letter paths, the candidates' class words
-and their order) and fixes one simplex of Outer space.  ``edges`` carries
-one point's lengths, which are summed along those cached paths.  Every
-tight loop, of a word or of a candidate's image, is read by
-``_tight_loop``.
-Only the public constructor validates, for graphs that enter from
-outside (``jsonio``, ``rose``, ``collapse_edge``, ``expansions``, library
-callers): it builds a fresh graph and topology and checks both, marking
-read-back included.  ``transform`` and ``_relength`` build from a
-validated source: ``transform`` keeps its graph and is valid by
-construction; ``with_lengths``, ``rescale`` and ``normalize_volume``
-share its topology and check only the lengths (no negative edge,
-positive volume).
+candidate loop paths, and the spanning tree that validation reads.  The
+private topology is a marking of it (basepoint, marking, comarking,
+letter paths, the candidates' class words and their order) and fixes one
+simplex of Outer space.  ``edges`` carries one point's lengths, which are
+summed along those cached paths.  Every tight loop, of a word or of a
+candidate's image, is read by ``_tight_loop``.
+
+Only the public constructor validates, for graphs from outside
+(``jsonio``, ``rose``, library callers): it checks them and derives their
+comarking by folding (``_validate``).  Every move of a validated graph is
+valid by construction and checks only the volume (``_build``):
+``transform`` carries the comarking through its automorphism,
+``collapse_edge`` re-gauges it, ``expansions`` reads the empty word on
+the fresh edge, and ``with_lengths``, ``rescale`` and
+``normalize_volume`` share the topology.
 
 All values are immutable; every operation returns a fresh graph.
 """
@@ -58,6 +59,7 @@ from .words import (
     apply,
     canonical_representative,
     free_reduce,
+    invert_basis,
     spelling_key,
 )
 
@@ -260,7 +262,7 @@ class _Topology:
         self.rank = rank
         self.basepoint = basepoint
         self.marking = tuple(tuple((e, s) for e, s in p) for p in marking)
-        self.comarking = {eid: comarking[eid] for eid in graph.index}
+        self.comarking = comarking
         # the identity of the LP a point poses: everything but lengths
         self.key = (rank, graph.shape, basepoint, self.marking)
 
@@ -275,8 +277,8 @@ class _Topology:
         for eid, s in path:
             w = self.comarking[eid]
             letters.extend(w.letters if s > 0 else (-x for x in reversed(w.letters)))
-        # comarking words are Words of this rank: the constructor checks
-        # them, and a translate's are their images under an automorphism
+        # comarking words are Words of this rank: the constructor derives
+        # them, and every move carries, re-gauges or applies them
         return _reduced_word(self.rank, free_reduce(letters))
 
     @cached_property
@@ -320,16 +322,16 @@ class MarkedGraph:
         edges: Iterable[Edge],
         basepoint: str,
         marking: Sequence[Sequence[OrientedEdge]],
-        comarking: dict[str, Word],
     ):
         edges = tuple(sorted(edges, key=lambda e: e.id))
-        self._init(_Topology(rank, _Graph(_shape(edges)), basepoint, marking, comarking), edges)
-        self._validate()
+        self._init(_validate(rank, edges, basepoint, marking), edges)
 
     def _init(self, topo: _Topology, edges: tuple[Edge, ...]) -> None:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_topo", topo)
         object.__setattr__(self, "_key", None)
+        if self.volume <= 0:
+            raise ValueError("total volume must be positive")
 
     def __setattr__(self, name, value):
         raise AttributeError("MarkedGraph is immutable")
@@ -377,52 +379,6 @@ class MarkedGraph:
             f"vertices={len(self.vertices)}, volume={self.volume:.6g})"
         )
 
-    # -- validation ---------------------------------------------------------
-
-    def _validate(self) -> None:
-        """Check the graph (edges, basepoint, connected, Betti number =
-        rank, valence at least 3, positive volume), the comarking's rank and
-        every marking loop's read-back."""
-        t = self._topo.graph
-        if not self.edges:
-            raise ValueError("graph has no edges")
-        verts = self.vertices
-        if self.basepoint not in t.adj:
-            raise ValueError(f"basepoint {self.basepoint!r} is not a vertex")
-        if len(t.spanning_tree(self.basepoint)[1]) != len(verts):
-            raise ValueError("graph is not connected")
-        betti = len(self.edges) - len(verts) + 1
-        if betti != self.rank:
-            raise ValueError(f"first Betti number {betti} != rank {self.rank}")
-        for v in verts:
-            if self.valence(v) < 3:
-                raise ValueError(f"vertex {v!r} has valence {self.valence(v)} < 3")
-        if self.volume <= 0:
-            raise ValueError("total volume must be positive")
-        if any(w.rank != self.rank for w in self._topo.comarking.values()):
-            raise ValueError(f"comarking words must have rank {self.rank}")
-        if len(self.marking) != self.rank:
-            raise ValueError("marking must have one loop per generator")
-        for k, path in enumerate(self.marking, start=1):
-            if not path:
-                raise ValueError(f"marking of generator {k} is empty")
-            cur = self.basepoint
-            for eid, s in path:
-                ends = t.ends.get(eid)
-                if ends is None or s not in (1, -1):
-                    raise ValueError(f"marking step ({eid!r},{s}) is malformed")
-                start, end = ends if s > 0 else ends[::-1]
-                if start != cur:
-                    raise ValueError(f"marking of generator {k} is not a path")
-                cur = end
-            if cur != self.basepoint:
-                raise ValueError(f"marking of generator {k} is not a loop")
-            got = self.word_along(path)
-            if got.letters != (k,):
-                raise ValueError(
-                    f"marking inconsistency: generator {k} reads back as {got}"
-                )
-
     # -- paths ---------------------------------------------------------------
 
     def word_along(self, path: Sequence[OrientedEdge]) -> Word:
@@ -445,6 +401,63 @@ class MarkedGraph:
         summed in its stored index order."""
         lengths = [e.length for e in self.edges]
         return [LoopPath(path, sum(lengths[i] for i in order)) for path, order, *_ in entries]
+
+
+def _validate(rank: int, edges: tuple[Edge, ...], basepoint: str, marking) -> _Topology:
+    """The checked topology of a graph from outside: edge ids distinct,
+    basepoint a vertex, connected, Betti number = rank, valence at least 3,
+    and each marking path a loop at the basepoint.  The comarking is
+    derived: spanning-tree edges (``_Graph.spanning_tree``) read the empty
+    word; the others, in id order, spell the marking loops in the tree's
+    based-loop basis and read the inverse of those words (``invert_basis``,
+    which certifies the read-back and raises unless they are a basis)."""
+    if not edges:
+        raise ValueError("graph has no edges")
+    for e, f in zip(edges, edges[1:]):
+        if e.id == f.id:
+            raise ValueError(f"edge {e.id!r} is listed twice")
+    t = _Graph(_shape(edges))
+    if basepoint not in t.adj:
+        raise ValueError(f"basepoint {basepoint!r} is not a vertex")
+    tree, reached = t.spanning_tree(basepoint)
+    if len(reached) != len(t.vertices):
+        raise ValueError("graph is not connected")
+    betti = len(edges) - len(t.vertices) + 1
+    if betti != rank:
+        raise ValueError(f"first Betti number {betti} != rank {rank}")
+    for v in t.vertices:
+        if len(t.adj[v]) < 3:
+            raise ValueError(f"vertex {v!r} has valence {len(t.adj[v])} < 3")
+    if len(marking) != rank:
+        raise ValueError("marking must have one loop per generator")
+    for k, path in enumerate(marking, start=1):
+        if not path:
+            raise ValueError(f"marking of generator {k} is empty")
+        cur = basepoint
+        for eid, s in path:
+            ends = t.ends.get(eid)
+            if ends is None or s not in (1, -1):
+                raise ValueError(f"marking step ({eid!r},{s}) is malformed")
+            start, end = ends if s > 0 else ends[::-1]
+            if start != cur:
+                raise ValueError(f"marking of generator {k} is not a path")
+            cur = end
+        if cur != basepoint:
+            raise ValueError(f"marking of generator {k} is not a loop")
+    letter = {eid: j for j, eid in enumerate((eid for eid in t.index if eid not in tree), 1)}
+    inverse = invert_basis(
+        [Word(rank, [letter[eid] * s for eid, s in path if eid in letter]) for path in marking]
+    )
+    empty = Word(rank)
+    comarking = {eid: inverse[letter[eid] - 1] if eid in letter else empty for eid in t.index}
+    return _Topology(rank, t, basepoint, marking, comarking)
+
+
+def _build(topo: _Topology, edges: tuple[Edge, ...]) -> MarkedGraph:
+    """A move's graph, valid by construction: only its volume is checked."""
+    g = object.__new__(MarkedGraph)
+    g._init(topo, edges)
+    return g
 
 
 def translation_length(g: MarkedGraph, w: Word) -> tuple[float, LoopPath]:
@@ -653,14 +666,10 @@ def _connecting_arcs(t: _Graph, va: set[str], vb: set[str]):
 def _relength(g: MarkedGraph, lengths: Iterable[float]) -> MarkedGraph:
     """The point of ``g``'s simplex with these lengths, in edge order.
 
-    The topology is shared, not rebuilt: it was validated when ``g`` was
-    constructed, and lengths can only break the edge and volume bounds.
+    The topology is shared, not rebuilt: lengths can only break the edge
+    and volume bounds.
     """
-    h = object.__new__(MarkedGraph)
-    h._init(g._topo, tuple(Edge(e.id, e.src, e.dst, x) for e, x in zip(g.edges, lengths)))
-    if h.volume <= 0:
-        raise ValueError("total volume must be positive")
-    return h
+    return _build(g._topo, tuple(Edge(e.id, e.src, e.dst, x) for e, x in zip(g.edges, lengths)))
 
 
 def rescale(g: MarkedGraph, c: float) -> MarkedGraph:
@@ -690,6 +699,8 @@ def collapse_edge(g: MarkedGraph, eid: str) -> MarkedGraph:
     comarking is first re-gauged at its non-base end (by ``w^-1`` at the
     head, or ``w`` at the tail when the head is the basepoint): entering
     edges read ``u h``, leaving edges ``h^-1 u``, and the edge reads empty.
+    Every based loop reads as before, so the collapse is valid by
+    construction and not validated again.
     """
     e = g.edge(eid)
     if e.src == e.dst:
@@ -707,13 +718,10 @@ def collapse_edge(g: MarkedGraph, eid: str) -> MarkedGraph:
     del comarking[eid]
     keep, drop = sorted((e.src, e.dst))
     ren = lambda x: keep if x == drop else x
-    edges = [
-        Edge(f.id, ren(f.src), ren(f.dst), f.length)
-        for f in g.edges
-        if f.id != eid
-    ]
+    edges = tuple(Edge(f.id, ren(f.src), ren(f.dst), f.length) for f in g.edges if f.id != eid)
     marking = [tuple(step for step in path if step[0] != eid) for path in g.marking]
-    return MarkedGraph(g.rank, edges, ren(g.basepoint), marking, comarking)
+    topo = _Topology(g.rank, _Graph(_shape(edges)), ren(g.basepoint), marking, comarking)
+    return _build(topo, edges)
 
 
 def _fresh_names(g: MarkedGraph) -> tuple[str, str]:
@@ -734,7 +742,8 @@ def expansions(g: MarkedGraph, v: str) -> list[MarkedGraph]:
     One graph per partition of the edge ends at ``v`` into two sides of size
     at least two (each side below that would create a forbidden low-valence
     vertex), in ``_partitions`` order.  Collapsing the fresh edge recovers
-    ``g`` exactly.
+    ``g`` exactly.  Each keeps ``g``'s comarking, the fresh edge reading
+    the empty word, so it is valid by construction and not validated again.
     """
     new_v, new_e = _fresh_names(g)
     return [_split(g, v, new_v, new_e, moved) for moved in _partitions(g, v)]
@@ -797,8 +806,8 @@ def _split(g: MarkedGraph, v: str, new_v: str, new_e: str, moved: set[tuple[str,
     lengths[new_e] = 0.0
     comarking = dict(g._topo.comarking)
     comarking[new_e] = Word(g.rank)
-    edges = [Edge(eid, src, dst, lengths[eid]) for eid, src, dst in shape]
-    return MarkedGraph(g.rank, edges, g.basepoint, marking, comarking)
+    edges = tuple(Edge(eid, src, dst, lengths[eid]) for eid, src, dst in shape)
+    return _build(_Topology(g.rank, _Graph(shape), g.basepoint, marking, comarking), edges)
 
 
 def collapse_zero_edges(g: MarkedGraph) -> MarkedGraph:
@@ -830,9 +839,7 @@ def transform(g: MarkedGraph, phi) -> MarkedGraph:
         raise ValueError(f"rank mismatch: {phi.rank} != {g.rank}")
     marking = [g.path_of(_reduced_word(g.rank, img)) for img in phi.inverse_images]
     comarking = {e.id: apply(phi, g.comarking_word(e.id)) for e in g.edges}
-    h = object.__new__(MarkedGraph)
-    h._init(_Topology(g.rank, g._topo.graph, g.basepoint, marking, comarking), g.edges)
-    return h
+    return _build(_Topology(g.rank, g._topo.graph, g.basepoint, marking, comarking), g.edges)
 
 
 # -- builders ---------------------------------------------------------------------
@@ -844,8 +851,7 @@ def rose(lengths: Sequence[float]) -> MarkedGraph:
     names = "abcd"[:rank]
     edges = [Edge(names[i], "v", "v", float(lengths[i])) for i in range(rank)]
     marking = [((names[i], 1),) for i in range(rank)]
-    comarking = {names[i]: Word(rank, (i + 1,)) for i in range(rank)}
-    return MarkedGraph(rank, edges, "v", marking, comarking)
+    return MarkedGraph(rank, edges, "v", marking)
 
 
 def unit_rose(rank: int = 3) -> MarkedGraph:

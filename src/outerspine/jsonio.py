@@ -4,12 +4,10 @@ Graph files carry rank, vertices, edges (id/from/to/length), basepoint and
 the marking as oriented-edge strings ("e1+", "e2-"): everything that
 identifies a point, so a saved and reloaded graph equals the original.  The
 comarking is not stored, since the marking fixes it up to gauge.  The
-loader builds one by expressing each marking loop in the based-loop basis
-of the unmarked graph's spanning tree (``_Graph.spanning_tree``:
-breadth-first from the basepoint, edges in id order, so deterministic in
-the file) and inverting that basis exactly by Stallings folding
-(words.invert_basis, no search budget); the graph constructor then
-verifies it exactly.
+loader checks what only a file can get wrong (JSON types, generator
+names, edges the marking steps on, the vertex list) and hands the rest to
+the graph constructor, which checks the graph and derives the comarking
+exactly (``graphs._validate``).
 
 Edge lengths are written as their shortest float form, which reads back
 bit-exactly; the loader also accepts numbers and decimal strings.
@@ -22,16 +20,14 @@ import math
 from typing import Any
 
 from .currents import RationalCurrent
-from .graphs import Edge, MarkedGraph, OrientedEdge, _Graph, _shape
+from .graphs import Edge, MarkedGraph, OrientedEdge
 from .words import (
     _LETTER_NAMES,
     Automorphism,
     NielsenMove,
-    Word,
     _check_rank,
     _reduced_word,
     format_word,
-    invert_basis,
     parse_word,
 )
 
@@ -101,10 +97,13 @@ def graph_from_obj(data: dict) -> MarkedGraph:
         edges.append(Edge(*ends, float(raw)))
     basepoint = _typed(data["basepoint"], (str,), "'basepoint'")
     marking = _typed(data["marking"], (dict,), "'marking'")
+    names = tuple(_LETTER_NAMES[:rank])
+    for name in marking:
+        if name not in names:
+            raise ValueError(f"marking key {name!r} is not a generator of rank {rank}")
     ids = {e.id for e in edges}
     marking_paths = []
-    for k in range(rank):
-        name = _LETTER_NAMES[k]
+    for name in names:
         if name not in marking:
             raise ValueError(f"marking lacks generator {name!r}")
         path = _typed(marking[name], (list,), f"marking of {name!r}")
@@ -117,31 +116,9 @@ def graph_from_obj(data: dict) -> MarkedGraph:
         _typed(v, (str,), "vertex")
         for v in _typed(data.get("vertices", []), (list,), "'vertices'")
     }
-    touched = {e.src for e in edges} | {e.dst for e in edges}
-    if declared and declared != touched:
+    if declared and declared != {e.src for e in edges} | {e.dst for e in edges}:
         raise ValueError("vertex list disagrees with edge endpoints")
-    if basepoint not in touched:
-        raise ValueError(f"basepoint {basepoint!r} is not a vertex")
-
-    tree, reached = _Graph(_shape(edges)).spanning_tree(basepoint)
-    if len(reached) != len(touched):
-        raise ValueError("graph is not connected")
-
-    # express each marking loop in the based-loop basis of the non-tree edges
-    nontree = sorted(e.id for e in edges if e.id not in tree)
-    if len(nontree) != rank:
-        raise ValueError(
-            f"first Betti number {len(nontree)} does not match rank {rank}"
-        )
-    index = {eid: j + 1 for j, eid in enumerate(nontree)}
-    basis_words = [
-        Word(rank, [index[eid] * s for eid, s in path if eid in index]) for path in marking_paths
-    ]
-
-    inverse = invert_basis(basis_words)  # raises if the marking is no basis
-    comarking = {eid: Word(rank) for eid in tree} | dict(zip(nontree, inverse))
-
-    return MarkedGraph(rank, edges, basepoint, marking_paths, comarking)
+    return MarkedGraph(rank, edges, basepoint, marking_paths)
 
 
 def dump_graph(g: MarkedGraph, path: str) -> None:

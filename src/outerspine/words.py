@@ -349,7 +349,9 @@ class Automorphism:
     ``invert_basis``) certify it; ``compose`` (both sides), ``invert`` (a
     swap, no word work) and ``power`` preserve it; ``jsonio`` builds only
     through the two certifying constructors; ``graphs.transform`` relies
-    on it to skip its marking read-back.  ``moves`` is the optional Nielsen
+    on it to carry a validated graph's comarking to a translate that is
+    valid by construction, as every move of a validated graph is, and
+    never validated.  ``moves`` is the optional Nielsen
     factorization that JSON writes; ``compose`` and ``invert`` keep it when
     their inputs have one.
 

@@ -4,7 +4,6 @@ bare splits, that only the tests use."""
 from typing import Sequence
 
 from outerspine.graphs import Edge, MarkedGraph, _fresh_names, _partitions, _split_parts
-from outerspine.words import Word
 
 
 def parallel_graph(lengths: Sequence[float]) -> MarkedGraph:
@@ -16,10 +15,7 @@ def parallel_graph(lengths: Sequence[float]) -> MarkedGraph:
     rank = m - 1
     edges = [Edge(f"e{i+1}", "u", "w", float(lengths[i])) for i in range(m)]
     marking = [((f"e{k+1}", 1), ("e1", -1)) for k in range(1, rank + 1)]
-    comarking = {"e1": Word(rank)}
-    for k in range(1, rank + 1):
-        comarking[f"e{k+1}"] = Word(rank, (k,))
-    return MarkedGraph(rank, edges, "u", marking, comarking)
+    return MarkedGraph(rank, edges, "u", marking)
 
 
 def cycle_rows(g: MarkedGraph) -> list[tuple[int, ...]]:

@@ -100,6 +100,28 @@ def test_tied_golden_prints_a_tie_break():
     assert dots.count(min(dots)) > 1
 
 
+def test_check_minisline_walks_each_distinct_s_once(capsys, monkeypatch):
+    """A list that swings across the axis and repeats itself walks each
+    distinct s once: one descent for x and one each for s = 1 and s = -1,
+    where walking the list in turn made five.  The rows still follow the
+    list."""
+    calls = []
+    minimize = minima.minimize
+
+    def counted(*args):
+        calls.append(args)
+        return minimize(*args)
+
+    monkeypatch.setattr(minima, "minimize", counted)
+    monkeypatch.setattr(diagnostics, "minimize", counted)
+    argv = ["check-minisline", *MU_NU, "--b", "500", "--s-list", "1,-1,1,-1", "--json"]
+    assert cli.main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["s"] for row in rows] == [1, -1, 1, -1]
+    assert rows[:2] == rows[2:]
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -117,6 +139,7 @@ def test_tied_golden_prints_a_tie_break():
         ["axis", *MU_NU, "--from", "0", "--to", "1e12", "--step", "1"],
         ["min", *MU_NU, "--s", "1000"],
         ["check-minisline", *MU_NU, "--b", "nan"],
+        ["check-minisline", *MU_NU, "--b", "2", "--s-list", "1,nan"],
         ["check-contracting", *MU_NU, "--b", "nan"],
         ["check-contracting", *MU_NU, "--fit-scale", "nan"],
         ["check-contracting", *MU_NU, "--b", "2", "--s-max", "inf"],
@@ -147,6 +170,7 @@ def test_tied_golden_prints_a_tie_break():
         "axis-huge-grid",
         "min-exp-overflow",
         "minisline-nan-b",
+        "minisline-nan-s",
         "contracting-nan-b",
         "contracting-nan-fit-scale",
         "contracting-inf-s-max",

@@ -65,6 +65,10 @@ def tl(g, text):
     return translation_length(g, parse_word(text, 3))[0]
 
 
+def refuse_validation(*args):
+    raise AssertionError("a move of a validated graph was validated")
+
+
 @st.composite
 def automorphisms(draw, rank):
     """A random Nielsen product, or one of its powers (|k| <= 2), its
@@ -261,7 +265,6 @@ class TestCandidates:
             ],
             "u",
             [(("p", 1),), (("m", 1), ("q", 1), ("m", -1))],
-            {"p": Word(2, (1,)), "q": Word(2, (2,)), "m": Word(2)},
         )
         shapes = [crossing_vector(g, w)["m"] for _, w in candidates(g)]
         assert 2 in shapes
@@ -348,7 +351,6 @@ class TestCollapseExpand:
             ],
             "u",
             [(("p", 1),), (("m", 1), ("q", 1), ("m", -1))],
-            {"p": Word(2, (1,)), "q": Word(2, (2,)), "m": Word(2)},
         )
 
     def test_collapse_arc_gives_rose_shape(self):
@@ -384,7 +386,6 @@ class TestCollapseExpand:
                 g.edges,
                 "w",
                 [(("e1", -1), (f"e{k + 1}", 1)) for k in range(1, g.rank + 1)],
-                {e.id: g.comarking_word(e.id) for e in g.edges},
             )
         assert g.comarking_word("e2") == Word(3, (1,))
         h = collapse_edge(g, "e2")
@@ -430,8 +431,12 @@ class TestMarkingConsistency:
                 [Edge("a", "v", "v", 1 / 3), Edge("b", "v", "v", 1 / 3), Edge("c", "v", "v", 1 / 3)],
                 "v",
                 [(("a", 1),), (("b", 1),), (("b", 1),)],  # c missing
-                {"a": Word(3, (1,)), "b": Word(3, (2,)), "c": Word(3, (3,))},
             )
+
+    def test_rejects_a_repeated_edge_by_name(self):
+        edges = [Edge(k, "v", "v", 0.25) for k in "abca"]
+        with pytest.raises(ValueError, match="edge 'a' is listed twice"):
+            MarkedGraph(3, edges, "v", [((k, 1),) for k in "abc"])
 
     def test_transform_preserves_systole(self):
         rng = random.Random(8)
@@ -455,23 +460,18 @@ class TestMarkingConsistency:
         psis = elementary_automorphisms(3)[:6]
         for psi in psis:
             h = transform(g, psi)
-            comarking = {e.id: h.comarking_word(e.id) for e in h.edges}
             m = list(h.marking)
-            for bad in (
-                [m[1], m[0], m[2]],  # generators swapped: read-back fails
-                [m[0] + m[1], m[1], m[2]],  # reads x_1 x_2
-                [m[0][:-1], m[1], m[2]],  # not a loop
-                m[:2],  # a generator missing
+            for bad, why in (
+                ([m[0], m[1], m[1]], "basis"),  # x_2 twice, x_3 never
+                ([m[0][:-1], m[1], m[2]], "not a loop"),
+                (m[:2], "one loop per generator"),
             ):
-                with pytest.raises(ValueError):
-                    MarkedGraph(3, h.edges, h.basepoint, bad, comarking)
+                with pytest.raises(ValueError, match=why):
+                    MarkedGraph(3, h.edges, h.basepoint, bad)
             with pytest.raises(ValueError, match="basepoint"):
-                MarkedGraph(3, h.edges, "nowhere", m, comarking)
+                MarkedGraph(3, h.edges, "nowhere", m)
 
-        def fail(self):
-            raise AssertionError("a translate was validated")
-
-        monkeypatch.setattr(MarkedGraph, "_validate", fail)
+        monkeypatch.setattr("outerspine.graphs._validate", refuse_validation)
         for psi in psis:
             assert o_marking_reads_back(transform(g, psi))
 
@@ -486,8 +486,27 @@ class TestMarkingConsistency:
         for _ in range(2):
             h = transform(h, data.draw(automorphisms(rank)))
             assert o_marking_reads_back(h)
-            comarking = {e.id: h.comarking_word(e.id) for e in h.edges}
-            assert MarkedGraph(rank, h.edges, h.basepoint, h.marking, comarking) == h
+            assert MarkedGraph(rank, h.edges, h.basepoint, h.marking) == h
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([3, 4]), st.integers(0, 5), st.data())
+    def test_every_move_is_valid_by_construction(self, rank, i, data):
+        """Every splitting of a vertex of valence at least 4 and every
+        collapse of a non-loop edge, of a translate of a seeded spine point
+        and of each of its splittings, made with validation patched to
+        raise: each reads its marking back (the oracle) and equals the
+        public rebuild from its edges, basepoint and marking."""
+        h = transform(spine_points(rank, 0.05, seed=rank, n=6)[i], data.draw(automorphisms(rank)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("outerspine.graphs._validate", refuse_validation)
+            moved = [x for v in h.vertices if h.valence(v) >= 4 for x in expansions(h, v)]
+            moved += [
+                collapse_edge(x, e.id) for x in [h, *moved] for e in x.edges if e.src != e.dst
+            ]
+        assert moved
+        for x in moved:
+            assert o_marking_reads_back(x)
+            assert MarkedGraph(rank, x.edges, x.basepoint, x.marking).key() == x.key()
 
     @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_translate_marks_each_generator_by_its_inverse_image(self, rank):
@@ -501,13 +520,6 @@ class TestMarkingConsistency:
             assert list(transform(g, phi).marking) == want
         with pytest.raises(ValueError, match="rank mismatch"):
             transform(g, random_automorphism(rng, 2 if rank == 3 else 3, 2))
-
-    def test_comarking_words_must_have_the_rank(self):
-        g = rose([0.5, 0.3, 0.2])
-        comarking = {e.id: g.comarking_word(e.id) for e in g.edges}
-        comarking["c"] = Word(4, (3, 4, -4))
-        with pytest.raises(ValueError, match="rank"):
-            MarkedGraph(3, g.edges, g.basepoint, g.marking, comarking)
 
     def test_transform_moves_lengths_of_words(self):
         from outerspine import Automorphism, NielsenMove, invert
@@ -535,7 +547,6 @@ class TestRelength:
             [Edge(e.id, e.src, e.dst, lengths[e.id]) for e in g.edges],
             g.basepoint,
             g.marking,
-            {e.id: g.comarking_word(e.id) for e in g.edges},
         )
         assert moved.key() == fresh.key()
         assert embedded_cycles(moved) == embedded_cycles(fresh)

@@ -1,6 +1,8 @@
 """JSON input files through ``cli.main``: exit codes and error lines; and
 round trips of graphs and automorphisms through their JSON objects."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -118,8 +120,16 @@ def test_wrong_inner_type_exits_2(tmp_path, capsys, obj, argv):
         ),
         (RANK5, "error: rank must be between 2 and 4, got 5\n"),
         ({**GRAPH, "rank": 1}, "error: rank must be between 2 and 4, got 1\n"),
+        (
+            {**GRAPH, "edges": GRAPH["edges"] + GRAPH["edges"][:1]},
+            "error: edge 'a' is listed twice\n",
+        ),
+        (
+            {**GRAPH, "marking": {**GRAPH["marking"], "d": ["a+"]}},
+            "error: marking key 'd' is not a generator of rank 3\n",
+        ),
     ],
-    ids=["basepoint", "marking-edge", "rank-five", "rank-one"],
+    ids=["basepoint", "marking-edge", "rank-five", "rank-one", "repeated-edge", "marking-key"],
 )
 def test_graph_names_what_is_wrong(tmp_path, capsys, obj, message):
     assert run(tmp_path, capsys, obj, ["systole", "--graph", "INPUT"]) == (2, message)
@@ -153,6 +163,95 @@ def test_non_finite_number_exits_2(tmp_path, capsys, obj, argv):
     rc, err = run(tmp_path, capsys, obj, argv)
     assert rc == 2
     assert_one_error_line(err)
+
+
+def _drop(key):
+    return lambda g: {k: v for k, v in g.items() if k != key}
+
+
+def _set(key, value):
+    return lambda g: {**g, key: value}
+
+
+def _first_edge(edit):
+    return lambda g: {**g, "edges": [edit(g["edges"][0]), *g["edges"][1:]]}
+
+
+def _marking(**paths):
+    return lambda g: {**g, "marking": {**g["marking"], **paths}}
+
+
+def _subdivide(g):
+    """Edge a, a loop at v, as a+ then a new edge a2 through a valence-2 w."""
+    a = g["edges"][0]
+    edges = [{**a, "to": "w"}, {**a, "id": "a2", "from": "w"}, *g["edges"][1:]]
+    marking = {**g["marking"], "a": ["a+", "a2+"]}
+    return {**g, "edges": edges, "marking": marking, "vertices": ["v", "w"]}
+
+
+def _island(g):
+    """One more edge, a loop at a vertex x that nothing else reaches."""
+    edges = [*g["edges"], {"id": "z", "from": "x", "to": "x", "length": "0.5"}]
+    return {**g, "edges": edges, "vertices": ["v", "x"]}
+
+
+GRAPH_MUTATIONS = {
+    **{f"drop-{key}": _drop(key) for key in ("rank", "edges", "basepoint", "marking")},
+    **{f"drop-edge-{key}": _first_edge(_drop(key)) for key in ("id", "from", "to", "length")},
+    "type-rank": _set("rank", [3]),
+    "type-edges": _set("edges", {"a": 1}),
+    "type-basepoint": _set("basepoint", 1),
+    "type-marking": _set("marking", [["a+"]]),
+    "type-vertices": _set("vertices", "v"),
+    "type-edge-id": _first_edge(_set("id", 1)),
+    "type-edge-to": _first_edge(_set("to", ["v"])),
+    "type-edge-length": _first_edge(_set("length", [1])),
+    "type-marking-path": _marking(a="a+"),
+    "rank-down": lambda g: {**g, "rank": g["rank"] - 1},
+    "rank-up": lambda g: {**g, "rank": g["rank"] + 1},
+    "repeated-edge": lambda g: {**g, "edges": [*g["edges"], g["edges"][0]]},
+    "unknown-edge": _marking(b=["b+", "z+"]),
+    "loop-twice": lambda g: _marking(c=g["marking"]["b"])(g),
+    "valence-two": _subdivide,
+    "disconnected": _island,
+    "negative-length": _first_edge(_set("length", "-0.5")),
+    "nan-length": _first_edge(_set("length", "nan")),
+    "inf-length": _first_edge(_set("length", "inf")),
+}
+GRAPH_FILES = {name: os.path.join(DATA, name) for name in ("rose3.json", "rose_half_quarter.json")}
+GRAPH_COMMANDS = {
+    "systole": ["systole", "--graph", "INPUT"],
+    "dist-from": ["dist", "--from", "INPUT", "--to", ROSE],
+    "dist-to": ["dist", "--from", ROSE, "--to", "INPUT", "--sym"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(GRAPH_COMMANDS))
+@pytest.mark.parametrize("mutation", sorted(GRAPH_MUTATIONS))
+@pytest.mark.parametrize("base", sorted(GRAPH_FILES))
+def test_malformed_graph_file_exits_2(tmp_path, capsys, base, mutation, command):
+    """Each bundled rose, broken one way: it exits 2 with one error line
+    and no traceback, wherever a graph file is read."""
+    with open(GRAPH_FILES[base]) as fh:
+        obj = GRAPH_MUTATIONS[mutation](json.load(fh))
+    rc, err = run(tmp_path, capsys, obj, GRAPH_COMMANDS[command])
+    assert rc == 2
+    assert_one_error_line(err)
+
+
+@given(st.sampled_from(sorted(GRAPH_FILES)), st.sampled_from(sorted(GRAPH_COMMANDS)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_truncated_graph_file_exits_2(tmp_path_factory, base, command, data):
+    """Every proper prefix of a bundled rose's text is malformed JSON."""
+    with open(GRAPH_FILES[base]) as fh:
+        text = fh.read().rstrip()
+    path = tmp_path_factory.mktemp("cut") / "input.json"
+    path.write_text(text[: data.draw(st.integers(0, len(text) - 1))])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main([str(path) if a == "INPUT" else a for a in GRAPH_COMMANDS[command]])
+    assert rc == 2
+    assert_one_error_line(err.getvalue())
 
 
 def test_non_basis_images_exit_2(tmp_path, capsys):
@@ -225,11 +324,11 @@ def test_seeded_graphs_round_trip_equal():
 
 
 def test_spanning_tree_is_the_loaders_own_bfs_tree():
-    """The loader's comarking is read off ``_Graph.spanning_tree``; graph
-    equality ignores the comarking, so the round trips above cannot tell
-    another tree apart.  Checked against the breadth-first tree the
-    loader grew on its own adjacency list, on the bundled graphs and the
-    seeded graphs of the round trips (a transform shares its source's
+    """A loaded graph's comarking is read off ``_Graph.spanning_tree`` by
+    the graph constructor; graph equality ignores the comarking, so the
+    round trips above cannot tell another tree apart.  Checked against the
+    oracle's breadth-first tree (``o_bfs_tree``) on the bundled graphs, on
+    the seeded graphs of the round trips (a transform shares its source's
     graph), and on a graph in two pieces."""
     graphs = [jsonio.load_graph(os.path.join(DATA, f)) for f in ("rose3.json", "rose_half_quarter.json")]
     for seed in range(6):

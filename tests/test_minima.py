@@ -167,7 +167,6 @@ class TestMinOnTopology:
             tuple(reversed(g.edges)),
             g.basepoint,
             g.marking,
-            {e.id: g.comarking_word(e.id) for e in g.edges},
         )
         cur = add(dual(w("a b")), dual(w("c"), 0.5))
         assert (
@@ -372,14 +371,15 @@ class TestMinimize:
 
     def test_probes_build_no_graph_and_no_fraction(self, monkeypatch):
         """Probes construct no unmarked graph and run no cycle search: an
-        expansion's rows are read off its carrier's cycles, so a graph is
-        constructed only inside ``MarkedGraph``'s constructor and searched
-        at most once.  Nor do they build an ``Edge``: an expansion is keyed
-        by its shape, so edges are made only for a graph built or
-        relengthed, at most 6 (a rank-3 graph's most) for each.  Every
-        least vertex is read in integers, with no ``Fraction``."""
+        expansion's rows are read off its carrier's cycles, so an unmarked
+        graph is constructed only for a marked graph built, by the public
+        constructor or by a topology move (a collapse or a splitting), and
+        searched at most once.  Nor do they build an ``Edge``: an
+        expansion is keyed by its shape, so edges are made only for a graph
+        built or relengthed, at most 6 (a rank-3 graph's most) for each.
+        Every least vertex is read in integers, with no ``Fraction``."""
         counts = dict.fromkeys(
-            ("graphs", "marked", "relengths", "edges", "searches", "fractions"), 0
+            ("graphs", "built", "relengths", "edges", "searches", "fractions"), 0
         )
 
         def counting(name, f):
@@ -391,8 +391,10 @@ class TestMinimize:
 
         monkeypatch.setattr(graphs._Graph, "__init__", counting("graphs", graphs._Graph.__init__))
         monkeypatch.setattr(
-            graphs.MarkedGraph, "__init__", counting("marked", graphs.MarkedGraph.__init__)
+            graphs.MarkedGraph, "__init__", counting("built", graphs.MarkedGraph.__init__)
         )
+        monkeypatch.setattr(graphs, "collapse_edge", counting("built", graphs.collapse_edge))
+        monkeypatch.setattr(minima, "_split", counting("built", minima._split))
         monkeypatch.setattr(graphs, "_relength", counting("relengths", graphs._relength))
         monkeypatch.setattr(graphs, "Edge", counting("edges", graphs.Edge))
         monkeypatch.setattr(graphs, "_cycle_paths", counting("searches", graphs._cycle_paths))
@@ -404,8 +406,8 @@ class TestMinimize:
             # with its construction
             visits += minimize(exp_combination(mu, nu, s), 0.05, unit_rose(3)).topology_visits
         assert visits > 3
-        assert counts["graphs"] <= counts["marked"]
-        assert counts["edges"] <= 6 * (counts["marked"] + counts["relengths"])
+        assert counts["graphs"] <= counts["built"]
+        assert counts["edges"] <= 6 * (counts["built"] + counts["relengths"])
         assert counts["searches"] <= counts["graphs"]
         assert counts["fractions"] == 0
 

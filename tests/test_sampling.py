@@ -139,14 +139,16 @@ class TestRepair:
 class TestRandomExpansion:
     def test_builds_only_the_split_it_draws(self, monkeypatch):
         points = spine_points(3, EPS, 2, 8) + spine_points(4, EPS, 2, 8)
+        # every graph built, by the public constructor or by a move, builds
+        # its unmarked graph; relengthing shares it
         built = []
-        init = graphs.MarkedGraph.__init__
+        init = graphs._Graph.__init__
 
         def counted(self, *args, **kw):
             built.append(1)
             init(self, *args, **kw)
 
-        monkeypatch.setattr(graphs.MarkedGraph, "__init__", counted)
+        monkeypatch.setattr(graphs._Graph, "__init__", counted)
         rng = random.Random(4)
         expanded = 0
         for g in points:
