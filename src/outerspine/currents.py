@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
-from .graphs import MarkedGraph, translation_length, unit_rose
+from .graphs import MarkedGraph, unit_rose
 from .words import (
     MAX_POWER,
     Automorphism,
@@ -147,12 +147,13 @@ def exp_combination(mu: RationalCurrent, nu: RationalCurrent, s: float) -> Ratio
 
 def pairing(tree: MarkedGraph, nu: RationalCurrent) -> float:
     """Length pairing: weighted sum of translation lengths of the atoms,
-    each the length of the atom's loop on the tree (``loop_of``)."""
+    each the length of the atom's loop on the tree (``length_of``, which
+    builds no loop on a rose marked by its petals)."""
     if tree.rank != nu.rank:
         raise ValueError("rank mismatch")
     out = 0.0
     for letters, weight in nu.atoms:
-        out += weight * tree.loop_of(_reduced_word(nu.rank, letters)).length
+        out += weight * tree.length_of(_reduced_word(nu.rank, letters))
     return out
 
 
@@ -208,7 +209,9 @@ def iwip_pair_approx(
     Iterates seed -> phi(seed) (cyclically reduced each step, since only the
     conjugacy class matters) and the same for the inverse; lambda estimates
     are length ratios on ``base`` (default: unit rose of the right rank), so
-    an iterate of length 0 on ``base`` is a ValueError.
+    an iterate of length 0 on ``base`` is a ValueError.  Each length is read
+    by ``length_of``: on a rose marked by its petals, the default base
+    among them, it counts the iterate's letters and builds no loop.
     """
     if not 0 <= k <= MAX_POWER:
         raise ValueError(f"k must be in 0..{MAX_POWER}, got {k}")
@@ -216,10 +219,12 @@ def iwip_pair_approx(
         raise ValueError("seed must be nontrivial")
     if base is None:
         base = unit_rose(phi.rank)
+    if seed.rank != base.rank:
+        raise ValueError(f"rank mismatch: {seed.rank} != {base.rank}")
     inv = invert(phi)
 
     def length(w: Word) -> float:
-        value = translation_length(base, w)[0]
+        value = base.length_of(w)
         if value == 0:
             raise ValueError("an iterate of the seed has length 0 on the base graph")
         return value

@@ -535,9 +535,10 @@ def _ray(
 
 
 def _close(p: MarkedGraph, q: MarkedGraph, c: float) -> bool:
-    """Whether p and q are within 2c.  A point is at distance 0 from
-    itself: ``d_sym`` rounds that to about 1e-16 on some points, and
-    ``c = 0`` on equal axes needs the 0."""
+    """Whether p and q are within 2c.  Equal points are at distance 0 and
+    are not measured: a power listed twice in ``tau`` overlaps an axis
+    with itself, and measuring a far translate against itself materializes
+    its long edge paths."""
     return (0.0 if p == q else d_sym(p, q)) <= 2 * c
 
 

@@ -26,12 +26,15 @@ they alone fix: embedded cycles (one search, read as paths, as masks and
 sorted rows, as the lengths the spine test and repair read, and as a
 per-vertex table of the cycles through each vertex with their turns
 there), the rows of every splitting of a vertex (read off that table),
-candidate loop paths, and the spanning tree that validation reads.  The
-private topology is a marking of it (basepoint, marking, comarking,
-letter paths, the candidates' class words and their order) and fixes one
-simplex of Outer space.  ``edges`` carries one point's lengths, which are
-summed along those cached paths.  Every tight loop, of a word or of a
-candidate's image, is read by ``_tight_loop``.
+candidate loop paths with their crossing counts, and the spanning tree
+that validation reads.  The private topology is a marking of it
+(basepoint, marking, comarking, letter paths, the candidates' class words
+and their order) and fixes one simplex of Outer space.  ``edges`` carries
+one point's lengths, which are summed along those cached paths.  Every
+tight loop, of a word or of a candidate's image, is read by
+``_tight_loop``; a word's length alone is read without its loop on a
+rose marked by its petals, whose crossing counts are the letter counts of
+the word's cyclic core (``length_of``).
 
 Only the public constructor validates, for graphs from outside
 (``jsonio``, ``rose``, library callers): it checks them and derives their
@@ -58,6 +61,7 @@ from .words import (
     _reduced_word,
     apply,
     canonical_representative,
+    cyclic_reduce,
     free_reduce,
     invert_basis,
     spelling_key,
@@ -230,8 +234,9 @@ class _Graph:
         return [sum(lengths[i] for i in order) for _, order in self._dfs_cycles]
 
     @cached_property
-    def candidates(self) -> list[tuple[tuple[OrientedEdge, ...], tuple[int, ...]]]:
-        """Candidate loop paths (see ``candidates``): (path, edge indices)."""
+    def candidates(self) -> list[tuple[tuple[OrientedEdge, ...], tuple[int, ...], list[int]]]:
+        """Candidate loop paths (see ``candidates``): (path, edge indices,
+        crossing counts in edge order)."""
         return _candidate_paths(self)
 
     def spanning_tree(self, base: str) -> tuple[set[str], set[str]]:
@@ -286,8 +291,29 @@ class _Topology:
         """Each of the graph's candidate paths, by its position there, with
         the class word it reads (``canonical_representative``), sorted by
         word length, then spelling."""
-        words = [canonical_representative(self.word_along(p)) for p, _ in self.graph.candidates]
+        words = [canonical_representative(self.word_along(p)) for p, *_ in self.graph.candidates]
         return sorted(enumerate(words), key=lambda c: (len(c[1]), spelling_key(c[1])))
+
+    @cached_property
+    def petals(self) -> tuple[int, ...] | None:
+        """Each generator's edge index when every marking loop is a single
+        edge, which on a valid graph makes it the rose marked by its
+        petals; else None."""
+        if any(len(p) != 1 for p in self.marking):
+            return None
+        return tuple(self.index[p[0][0]] for p in self.marking)
+
+    def counts_of(self, w: Word) -> list[int]:
+        """How often the tight loop of the class of ``w`` crosses each edge,
+        in edge order (see ``MarkedGraph.length_of``)."""
+        petals = self.petals
+        if petals is None:
+            return _crossings(_tight_loop(self.letter_paths, w.letters), self.index)
+        core = cyclic_reduce(w)[0].letters
+        counts = [0] * len(self.index)
+        for k, e in enumerate(petals, start=1):
+            counts[e] = core.count(k) + core.count(-k)
+        return counts
 
 
 def _crossings(path: Sequence[OrientedEdge], index: dict[str, int]) -> list[int]:
@@ -391,6 +417,22 @@ class MarkedGraph:
         path = _tight_loop(self._topo.letter_paths, w.letters)
         return LoopPath(path, _weigh(_crossings(path, self._topo.index), self.edges))
 
+    def length_of(self, w: Word) -> float:
+        """``loop_of(w).length``, bit for bit: the same crossing counts,
+        weighed in the same edge order, read without building the loop
+        where the marking allows it.
+
+        When every marking loop is a single edge, the letter paths are
+        single distinct petals: the wedge of the marking loops is already
+        folded, so by Stallings folding (Stallings 1983) no junction of
+        letter paths cancels but that of a letter and its inverse.  A
+        reduced word's path is then tight and its cyclic core's path
+        cyclically tight, edge for edge, and petal k is crossed
+        ``core.count(k) + core.count(-k)`` times.  Every other marking
+        reads the counts off ``_tight_loop``.
+        """
+        return _weigh(self._topo.counts_of(w), self.edges)
+
     def path_of(self, w: Word) -> tuple[OrientedEdge, ...]:
         """Tightened based path of ``w`` through the marking (no cyclic move)."""
         table = self._topo.letter_paths
@@ -445,9 +487,16 @@ def _validate(rank: int, edges: tuple[Edge, ...], basepoint: str, marking) -> _T
         if cur != basepoint:
             raise ValueError(f"marking of generator {k} is not a loop")
     letter = {eid: j for j, eid in enumerate((eid for eid in t.index if eid not in tree), 1)}
-    inverse = invert_basis(
-        [Word(rank, [letter[eid] * s for eid, s in path if eid in letter]) for path in marking]
-    )
+    try:
+        inverse = invert_basis(
+            [Word(rank, [letter[eid] * s for eid, s in path if eid in letter]) for path in marking]
+        )
+    except ValueError as err:
+        if not str(err).startswith("words do not form a basis"):
+            raise  # a folding label past the word cap
+        raise ValueError(
+            f"the marking loops of the graph are not a basis of F_{rank} ({err})"
+        ) from None
     empty = Word(rank)
     comarking = {eid: inverse[letter[eid] - 1] if eid in letter else empty for eid in t.index}
     return _Topology(rank, t, basepoint, marking, comarking)
@@ -594,19 +643,22 @@ def candidates(g: MarkedGraph) -> list[tuple[LoopPath, Word]]:
     return [(loop, w) for loop, (_, w) in zip(loops, cands)]
 
 
-def _candidate_paths(t: _Graph) -> list[tuple[tuple[OrientedEdge, ...], tuple[int, ...]]]:
-    """Candidate loop paths (see candidates): (path, edge indices), in the
-    order they are found.  Every candidate is a cyclically reduced loop,
-    and on a graph these correspond one to one to conjugacy classes.  No
-    two emitted paths are the same cyclic path up to rotation and
-    reversal: circles differ in their edge sets, a bouquet or barbell is
-    no circle and differs from any other in its edges or in the direction
-    it runs its second circle, and distinct arcs differ in their edges.
-    So each path is its own unoriented class, with no word built."""
-    out: list[tuple[tuple[OrientedEdge, ...], tuple[int, ...]]] = []
+def _candidate_paths(
+    t: _Graph,
+) -> list[tuple[tuple[OrientedEdge, ...], tuple[int, ...], list[int]]]:
+    """Candidate loop paths (see candidates): (path, edge indices, crossing
+    counts in edge order), in the order they are found.  Every candidate
+    is a cyclically reduced loop, and on a graph these correspond one to
+    one to conjugacy classes.  No two emitted paths are the same cyclic
+    path up to rotation and reversal: circles differ in their edge sets, a
+    bouquet or barbell is no circle and differs from any other in its
+    edges or in the direction it runs its second circle, and distinct arcs
+    differ in their edges.  So each path is its own unoriented class, with
+    no word built."""
+    out: list[tuple[tuple[OrientedEdge, ...], tuple[int, ...], list[int]]] = []
 
     def emit(path: tuple[OrientedEdge, ...]):
-        out.append((path, tuple(t.index[e] for e, _ in path)))
+        out.append((path, tuple(t.index[e] for e, _ in path), _crossings(path, t.index)))
 
     circles = [path for path, _ in t.cycles]
     verts = [set(_path_vertices(p, t)[:-1]) for p in circles]

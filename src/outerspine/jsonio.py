@@ -4,10 +4,10 @@ Graph files carry rank, vertices, edges (id/from/to/length), basepoint and
 the marking as oriented-edge strings ("e1+", "e2-"): everything that
 identifies a point, so a saved and reloaded graph equals the original.  The
 comarking is not stored, since the marking fixes it up to gauge.  The
-loader checks what only a file can get wrong (JSON types, generator
-names, edges the marking steps on, the vertex list) and hands the rest to
-the graph constructor, which checks the graph and derives the comarking
-exactly (``graphs._validate``).
+loader checks what only a file can get wrong (missing keys, JSON types,
+generator names, edges the marking steps on, the vertex list) and hands
+the rest to the graph constructor, which checks the graph and derives the
+comarking exactly (``graphs._validate``).
 
 Edge lengths are written as their shortest float form, which reads back
 bit-exactly; the loader also accepts numbers and decimal strings.
@@ -44,6 +44,15 @@ def _typed(value: Any, kinds: tuple[type, ...], what: str) -> Any:
         want = " or ".join(_JSON_NAMES[k] for k in kinds)
         raise ValueError(f"{what} must be a JSON {want}, not {type(value).__name__}")
     return value
+
+
+def _field(obj: dict, key: str, where: str) -> Any:
+    """``obj[key]``, or ValueError naming the key and where it is missing: a
+    file without it is malformed input (CLI exit 2), not a KeyError."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f"{where} lacks key {key!r}") from None
 
 
 def _check_format(data: dict, what: str) -> None:
@@ -87,16 +96,17 @@ def graph_to_obj(g: MarkedGraph) -> dict:
 
 def graph_from_obj(data: dict) -> MarkedGraph:
     _check_format(data, "graph")
-    rank = int(_typed(data["rank"], (int, str), "'rank'"))
+    rank = int(_typed(_field(data, "rank", "graph file"), (int, str), "'rank'"))
     _check_rank(rank)  # before the marking names a generator letter per rank
     edges = []
-    for e in _typed(data["edges"], (list,), "'edges'"):
+    for i, e in enumerate(_typed(_field(data, "edges", "graph file"), (list,), "'edges'")):
         _typed(e, (dict,), "edge")
-        ends = [_typed(e[k], (str,), f"edge {k!r}") for k in ("id", "from", "to")]
-        raw = _typed(e["length"], (int, float, str), "edge 'length'")
+        where = f"edge {i} of 'edges'"
+        ends = [_typed(_field(e, k, where), (str,), f"edge {k!r}") for k in ("id", "from", "to")]
+        raw = _typed(_field(e, "length", where), (int, float, str), "edge 'length'")
         edges.append(Edge(*ends, float(raw)))
-    basepoint = _typed(data["basepoint"], (str,), "'basepoint'")
-    marking = _typed(data["marking"], (dict,), "'marking'")
+    basepoint = _typed(_field(data, "basepoint", "graph file"), (str,), "'basepoint'")
+    marking = _typed(_field(data, "marking", "graph file"), (dict,), "'marking'")
     names = tuple(_LETTER_NAMES[:rank])
     for name in marking:
         if name not in names:
@@ -165,14 +175,16 @@ def _generator(value: Any, what: str) -> int:
 
 def automorphism_from_obj(data: dict) -> Automorphism:
     _check_format(data, "automorphism")
-    rank = int(_typed(data["rank"], (int, str), "'rank'"))
+    rank = int(_typed(_field(data, "rank", "automorphism file"), (int, str), "'rank'"))
     if "moves" in data:
         moves = []
-        for m in _typed(data["moves"], (list,), "'moves'"):
-            kind = _typed(_typed(m, (dict,), "move")["kind"], (str,), "move 'kind'")
+        for i, m in enumerate(_typed(data["moves"], (list,), "'moves'")):
+            _typed(m, (dict,), "move")
+            where = f"move {i} of 'moves'"
+            kind = _typed(_field(m, "kind", where), (str,), "move 'kind'")
             if kind not in _KINDS:
                 raise ValueError(f"unknown move kind {kind!r}")
-            target = _generator(m["target"], "move 'target'")
+            target = _generator(_field(m, "target", where), "move 'target'")
             other = _generator(m["by"], "move 'by'") if "by" in m else 0
             moves.append(
                 NielsenMove(kind, target, other, bool(m.get("inverse", False)))
@@ -204,15 +216,19 @@ def current_to_obj(nu: RationalCurrent) -> dict:
 
 def current_from_obj(data: dict) -> RationalCurrent:
     _check_format(data, "current")
-    atoms = [_typed(a, (dict,), "atom") for a in _typed(data["atoms"], (list,), "'atoms'")]
-    classes = [_typed(a["class"], (str,), "atom 'class'") for a in atoms]
+    atoms = []
+    for i, a in enumerate(_typed(_field(data, "atoms", "current file"), (list,), "'atoms'")):
+        _typed(a, (dict,), "atom")
+        where = f"atom {i} of 'atoms'"
+        text = _typed(_field(a, "class", where), (str,), "atom 'class'")
+        atoms.append((text, _field(a, "weight", where)))
     if "rank" in data:
         rank = int(_typed(data["rank"], (int, str), "'rank'"))
     else:  # the highest generator named, at least b
-        rank = max([2] + [_LETTER_NAMES.find(ch) + 1 for text in classes for ch in text.lower()])
+        rank = max([2] + [_LETTER_NAMES.find(ch) + 1 for text, _ in atoms for ch in text.lower()])
     pairs = [
-        (parse_word(text, rank), float(_typed(a["weight"], (int, float, str), "atom 'weight'")))
-        for text, a in zip(classes, atoms)
+        (parse_word(text, rank), float(_typed(weight, (int, float, str), "atom 'weight'")))
+        for text, weight in atoms
     ]
     return RationalCurrent(rank, pairs)
 

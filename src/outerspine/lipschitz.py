@@ -35,7 +35,9 @@ def _ratios(x: MarkedGraph, y: MarkedGraph) -> list[float]:
     it.  A candidate's images, concatenated and cyclically tightened, are
     the loop ``loop_of`` gives for the candidate's word up to rotation and
     reversal, so its crossing counts, and its length summed in edge order,
-    are the same.
+    are the same.  Each candidate's length in x is summed in edge order
+    too, from its crossing counts, so that when y = x every ratio is
+    exactly one.
     """
     if x.rank != y.rank:
         raise ValueError(f"rank mismatch: {x.rank} != {y.rank}")
@@ -43,11 +45,10 @@ def _ratios(x: MarkedGraph, y: MarkedGraph) -> list[float]:
     for e in x.edges:
         path = y.path_of(x.comarking_word(e.id))
         images[e.id, 1], images[e.id, -1] = path, _reverse(path)
-    lengths = [e.length for e in x.edges]
     index = y._topo.index
     out = []
-    for path, order in x._topo.graph.candidates:
-        den = sum(lengths[i] for i in order)
+    for path, _, counts in x._topo.graph.candidates:
+        den = _weigh(counts, x.edges)
         if den == 0:
             raise ValueError("a candidate loop of the source graph has length 0")
         out.append(_weigh(_crossings(_tight_loop(images, path), index), y.edges) / den)

@@ -12,7 +12,8 @@ the grid middle-out by index with ``minimize``, as ``axis`` did before it
 walked two lists; ``o_bfs_tree`` grows the graph-file loader's spanning
 tree on its own adjacency list; ``o_candidates``
 keeps one candidate path per class by its word, and ``o_stretch``
-measures each candidate's word with ``translation_length``;
+measures each candidate's word with ``translation_length`` and divides by
+its loop's length summed in edge order;
 ``o_scale``, ``o_add`` and ``o_exp_combination`` rebuild every atom as a
 checked ``Word`` and put it in canonical form again, as the current
 operations did before they trusted their atoms; ``o_max_run`` measures
@@ -399,12 +400,14 @@ def o_marking_reads_back(g) -> bool:
 def o_stretch(x, y) -> tuple:
     """``stretch`` by words: (factor, witness, per_candidate), each of
     ``o_candidates(x)``'s words measured in ``y`` by ``translation_length``
-    and divided by its loop's length in ``x``; the first largest ratio in
-    word order is the witness."""
+    and divided by its loop's length in ``x``, summed in edge order as the
+    numerator is; the first largest ratio in word order is the witness."""
     per = []
     best = None
     for loop, word in o_candidates(x):
-        ratio = translation_length(y, word)[0] / loop.length
+        ids = loop.edge_ids()
+        den = sum(ids.count(e.id) * e.length for e in x.edges if e.id in ids)
+        ratio = translation_length(y, word)[0] / den
         per.append((word, ratio))
         if best is None or ratio > best[0]:
             best = (ratio, word)

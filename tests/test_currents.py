@@ -30,6 +30,7 @@ from outerspine import (
     unit_rose,
     with_lengths,
 )
+from outerspine import graphs
 from outerspine.sampling import spine_points
 
 from oracles import newton_root, o_add, o_exp_combination, o_scale, o_spelling_rep
@@ -294,6 +295,21 @@ class TestIwipApprox:
     def test_empty_seed_rejected(self):
         with pytest.raises(ValueError):
             iwip_pair_approx(TRIB, Word(3), 3)
+
+    def test_base_of_another_rank_rejected(self):
+        with pytest.raises(ValueError, match="rank mismatch: 3 != 4"):
+            iwip_pair_approx(TRIB, w("a"), 3, base=unit_rose(4))
+
+    def test_builds_no_loop_on_the_default_base(self, monkeypatch):
+        # the unit rose is marked by its petals: every length, the
+        # normalizing pairings included, is read off letter counts
+        want = trib_approx(8)
+
+        def refuse(path):
+            raise AssertionError("a loop was tightened")
+
+        monkeypatch.setattr(graphs, "_tighten", refuse)
+        assert iwip_pair_approx(TRIB, w("a"), 8) == want
 
 
 @st.composite

@@ -397,8 +397,9 @@ class TestMaxRun:
             assert _max_run(rb, ra, 1.0, c) == o_max_run(rb, ra, 1.0, c)
 
     def test_a_point_is_at_distance_zero_from_itself(self):
-        # d_sym(p, p) rounds to about 1e-16 on some of these points, which
-        # would end a run at c = 0 there
+        # both sides of each candidate's ratio are summed in edge order, so
+        # every ratio of a point to itself is exactly one; a run at c = 0
+        # needs that 0
         pts = spine_points(3, EPS, 0, 8)
-        assert any(d_sym(p, p) > 0 for p in pts)
+        assert all(d_sym(p, p) == 0 for p in pts + spine_points(3, EPS, 3, 60))
         assert _max_run(pts, pts, 0.25, 0.0) == 7 * 0.25 == o_max_run(pts, pts, 0.25, 0.0)

@@ -31,6 +31,7 @@ from outerspine import (
 from outerspine.graphs import (
     _candidate_paths,
     _canonical_cycle,
+    _crossings,
     _cyclic_tighten,
     _Graph,
     _tight_loop,
@@ -143,6 +144,59 @@ class TestTranslationLength:
         assert crossing_vector(ROSE, parse_word("a", 3)) == {"a": 1, "b": 0, "c": 0}
         assert crossing_vector(ROSE, parse_word("a b a", 3)) == {"a": 2, "b": 1, "c": 0}
         assert crossing_vector(ROSE, parse_word("a b a' b'", 3)) == {"a": 2, "b": 2, "c": 0}
+
+
+@st.composite
+def petal_roses(draw):
+    """A rose of rank 2-4 with drawn lengths whose generators run along its
+    petals in a drawn order and direction."""
+    rank = draw(st.integers(2, 4))
+    names = "abcd"[:rank]
+    order = draw(st.permutations(names))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=rank, max_size=rank))
+    lengths = draw(st.lists(st.floats(0.01, 10.0), min_size=rank, max_size=rank))
+    edges = [Edge(e, "v", "v", x) for e, x in zip(names, lengths)]
+    return MarkedGraph(rank, edges, "v", [((e, s),) for e, s in zip(order, signs)])
+
+
+@st.composite
+def conjugated_words(draw, rank):
+    """The reduced word of u w u^-1 for drawn u and w: often not cyclically
+    reduced."""
+    signed = [x for k in range(1, rank + 1) for x in (k, -k)]
+    letters = st.lists(st.sampled_from(signed), max_size=30)
+    u, w = draw(letters), draw(letters)
+    return Word(rank, u + w + [-x for x in reversed(u)])
+
+
+def assert_reads_the_loop(g, w):
+    """``length_of`` reads the crossing counts of the tight loop and, bit
+    for bit, the length of ``loop_of``."""
+    topo = g._topo
+    loop = _tight_loop(topo.letter_paths, w.letters)
+    assert topo.counts_of(w) == _crossings(loop, topo.index)
+    assert g.length_of(w).hex() == g.loop_of(w).length.hex()
+
+
+class TestLengthOf:
+    """Letter counts on a rose marked by its petals, the tight loop
+    elsewhere: the same counts and the same length either way."""
+
+    @given(petal_roses(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_counts_letters_on_a_rose_marked_by_its_petals(self, g, data):
+        assert g._topo.petals is not None
+        assert_reads_the_loop(g, data.draw(conjugated_words(g.rank)))
+
+    @given(st.integers(2, 4), st.integers(0, 7), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_reads_the_tight_loop_on_spine_points(self, rank, seed, data):
+        for g in spine_points(rank, 0.05, seed, 3):
+            assert_reads_the_loop(g, data.draw(conjugated_words(rank)))
+
+    def test_spine_points_take_both_readers(self):
+        petals = [g._topo.petals for s in range(4) for g in spine_points(3, 0.05, s, 3)]
+        assert None in petals and any(petals)
 
 
 class TestSystole:
@@ -291,7 +345,7 @@ class TestCandidates:
         for g in spine_points(rank, 0.05, seed=rank, n=4):
             hosts = [g] + [h for v in g.vertices if g.valence(v) >= 4 for h in expansions(g, v)]
             for h in hosts:
-                paths = [path for path, _ in _candidate_paths(h._topo.graph)]
+                paths = [path for path, *_ in _candidate_paths(h._topo.graph)]
                 assert len({_canonical_cycle(p) for p in paths}) == len(paths)
 
 

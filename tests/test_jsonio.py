@@ -218,6 +218,18 @@ GRAPH_MUTATIONS = {
     "nan-length": _first_edge(_set("length", "nan")),
     "inf-length": _first_edge(_set("length", "inf")),
 }
+# what the error line says, for the mutations whose message is pinned
+GRAPH_ERRORS = {
+    **{
+        f"drop-{key}": f"graph file lacks key {key!r}"
+        for key in ("rank", "edges", "basepoint", "marking")
+    },
+    **{
+        f"drop-edge-{key}": f"edge 0 of 'edges' lacks key {key!r}"
+        for key in ("id", "from", "to", "length")
+    },
+    "loop-twice": "the marking loops of the graph are not a basis of F_3",
+}
 GRAPH_FILES = {name: os.path.join(DATA, name) for name in ("rose3.json", "rose_half_quarter.json")}
 GRAPH_COMMANDS = {
     "systole": ["systole", "--graph", "INPUT"],
@@ -237,6 +249,36 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, base, mutation, command)
     rc, err = run(tmp_path, capsys, obj, GRAPH_COMMANDS[command])
     assert rc == 2
     assert_one_error_line(err)
+    assert GRAPH_ERRORS.get(mutation, "") in err
+
+
+PHI_INPUT = ["iwip", "--phi", "INPUT"]
+CURRENT_INPUT = ["pair", "--tree", ROSE, "--current", "INPUT"]
+MISSING_KEYS = {  # (file, where it is read, what the error line says)
+    "phi-rank": ({"images": ["b", "c", "a b"]}, PHI_INPUT, "automorphism file lacks key 'rank'"),
+    "move-kind": (
+        {"rank": 3, "moves": [{"target": "a"}]}, PHI_INPUT, "move 0 of 'moves' lacks key 'kind'"
+    ),
+    "move-target": (
+        {"rank": 3, "moves": [{"kind": "invert"}]}, PHI_INPUT, "move 0 of 'moves' lacks key 'target'"
+    ),
+    "current-atoms": ({"rank": 3}, CURRENT_INPUT, "current file lacks key 'atoms'"),
+    "atom-class": (
+        {"atoms": [{"weight": 1}]}, CURRENT_INPUT, "atom 0 of 'atoms' lacks key 'class'"
+    ),
+    "atom-weight": (
+        {"atoms": [{"class": "a"}]}, CURRENT_INPUT, "atom 0 of 'atoms' lacks key 'weight'"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_KEYS))
+def test_missing_key_is_named(tmp_path, capsys, case):
+    obj, argv, message = MISSING_KEYS[case]
+    rc, err = run(tmp_path, capsys, obj, argv)
+    assert rc == 2
+    assert_one_error_line(err)
+    assert message in err
 
 
 @given(st.sampled_from(sorted(GRAPH_FILES)), st.sampled_from(sorted(GRAPH_COMMANDS)), st.data())
