@@ -534,14 +534,6 @@ def _ray(
     return pts[k:] if toward_high else pts[: k + 1][::-1]
 
 
-def _close(p: MarkedGraph, q: MarkedGraph, c: float) -> bool:
-    """Whether p and q are within 2c.  Equal points are at distance 0 and
-    are not measured: a power listed twice in ``tau`` overlaps an axis
-    with itself, and measuring a far translate against itself materializes
-    its long edge paths."""
-    return (0.0 if p == q else d_sym(p, q)) <= 2 * c
-
-
 def _max_run(
     ra: Sequence[MarkedGraph],
     rb: Sequence[MarkedGraph],
@@ -562,8 +554,8 @@ def _max_run(
     best = first - 1
     for j in range(first, min(len(ra), len(rb))):
         a, b = ra[j], rb[j]
-        if _close(a, b, c) or (
-            any(_close(a, q, c) for q in rb[:j]) and any(_close(p, b, c) for p in ra[:j])
+        if d_sym(a, b) <= 2 * c or (
+            any(d_sym(a, q) <= 2 * c for q in rb[:j]) and any(d_sym(p, b) <= 2 * c for p in ra[:j])
         ):
             best = j
         else:
@@ -595,6 +587,6 @@ def overlap_tau(
     # both rays of an axis start at its sample nearest the foot, so the
     # two directions share their first pair
     (high_a, high_b), _ = rays
-    if not _close(high_a[0], high_b[0], c):
+    if not d_sym(high_a[0], high_b[0]) <= 2 * c:
         return 0.0
     return max(_max_run(ra, rb, axis_a.step, c, first=1) for ra, rb in rays)

@@ -30,11 +30,15 @@ candidate loop paths with their crossing counts, and the spanning tree
 that validation reads.  The private topology is a marking of it
 (basepoint, marking, comarking, letter paths, the candidates' class words
 and their order) and fixes one simplex of Outer space.  ``edges`` carries
-one point's lengths, which are summed along those cached paths.  Every
-tight loop, of a word or of a candidate's image, is read by
-``_tight_loop``; a word's length alone is read without its loop on a
-rose marked by its petals, whose crossing counts are the letter counts of
-the word's cyclic core (``length_of``).
+one point's lengths, which are summed along those cached paths; lengths
+pass between modules only as sequences in edge order, through
+``with_lengths``, and only this module spells a key (``_point_key``,
+``_Topology.key_of``).  Every tight loop, of a word or of a candidate's
+image, is read by ``_tight_loop``, and every path expanded from a table
+is refused past ``words.MAX_LETTERS`` steps before it is built
+(``_expand``); a word's length alone is read without its loop on a rose
+marked by its petals, whose crossing counts are the letter counts of the
+word's cyclic core (``length_of``).
 
 Only the public constructor validates, for graphs from outside
 (``jsonio``, ``rose``, library callers): it checks them and derives their
@@ -54,9 +58,10 @@ import math
 from collections import namedtuple
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .words import (
+    MAX_LETTERS,
     Word,
     _reduced_word,
     apply,
@@ -120,22 +125,48 @@ def _cyclic_tighten(path: Iterable[OrientedEdge]) -> tuple[OrientedEdge, ...]:
     return tuple(p[i : j + 1])
 
 
-def _tight_loop(table, steps) -> tuple[OrientedEdge, ...]:
+class _Paths(dict):
+    """Edge paths by key (a signed letter, or an oriented edge), with the
+    step count of the longest, read once, so that ``_expand`` bounds an
+    expansion without scanning the table."""
+
+    __slots__ = ("longest",)
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.longest = max(map(len, self.values()), default=0)
+
+
+def _expand(table: _Paths, steps: Sequence) -> Iterator[OrientedEdge]:
+    """The concatenation of ``table[x]`` over ``steps``, unbuilt.
+
+    Raises ValueError, before anything is built, when it would take more
+    than MAX_LETTERS steps, as ``words._substitute`` bounds a word.
+    """
+    # a cheap upper bound first; the exact count only when it is exceeded
+    if len(steps) * table.longest > MAX_LETTERS:
+        size = sum(steps.count(x) * len(p) for x, p in table.items())
+        if size > MAX_LETTERS:
+            raise ValueError(f"edge path too long: {size} steps (cap {MAX_LETTERS})")
+    return chain.from_iterable(map(table.__getitem__, steps))
+
+
+def _tight_loop(table: _Paths, steps: Sequence) -> tuple[OrientedEdge, ...]:
     """The cyclically tightened concatenation of ``table[x]`` over
-    ``steps``: a word's loop under a letter-path table, or a candidate's
-    image under a table of edge images."""
-    return _cyclic_tighten(chain.from_iterable(map(table.__getitem__, steps)))
+    ``steps`` (``_expand``): a word's loop under a letter-path table, or a
+    candidate's image under a table of edge images."""
+    return _cyclic_tighten(_expand(table, steps))
 
 
 def _reverse(path: tuple[OrientedEdge, ...]) -> tuple[OrientedEdge, ...]:
     return tuple((e, -s) for e, s in reversed(path))
 
 
-def _letter_paths(marking) -> dict[int, tuple[OrientedEdge, ...]]:
+def _letter_paths(marking) -> _Paths:
     """The edge path of each signed letter under a marking."""
     table = dict(enumerate(marking, start=1))
     table.update((-k, _reverse(p)) for k, p in enumerate(marking, start=1))
-    return table
+    return _Paths(table)
 
 
 def _shape(edges) -> tuple:
@@ -269,12 +300,16 @@ class _Topology:
         self.marking = tuple(tuple((e, s) for e, s in p) for p in marking)
         self.comarking = comarking
         # the identity of the LP a point poses: everything but lengths
-        self.key = (rank, graph.shape, basepoint, self.marking)
+        self.key = self.key_of(graph.shape, self.marking)
 
     index = property(lambda self: self.graph.index)
 
+    def key_of(self, shape: tuple, marking: tuple) -> tuple:
+        """The key of this rank and basepoint's topology on ``shape`` with ``marking``."""
+        return (self.rank, shape, self.basepoint, marking)
+
     @cached_property
-    def letter_paths(self) -> dict[int, tuple[OrientedEdge, ...]]:
+    def letter_paths(self) -> _Paths:
         return _letter_paths(self.marking)
 
     def word_along(self, path: Sequence[OrientedEdge]) -> Word:
@@ -324,6 +359,12 @@ def _crossings(path: Sequence[OrientedEdge], index: dict[str, int]) -> list[int]
     return counts
 
 
+def _point_key(topology_key: tuple, lengths: Sequence[float]) -> tuple:
+    """``MarkedGraph.key`` of the point with these edge-order lengths."""
+    rank, shape, basepoint, marking = topology_key
+    return (rank, tuple((*e, x) for e, x in zip(shape, lengths)), basepoint, marking)
+
+
 def _weigh(counts: Sequence[int], edges: Sequence[Edge]) -> float:
     """The length of a loop with these crossing counts, summed in edge
     order, not path order: conjugate words rotate the path, and float
@@ -340,7 +381,7 @@ class MarkedGraph:
 
     Use the module builders and moves rather than mutating instances."""
 
-    __slots__ = ("edges", "_topo", "_key")
+    __slots__ = ("edges", "_topo")
 
     def __init__(
         self,
@@ -355,7 +396,6 @@ class MarkedGraph:
     def _init(self, topo: _Topology, edges: tuple[Edge, ...]) -> None:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_topo", topo)
-        object.__setattr__(self, "_key", None)
         if self.volume <= 0:
             raise ValueError("total volume must be positive")
 
@@ -383,15 +423,11 @@ class MarkedGraph:
         return len(self._topo.graph.adj[v])
 
     def key(self):
-        """Hashable identity: edges with their lengths, basepoint and marking.
+        """Hashable identity: edges with lengths, basepoint, marking (``_point_key``).
 
         The comarking is left out: it is fixed by the marking up to a change
         of gauge at the non-base vertices, which no measurement sees."""
-        if self._key is None:
-            rank, _, basepoint, marking = self._topo.key
-            edges = tuple((e.id, e.src, e.dst, e.length) for e in self.edges)
-            object.__setattr__(self, "_key", (rank, edges, basepoint, marking))
-        return self._key
+        return _point_key(self._topo.key, [e.length for e in self.edges])
 
     def __eq__(self, other):
         return isinstance(other, MarkedGraph) and self.key() == other.key()
@@ -434,9 +470,9 @@ class MarkedGraph:
         return _weigh(self._topo.counts_of(w), self.edges)
 
     def path_of(self, w: Word) -> tuple[OrientedEdge, ...]:
-        """Tightened based path of ``w`` through the marking (no cyclic move)."""
-        table = self._topo.letter_paths
-        return tuple(_tighten(chain.from_iterable(map(table.__getitem__, w.letters))))
+        """Tightened based path of ``w`` through the marking (no cyclic
+        move); ValueError past MAX_LETTERS steps untightened (``_expand``)."""
+        return tuple(_tighten(_expand(self._topo.letter_paths, w.letters)))
 
     def _loops(self, entries) -> list[LoopPath]:
         """LoopPaths of cached (path, edge indices, ...) entries, each length
@@ -715,28 +751,27 @@ def _connecting_arcs(t: _Graph, va: set[str], vb: set[str]):
 # -- scaling -------------------------------------------------------------------
 
 
-def _relength(g: MarkedGraph, lengths: Iterable[float]) -> MarkedGraph:
-    """The point of ``g``'s simplex with these lengths, in edge order.
+def with_lengths(g: MarkedGraph, lengths: Sequence[float]) -> MarkedGraph:
+    """The point of ``g``'s simplex with these lengths, one per edge in edge order.
 
     The topology is shared, not rebuilt: lengths can only break the edge
     and volume bounds.
     """
-    return _build(g._topo, tuple(Edge(e.id, e.src, e.dst, x) for e, x in zip(g.edges, lengths)))
+    if len(lengths) != len(g.edges):
+        raise ValueError(f"need {len(g.edges)} lengths, one per edge, not {len(lengths)}")
+    edges = tuple(Edge(e.id, e.src, e.dst, float(x)) for e, x in zip(g.edges, lengths))
+    return _build(g._topo, edges)
 
 
 def rescale(g: MarkedGraph, c: float) -> MarkedGraph:
     """Multiply every edge length by ``c`` (> 0); translation lengths scale."""
     if not c > 0:
         raise ValueError(f"scale factor must be positive, got {c}")
-    return _relength(g, [e.length * c for e in g.edges])
+    return with_lengths(g, [e.length * c for e in g.edges])
 
 
 def normalize_volume(g: MarkedGraph) -> MarkedGraph:
     return rescale(g, 1.0 / g.volume)
-
-
-def with_lengths(g: MarkedGraph, lengths: dict[str, float]) -> MarkedGraph:
-    return _relength(g, [float(lengths[e.id]) for e in g.edges])
 
 
 # -- topology moves -------------------------------------------------------------
@@ -855,10 +890,9 @@ def _split_parts(
 def _split(g: MarkedGraph, v: str, new_v: str, new_e: str, moved: set[tuple[str, int]]) -> MarkedGraph:
     shape, marking = _split_parts(g, v, new_v, new_e, moved)
     lengths = {e.id: e.length for e in g.edges}
-    lengths[new_e] = 0.0
     comarking = dict(g._topo.comarking)
     comarking[new_e] = Word(g.rank)
-    edges = tuple(Edge(eid, src, dst, lengths[eid]) for eid, src, dst in shape)
+    edges = tuple(Edge(eid, src, dst, lengths.get(eid, 0.0)) for eid, src, dst in shape)
     return _build(_Topology(g.rank, _Graph(shape), g.basepoint, marking, comarking), edges)
 
 

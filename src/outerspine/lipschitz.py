@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .graphs import MarkedGraph, _crossings, _reverse, _tight_loop, _weigh
+from .graphs import MarkedGraph, _crossings, _Paths, _reverse, _tight_loop, _weigh
 from .words import Word
 
 
@@ -37,22 +37,27 @@ def _ratios(x: MarkedGraph, y: MarkedGraph) -> list[float]:
     reversal, so its crossing counts, and its length summed in edge order,
     are the same.  Each candidate's length in x is summed in edge order
     too, from its crossing counts, so that when y = x every ratio is
-    exactly one.
+    exactly one; such a pair is therefore not measured, and a far point
+    is at distance 0 from itself without its long paths being built.
     """
     if x.rank != y.rank:
         raise ValueError(f"rank mismatch: {x.rank} != {y.rank}")
+    cands = x._topo.graph.candidates
+    dens = [_weigh(counts, x.edges) for _, _, counts in cands]
+    if 0 in dens:
+        raise ValueError("a candidate loop of the source graph has length 0")
+    if x == y:
+        return [1.0] * len(dens)
     images = {}
     for e in x.edges:
         path = y.path_of(x.comarking_word(e.id))
         images[e.id, 1], images[e.id, -1] = path, _reverse(path)
+    images = _Paths(images)
     index = y._topo.index
-    out = []
-    for path, _, counts in x._topo.graph.candidates:
-        den = _weigh(counts, x.edges)
-        if den == 0:
-            raise ValueError("a candidate loop of the source graph has length 0")
-        out.append(_weigh(_crossings(_tight_loop(images, path), index), y.edges) / den)
-    return out
+    return [
+        _weigh(_crossings(_tight_loop(images, path), index), y.edges) / den
+        for (path, _, _), den in zip(cands, dens)
+    ]
 
 
 def stretch(x: MarkedGraph, y: MarkedGraph) -> StretchReport:

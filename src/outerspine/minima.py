@@ -40,6 +40,7 @@ from .graphs import (
     _fresh_names,
     _letter_paths,
     _partitions,
+    _point_key,
     _split,
     _split_parts,
     _tight_loop,
@@ -236,25 +237,25 @@ def _max_systole(n: int, rows: tuple[int, ...]) -> tuple[Fraction, tuple[Fractio
     return best, _least_vertex([0] * n, 1, n, rows, best)[1]
 
 
-def max_systole_lengths(g: MarkedGraph) -> tuple[float, dict[str, float]]:
-    """Volume-one lengths on this topology maximizing the systole.
+def max_systole_lengths(g: MarkedGraph) -> tuple[float, tuple[float, ...]]:
+    """(best systole, volume-one edge-order lengths maximizing it) on this topology.
 
     Used to certify infeasibility of an epsilon bound and as the blend
     target when samplers must repair a point back into the spine.  The
     answer depends only on the cycle rows, so it is solved once per rows.
     """
     best, x = _max_systole(len(g.edges), g._topo.graph.rows)
-    return float(best), {e.id: float(v) for e, v in zip(g.edges, x)}
+    return float(best), tuple(map(float, x))
 
 
 def balanced_lengths(
     g: MarkedGraph, mu: RationalCurrent, nu: RationalCurrent, s: float, eps: float
-) -> dict[str, float] | None:
-    """Spine-interior lengths on ``g``'s topology where <l, nu> = e^(2s)
-    <l, mu>, or None.  The gap <l, nu> - e^(2s) <l, mu> (times e^(-2s)
-    when s > 0, so it stays finite) is linear in l: from the interior
-    systole-maximal centre c take the region vertex v at its far extreme,
-    first on ties, and return the gap's zero on the segment from c to v.
+) -> tuple[float, ...] | None:
+    """Spine-interior lengths, in edge order, on ``g``'s topology where
+    <l, nu> = e^(2s) <l, mu>, or None.  The gap <l, nu> - e^(2s) <l, mu>
+    (times e^(-2s) when s > 0, so it stays finite) is linear in l: from the
+    interior systole-maximal centre c take the region vertex v at its far
+    extreme, first on ties, and return the gap's zero on the segment c v.
     """
     best, centre = max_systole_lengths(g)
     if best <= eps:
@@ -263,15 +264,14 @@ def balanced_lengths(
     a, b = (math.exp(-2 * s), 1.0) if s > 0 else (1.0, math.exp(2 * s))
     coef = [a * (n / sn) - b * (m / sm) for m, n in zip(cm, cn)]
     gap = lambda lengths: sum(k * v for k, v in zip(coef, lengths))
-    c = [centre[e.id] for e in g.edges]
-    if (at_c := gap(c)) == 0:
+    if (at_c := gap(centre)) == 0:
         return centre
     den, verts = _vertices(len(g.edges), g._topo.graph.rows, eps)
     v = (min if at_c > 0 else max)(([x / den for x in vert] for vert in verts), key=gap)
     if (at_v := gap(v)) * at_c >= 0:
         return None
     t = at_c / (at_c - at_v)
-    return {e.id: (1 - t) * p + t * q for e, p, q in zip(g.edges, c, v)}
+    return tuple((1 - t) * p + t * q for p, q in zip(centre, v))
 
 
 def min_on_topology(g: MarkedGraph, current: RationalCurrent, eps: float) -> MinResult:
@@ -286,9 +286,8 @@ def min_on_topology(g: MarkedGraph, current: RationalCurrent, eps: float) -> Min
     hit = _read_off(g._topo.key, cost, scale, g._topo.graph.rows, eps, lambda: g)
     if hit is None:
         best, lengths = max_systole_lengths(g)
-        worst = min(
-            embedded_cycles(g), key=lambda c: sum(lengths[e] for e in set(c.edge_ids()))
-        )
+        at = g._topo.graph.cycle_lengths(lengths)
+        worst = embedded_cycles(g)[at.index(min(at))]
         raise InfeasibleSpine(
             f"epsilon {eps} exceeds this topology's best systole {best:.6g}",
             worst,
@@ -327,12 +326,11 @@ def _read_off(key: tuple, cost: list[int], scale: int, rows: tuple[int, ...], ep
     if hit is None:
         return None
     dot, den, x = hit
-    rank, edges, basepoint, marking = key
     lengths = [v / den for v in x]
-    point_key = (rank, tuple((*e, v) for e, v in zip(edges, lengths)), basepoint, marking)
+    point_key = _point_key(key, lengths)
 
     def make() -> MarkedGraph:
-        point = with_lengths(graph(), {e[0]: v for e, v in zip(edges, lengths)})
+        point = with_lengths(graph(), lengths)
         assert point.key() == point_key, "a probe disagrees with its graph"
         return point
 
@@ -358,7 +356,6 @@ def _neighbor_probes(
     and so its rows, with the crossing counts of each atom's loop under
     the translate's marking.  A topology already seen costs no more than
     its key."""
-    rank, edges, basepoint, _ = carrier._topo.key
     graph = carrier._topo.graph
     rows = graph.rows
     index = carrier._topo.index
@@ -379,7 +376,7 @@ def _neighbor_probes(
             continue
         for moved in _partitions(carrier, v):
             shape, marking = _split_parts(carrier, v, new_v, new_e, moved)
-            key = (rank, shape, basepoint, marking)
+            key = carrier._topo.key_of(shape, marking)
             if new(key):
                 yield key, _read_off(
                     key, _expansion_cost(base, turns.get(v, []), shape, new_e, moved),
@@ -388,7 +385,7 @@ def _neighbor_probes(
                 )
     for psi, imgs in zip(gens, images):
         marking = tuple(carrier.path_of(w) for w in imgs)
-        key = (rank, edges, basepoint, marking)
+        key = carrier._topo.key_of(graph.shape, marking)
         if new(key):
             yield key, _read_off(
                 key, _tally(_atom_loops(marking, current), weights, index), scale, rows, eps,

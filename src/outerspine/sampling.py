@@ -53,26 +53,23 @@ def repair(g: MarkedGraph, eps: float) -> MarkedGraph:
     where its systole is eps."""
     if in_spine(g, eps):
         return g
-    best, target = max_systole_lengths(g)
+    best, goal = max_systole_lengths(g)
     if best < eps:
         raise SampleError(
             f"topology cannot reach systole {eps} (best {best:.6g})"
         )
     base = [e.length for e in g.edges]
-    goal = [target[e.id] for e in g.edges]
     cycle_lengths = g._topo.graph.cycle_lengths
     here, there = cycle_lengths(base), cycle_lengths(goal)
     t = max((eps - h) / (a - h) for h, a in zip(here, there) if h < eps)
-    return with_lengths(
-        g, {e.id: (1 - t) * b + t * a for e, b, a in zip(g.edges, base, goal)}
-    )
+    return with_lengths(g, [(1 - t) * b + t * a for b, a in zip(base, goal)])
 
 
 def jitter(g: MarkedGraph, rng: random.Random, scale: float, eps: float) -> MarkedGraph:
     """Multiply lengths by independent lognormal factors, then repair."""
-    lengths = {e.id: e.length * math.exp(scale * rng.gauss(0, 1)) for e in g.edges}
-    total = sum(lengths.values())
-    return repair(with_lengths(g, {k: v / total for k, v in lengths.items()}), eps)
+    lengths = [e.length * math.exp(scale * rng.gauss(0, 1)) for e in g.edges]
+    total = sum(lengths)
+    return repair(with_lengths(g, [v / total for v in lengths]), eps)
 
 
 def random_move(rng: random.Random, rank: int) -> NielsenMove:
@@ -102,8 +99,7 @@ def _random_expansion(g: MarkedGraph, rng: random.Random, eps: float, delta: flo
     # the draw ``rng.choice(expansions(g, v))`` makes, building one split
     new_v, new_e = _fresh_names(g)
     h = _split(g, v, new_v, new_e, rng.choice(list(_partitions(g, v))))
-    lengths = {e.id: e.length * (1 - delta) for e in h.edges}
-    lengths[new_e] = delta
+    lengths = [delta if e.id == new_e else e.length * (1 - delta) for e in h.edges]
     return repair(with_lengths(h, lengths), eps)
 
 
@@ -155,14 +151,15 @@ def ball_points(
     n: int,
     seed: int,
     eps: float,
-    max_tries: int | None = None,
 ) -> list[MarkedGraph]:
     """Points reached from the center by short accepted steps within radius.
 
     A random walk proposes small length jitters (occasionally a topology
     move with a tiny fresh edge) and accepts a step only while the
     symmetrized distance to the center stays at most the radius, so the
-    samples approximate the walk-connected part of the metric ball.
+    samples approximate the walk-connected part of the metric ball.  It
+    makes at most 40 n + 200 proposals and raises SampleError when they
+    yield fewer than n samples.
     """
     if not radius >= 0:
         raise ValueError("radius must be nonnegative")
@@ -173,8 +170,7 @@ def ball_points(
     out: list[MarkedGraph] = []
     cur = center
     tries = 0
-    limit = max_tries if max_tries is not None else 40 * n + 200
-    while len(out) < n and tries < limit:
+    while len(out) < n and tries < 40 * n + 200:
         tries += 1
         if rng.random() < 0.2 and len(cur.edges) < 2 * center.rank:
             prop = _random_expansion(cur, rng, eps, eps * 0.5) or jitter(

@@ -300,9 +300,8 @@ class NielsenMove(namedtuple("NielsenMove", "kind target other inverse", default
 MAX_LETTERS = 1 << 20
 
 # Largest exponent ``power`` and ``iwip_pair_approx`` take.  Each factor is
-# one more composition (and one more copy of the moves), so the work grows
-# with the exponent even when the words stay short; no bundled input or test
-# goes past 40.
+# one more composition, so the work grows with the exponent even when the
+# words stay short; no bundled input or test goes past 40.
 MAX_POWER = 10_000
 
 
@@ -351,9 +350,10 @@ class Automorphism:
     through the two certifying constructors; ``graphs.transform`` relies
     on it to carry a validated graph's comarking to a translate that is
     valid by construction, as every move of a validated graph is, and
-    never validated.  ``moves`` is the optional Nielsen
-    factorization that JSON writes; ``compose`` and ``invert`` keep it when
-    their inputs have one.
+    never validated.  ``moves`` is the Nielsen factorization that
+    ``from_moves`` was given, which JSON writes back; ``from_images``,
+    ``compose`` and ``invert`` leave it None, and so does ``power`` but
+    for the identity.
 
     Two automorphisms are equal, and hash alike, when they have the same
     rank and images, whatever their inverse images and factorizations.
@@ -454,13 +454,11 @@ def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
     images = tuple(_substitute(img, phi._table) for img in psi.images)
     # (phi psi)^-1 = psi^-1 phi^-1
     inverse = tuple(_substitute(img, psi._inverse_table) for img in phi.inverse_images)
-    moves = None if phi.moves is None or psi.moves is None else psi.moves + phi.moves
-    return Automorphism(phi.rank, images, inverse, moves)
+    return Automorphism(phi.rank, images, inverse)
 
 
 def invert(phi: Automorphism) -> Automorphism:
-    moves = None if phi.moves is None else tuple(m.inverted() for m in reversed(phi.moves))
-    return Automorphism(phi.rank, phi.inverse_images, phi.images, moves)
+    return Automorphism(phi.rank, phi.inverse_images, phi.images)
 
 
 def power(phi: Automorphism, k: int) -> Automorphism:

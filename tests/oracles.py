@@ -495,7 +495,7 @@ def o_repair(g, eps: float):
     at least eps."""
     _, target = max_systole_lengths(g)
     b = [Fraction(e.length) for e in g.edges]
-    a = [Fraction(target[e.id]) for e in g.edges]
+    a = [Fraction(target[i]) for i in range(len(g.edges))]
     eps = Fraction(eps)
     t = Fraction(0)
     for row in o_cycle_rows([(e.src, e.dst) for e in g.edges]):

@@ -24,6 +24,7 @@ from outerspine import (
     parse_word,
     power,
     project,
+    rose,
     scale,
     spine_points,
     transform,
@@ -403,3 +404,15 @@ class TestMaxRun:
         pts = spine_points(3, EPS, 0, 8)
         assert all(d_sym(p, p) == 0 for p in pts + spine_points(3, EPS, 3, 60))
         assert _max_run(pts, pts, 0.25, 0.0) == 7 * 0.25 == o_max_run(pts, pts, 0.25, 0.0)
+
+    def test_a_far_point_is_not_measured_against_itself(self, monkeypatch):
+        # tribonacci^30 marks the rose by loops of 125,491 edges; measuring
+        # the translate against itself would tighten paths of millions
+        far = transform(rose([0.5, 0.25, 0.25]), power(TRIB, 30))
+
+        def refuse(path):
+            raise AssertionError("a path was tightened")
+
+        monkeypatch.setattr(graphs, "_tighten", refuse)
+        assert d_sym(far, far) == 0.0
+        assert _max_run([far] * 3, [far] * 3, 0.25, 0.0) == 2 * 0.25

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -37,9 +38,12 @@ from outerspine.graphs import (
     _tight_loop,
     collapse_zero_edges,
 )
+from outerspine import graphs
 from outerspine.sampling import random_automorphism, spine_points
 from outerspine.words import (
+    MAX_LETTERS,
     Automorphism,
+    NielsenMove,
     canonical_representative,
     compose,
     elementary_automorphisms,
@@ -376,6 +380,38 @@ class TestCyclicTighten:
         assert _cyclic_tighten(path) == o_cyclic_tighten(path) == (("a", 1),)
 
 
+class TestPathCap:
+    """An edge path, based or cyclic, is refused past ``words.MAX_LETTERS``
+    steps before it is built, as a word is refused past that many letters.
+    Under the twist a -> ab the letter path of a is a b^-1, two steps, and
+    that of b is b, one step; a^k and b^k a spell tight paths."""
+
+    TWISTED = transform(
+        unit_rose(3), Automorphism.from_moves(3, [NielsenMove("right_multiply", 1, 2)])
+    )
+    HALF = MAX_LETTERS // 2
+
+    def test_a_path_at_the_cap_is_built(self):
+        assert len(self.TWISTED.path_of(Word(3, (1,) * self.HALF))) == MAX_LETTERS
+
+    def test_only_the_exact_count_refuses(self):
+        # b^(cap/2 + 1) a trips the bound of 2 steps a letter, but not the
+        # exact count
+        w = Word(3, (2,) * (self.HALF + 1) + (1,))
+        assert len(self.TWISTED.path_of(w)) == self.HALF + 3
+
+    def test_past_the_cap_nothing_is_built(self, monkeypatch):
+        def refuse(path):
+            raise AssertionError("a path was tightened")
+
+        monkeypatch.setattr(graphs, "_tighten", refuse)
+        w = Word(3, (1,) * (self.HALF + 1))
+        message = f"edge path too long: {MAX_LETTERS + 2} steps (cap {MAX_LETTERS})"
+        for read in (self.TWISTED.path_of, self.TWISTED.loop_of, self.TWISTED.length_of):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                read(w)
+
+
 class TestScaling:
     def test_normalize_volume(self):
         g = normalize_volume(rose([1.0, 1.0, 1.0]))
@@ -594,11 +630,11 @@ class TestRelength:
     @settings(max_examples=40, deadline=None)
     def test_matches_fresh_build(self, i, xs):
         g = (pin_points() + [ROSE])[i]
-        lengths = {e.id: x for e, x in zip(g.edges, xs)}
+        lengths = xs[: len(g.edges)]
         moved = with_lengths(g, lengths)
         fresh = MarkedGraph(
             g.rank,
-            [Edge(e.id, e.src, e.dst, lengths[e.id]) for e in g.edges],
+            [Edge(e.id, e.src, e.dst, x) for e, x in zip(g.edges, lengths)],
             g.basepoint,
             g.marking,
         )
@@ -613,9 +649,18 @@ class TestRelength:
     def test_checks_only_lengths(self):
         g = pin_points()[0]
         with pytest.raises(ValueError, match="negative length"):
-            with_lengths(g, {e.id: -1.0 for e in g.edges})
+            with_lengths(g, [-1.0] * len(g.edges))
         with pytest.raises(ValueError, match="volume must be positive"):
-            with_lengths(g, {e.id: 0.0 for e in g.edges})
+            with_lengths(g, [0.0] * len(g.edges))
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_needs_one_length_per_edge(self, extra):
+        """Lengths come in edge order, one per edge; a sequence of another
+        length is refused, not cut short or padded."""
+        g = pin_points()[0]
+        n = len(g.edges) + extra
+        with pytest.raises(ValueError, match=f"need {len(g.edges)} lengths, one per edge, not {n}"):
+            with_lengths(g, [1.0 / n] * n)
 
 
 class TestFloatPins:

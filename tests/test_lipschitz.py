@@ -6,6 +6,7 @@ import random
 import pytest
 
 from outerspine import (
+    MarkedGraph,
     Word,
     compose,
     d_L,
@@ -22,6 +23,7 @@ from outerspine import (
     unit_rose,
 )
 from outerspine.diagnostics import _twist_pairs
+from outerspine.lipschitz import _ratios
 from outerspine.words import elementary_automorphisms
 
 from oracles import o_stretch, reduced_words
@@ -109,6 +111,16 @@ class TestSigmaScale:
     def test_scaled_copy_stretches_exactly_one(self):
         b = sigma_scale(X, Y)
         assert stretch(X, rescale(Y, b)).factor == pytest.approx(1.0)
+
+
+class TestSelfStretch:
+    def test_measured_ratios_to_itself_are_one(self, monkeypatch):
+        """``_ratios`` does not measure a point against itself; measured,
+        every ratio would be exactly one, since both of its sides are
+        summed in edge order."""
+        pts = spine_points(3, 0.05, 3, 30) + spine_points(4, 0.05, 3, 10)
+        monkeypatch.setattr(MarkedGraph, "__eq__", lambda self, other: False)
+        assert all(set(_ratios(p, p)) == {1.0} for p in pts)
 
 
 def _pairs(rank: int, seed: int):

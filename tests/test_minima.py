@@ -221,7 +221,7 @@ class TestMinimize:
         thin = unit_rose(3)
         from outerspine import with_lengths
 
-        bad = with_lengths(thin, {"a": 0.01, "b": 0.01, "c": 0.98})
+        bad = with_lengths(thin, [0.01, 0.01, 0.98])
         with pytest.raises(ValueError):
             minimize(full_support(), 0.05, bad)
 
@@ -395,7 +395,7 @@ class TestMinimize:
         )
         monkeypatch.setattr(graphs, "collapse_edge", counting("built", graphs.collapse_edge))
         monkeypatch.setattr(minima, "_split", counting("built", minima._split))
-        monkeypatch.setattr(graphs, "_relength", counting("relengths", graphs._relength))
+        monkeypatch.setattr(minima, "with_lengths", counting("relengths", minima.with_lengths))
         monkeypatch.setattr(graphs, "Edge", counting("edges", graphs.Edge))
         monkeypatch.setattr(graphs, "_cycle_paths", counting("searches", graphs._cycle_paths))
         monkeypatch.setattr(minima, "Fraction", counting("fractions", minima.Fraction))

@@ -63,9 +63,9 @@ class TestSpinePoints:
 def _thinned(g, rng):
     """``g`` at volume one with each length scaled by e^(2 N(0, 1)), which
     often pushes a cycle below the spine."""
-    lengths = {e.id: e.length * math.exp(2 * rng.gauss(0, 1)) for e in g.edges}
-    total = sum(lengths.values())
-    return with_lengths(g, {k: v / total for k, v in lengths.items()})
+    lengths = [e.length * math.exp(2 * rng.gauss(0, 1)) for e in g.edges]
+    total = sum(lengths)
+    return with_lengths(g, [v / total for v in lengths])
 
 
 class TestRepair:
@@ -73,7 +73,7 @@ class TestRepair:
         assert repair(ROSE, EPS) is ROSE
 
     def test_thin_point_pulled_in(self):
-        thin = with_lengths(ROSE, {"a": 0.01, "b": 0.01, "c": 0.98})
+        thin = with_lengths(ROSE, [0.01, 0.01, 0.98])
         fixed = repair(thin, EPS)
         assert in_spine(fixed, EPS)
         assert fixed.volume == pytest.approx(1.0, abs=1e-12)
@@ -111,7 +111,7 @@ class TestRepair:
             return read(self, lengths)
 
         monkeypatch.setattr(graphs._Graph, "cycle_lengths", spy)
-        thin = with_lengths(ROSE, {"a": 0.01, "b": 0.01, "c": 0.98})
+        thin = with_lengths(ROSE, [0.01, 0.01, 0.98])
         assert repair(thin, EPS).key() != thin.key()
         assert len(calls) <= 3
 
@@ -133,7 +133,7 @@ class TestRepair:
 
     def test_unreachable_epsilon(self):
         with pytest.raises(SampleError):
-            repair(with_lengths(ROSE, {"a": 0.2, "b": 0.2, "c": 0.6}), 0.4)
+            repair(with_lengths(ROSE, [0.2, 0.2, 0.6]), 0.4)
 
 
 class TestRandomExpansion:
@@ -204,11 +204,14 @@ class TestBallPoints:
 
     def test_nan_radius_rejected(self):
         with pytest.raises(ValueError):
-            ball_points(ROSE, float("nan"), 3, 1, EPS, max_tries=3)
+            ball_points(ROSE, float("nan"), 3, 1, EPS)
 
     def test_exhaustion_reported(self):
-        with pytest.raises(SampleError):
-            ball_points(ROSE, 0.05, 50, 1, EPS, max_tries=3)
+        # every proposal from a center outside the spine is repaired into
+        # it, beyond the radius, until the 40 n + 200 proposals run out
+        thin = with_lengths(ROSE, [0.01, 0.01, 0.98])
+        with pytest.raises(SampleError, match="only 0/3 ball samples .* after 320 proposals"):
+            ball_points(thin, 0.05, 3, 1, EPS)
 
 
 class TestBalancedPoint:

@@ -162,6 +162,23 @@ def test_repeated_far_powers_fit_in_two_gigabytes(workdir):
     assert json.loads(done.stdout)["powers"] == [0] + [30] * 7
 
 
+def test_far_powers_apart_exit_2_in_two_gigabytes(workdir):
+    """tribonacci^30 measured against tribonacci^-30 on the default grid
+    reads edge paths of millions of steps: the run exits 2 with the
+    edge-path error past ``words.MAX_LETTERS`` steps, where it ran out of
+    memory."""
+    argv = [
+        "tau", "--mu", "data/current_a.json", "--nu", "data/current_b.json",
+        "--x", "data/rose_half_quarter.json", "--c", "1", "--shift", "data/tribonacci.json",
+        "--powers=0,30,-30", "--json",
+    ]
+    done = _python(["-m", "outerspine.cli", *argv], workdir, timeout=60, preexec_fn=_two_gigabytes)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: edge path too long: ")
+    assert done.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("powers", ["0,30", "0,36"])
 def test_far_tribonacci_powers_fit_in_two_gigabytes(workdir, powers):
     """Axes translated by tribonacci^30 fit in 2 GB of address space, and

@@ -210,20 +210,32 @@ class TestAutomorphism:
     @settings(max_examples=60, deadline=None)
     def test_inverse_matches_replay(self, seed, n_moves):
         rng = random.Random(seed)
-        phi = compose(random_auto(rng, n_moves), random_auto(rng, rng.randrange(4)))
+        outer, inner = random_auto(rng, n_moves), random_auto(rng, rng.randrange(4))
+        phi = compose(outer, inner)
+        moves = inner.moves + outer.moves
         inv = invert(phi)
-        assert inv.images == _replay(3, tuple(m.inverted() for m in reversed(phi.moves)))
+        assert inv.images == _replay(3, tuple(m.inverted() for m in reversed(moves)))
         assert invert(inv) == phi
-        assert invert(inv).moves == phi.moves
+
+    def test_compositions_carry_no_factorization(self):
+        """Only ``from_moves`` keeps moves: a composition, an inverse and a
+        power would otherwise copy every factor's moves."""
+        phi = Automorphism.from_moves(3, [NielsenMove("transpose", 1, 2), NielsenMove("invert", 1)])
+        assert phi.moves == (NielsenMove("transpose", 1, 2), NielsenMove("invert", 1))
+        assert compose(phi, phi).moves is None
+        assert invert(phi).moves is None
+        assert power(phi, 3).moves is None
+        assert power(phi, 0).moves == ()
 
     def test_inverse_of_squared_twists(self):
         # the twist a -> a b, squared ten times as _far_points does
-        phi = Automorphism.from_moves(3, [NielsenMove("right_multiply", 1, 2)])
+        twist = NielsenMove("right_multiply", 1, 2)
+        phi = Automorphism.from_moves(3, [twist])
         for _ in range(10):
             phi = compose(phi, phi)
         inv = invert(phi)
         assert inv.images[0] == (1,) + (-2,) * 2**10
-        assert inv.images == _replay(3, tuple(m.inverted() for m in reversed(phi.moves)))
+        assert inv.images == _replay(3, (twist.inverted(),) * 2**10)
         assert invert(inv) == phi
         assert compose(phi, inv) == Automorphism.identity(3)
 
