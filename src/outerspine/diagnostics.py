@@ -15,6 +15,7 @@ chooses.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import namedtuple
@@ -23,7 +24,7 @@ from typing import NamedTuple, Sequence
 from .currents import RationalCurrent, add, dual, normalize_at, pairing
 from .graphs import MarkedGraph, candidates as graph_candidates, rescale, transform, unit_rose
 from .lipschitz import d_sym, sigma_scale
-from .minima import AxisSample, _walk, balance_param, minimize, project
+from .minima import AxisSample, _grid, _walk, balance_param, minimize, project
 from .sampling import (
     SampleError,
     balanced_point,
@@ -168,8 +169,8 @@ class SamplerConfig(
     """Sampling plan for check_contracting; embedded in the report.
 
     ``shift`` is an ``Automorphism`` or None.  Every way of making one
-    checks the counts against ``_MAX_COUNTS``, ``_make`` and ``_replace``
-    too.
+    checks that each count is at least 0 and at most its cap in
+    ``_MAX_COUNTS``, ``_make`` and ``_replace`` too.
     """
 
     __slots__ = ()
@@ -177,6 +178,8 @@ class SamplerConfig(
     def __new__(cls, *args, **kwargs):
         cfg = super().__new__(cls, *args, **kwargs)
         for name, cap in _MAX_COUNTS.items():
+            if getattr(cfg, name) < 0:
+                raise ValueError(f"{name} must be at least 0, not {getattr(cfg, name)}")
             if getattr(cfg, name) > cap:
                 raise ValueError(f"{name} must be at most {cap}, not {getattr(cfg, name)}")
         return cfg
@@ -301,6 +304,9 @@ def check_contracting(
     cfg = config if config is not None else SamplerConfig()
     if not cfg.near_step > 0:
         raise ValueError(f"near_step must be positive, not {cfg.near_step}")
+    # clause 3's s values, -1 to 1, read first: a step that cannot reach 1
+    # raises here, before any sampling
+    near = _grid(itertools.accumulate(itertools.repeat(cfg.near_step), initial=-1.0), 1.0)
     rng = random.Random(cfg.seed)
     mu, nu, eps = ax.mu, ax.nu, ax.eps
     fitted = fit_B(ax)
@@ -341,11 +347,6 @@ def check_contracting(
         )
 
     # clause 3: central stability for |s| <= 1
-    near = []
-    s = -1.0
-    while s <= 1.0 + 1e-9:
-        near.append(s)
-        s += cfg.near_step
     worst_d, worst_s3 = 0.0, 0.0
     for s, y, _ in _walk(mu, nu, near, eps, x, cfg.budget):
         dxy = d_sym(x, y)

@@ -19,18 +19,34 @@ marking.  An expansion keeps every old edge's crossing count, its fresh
 edge is crossed once per turn between the two sides of the split, and its
 region is read off the carrier's cycles.  So ``min_on_topology`` runs
 once per descent, for its start, and a descent ends on its last carrier.
+
+What a neighbour's cost is made of does not depend on the weights: its
+topology key, each atom's crossing counts, its rows and the move that
+builds it.  These are read once per carrier topology into a neighbour
+table (``_neighbour_table``), kept in a module dict by the carrier's
+topology key, and every later descent that stands on a carrier of that
+key only weighs it: a cost is the atoms' weights times their counts, the
+same integers the carrier's loops give.  The tables hold one atom set at
+a time, and a descent that weighs another clears them; a command weighs
+one pair (mu, nu), whose walks and projections stand on the same
+carriers again and again, so nothing is read twice.  A table holds no
+graph: the one point a descent moves to is built from the carrier it
+stands on.
+
 A line of minima is walked one way (``_walk``): each s warm-started from
-the previous minimizer.  The simplex runs only for what vertices do not
-give: the duals of ``certificate`` and the best systole of
-``max_systole_lengths``.
+the previous minimizer, on a grid that must strictly increase
+(``_grid``).  The simplex runs only for what vertices do not give: the
+duals of ``certificate`` and the best systole of ``max_systole_lengths``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .currents import RationalCurrent, apply_to_current, exp_combination, pairing
 from .graphs import (
@@ -206,13 +222,15 @@ def _argmin(
     integers: (cost . x, den, x), or None if the region is empty.
 
     The lexicographically least point of the optimal face is a vertex, so
-    this is the LP's value and its lexicographically least optimal point.
+    this is the LP's value and its lexicographically least optimal point:
+    the least x among the vertices of least dot product.
     """
     den, verts = _vertices(n, rows, eps)
     if not verts:
         return None
-    dot, best = min((sum(c * v for c, v in zip(cost, x)), x) for x in verts)
-    return dot, den, best
+    dots = [sum(map(operator.mul, cost, x)) for x in verts]
+    dot = min(dots)
+    return dot, den, min(x for x, d in zip(verts, dots) if d == dot)
 
 
 def _least_vertex(
@@ -337,38 +355,75 @@ def _read_off(key: tuple, cost: list[int], scale: int, rows: tuple[int, ...], ep
     return dot / (scale * den), point_key, make
 
 
-def _neighbor_probes(
-    carrier: MarkedGraph,
-    gens: tuple[Automorphism, ...],
-    images: list[tuple[Word, ...]],
-    current: RationalCurrent,
-    eps: float,
-    seen: set,
-):
-    """(topology key, move) per neighbour of the carrier whose key is not
-    in ``seen``, in probe order, adding each key to ``seen``: its
-    expansions, then its translates under ``gens`` (``images``: the
-    generators' images under each one's inverse).  A move is ``_read_off``
-    of the neighbour, read as soon as its key is new, and builds nothing,
-    graph or search: an expansion's with the cost read off the carrier's
-    atom loops (``_expansion_cost``) and the rows off the carrier's cycles
+# The neighbour table of each carrier topology read so far, by its key, all
+# for one atom set, ``_table_atoms`` (see ``_neighbour_table``); and one
+# copy of each tuple they hold (``_shared``)
+_tables: dict[tuple, tuple] = {}
+_table_atoms: tuple = ()
+_pool: dict[tuple, tuple] = {}
+
+
+def _shared(x: tuple, items: bool = False) -> tuple:
+    """The tables' one copy of ``x``, made of the tables' copies of its
+    items when ``items``: nearby carriers' neighbours share most of their
+    marking paths and steps, shapes, rows and counts."""
+    got = _pool.get(x)
+    if got is None:
+        got = tuple(map(_pool.setdefault, x, x)) if items else x
+        _pool[got] = got
+    return got
+
+
+def _lean(key: tuple) -> tuple:
+    """A neighbour's topology key made of the tables' shared shape,
+    marking paths and steps (``_shared``); keys themselves rarely repeat."""
+    rank, shape, basepoint, marking = key
+    return rank, _shared(shape, True), basepoint, tuple(_shared(path, True) for path in marking)
+
+
+def _atom_counts(counts) -> tuple:
+    """Each atom's crossing counts as the tables' shared tuples."""
+    return _shared(tuple(map(tuple, counts)), True)
+
+
+def _neighbour_table(carrier: MarkedGraph, current: RationalCurrent) -> tuple:
+    """The carrier's neighbours, weight-free: one entry (topology key,
+    per-atom crossing counts, rows, move) per neighbour in probe order, its
+    expansions, then its translates under ``_elementary``.  Each atom's
+    counts are in the neighbour's edge order.  A move is (vertex, moved
+    ends) for a splitting, or the translate's index in the generators.
+
+    Nothing here depends on the atoms' weights, so the table is read once
+    per carrier topology key and shared by every descent that weighs the
+    same atoms: the walks and projections of one pair (mu, nu) stand on
+    the same carriers again and again.  It holds no graph and no build.
+    The tables hold one atom set at a time; a descent that weighs another
+    clears them."""
+    global _table_atoms
+    atoms = tuple(letters for letters, _ in current.atoms)
+    if atoms != _table_atoms:
+        _tables.clear()
+        _pool.clear()
+        _table_atoms = atoms
+    table = _tables.get(carrier._topo.key)
+    if table is None:
+        table = _tables[carrier._topo.key] = tuple(_read_neighbours(carrier, current))
+    return table
+
+
+def _read_neighbours(carrier: MarkedGraph, current: RationalCurrent):
+    """``_neighbour_table``'s entries, each read off the carrier with
+    nothing built, graph or search: an expansion's counts off the carrier's
+    atom loops (``_expansion_cost``) and its rows off the carrier's cycles
     (``_Graph.split_rows``); a translate, which keeps the carrier's edges
-    and so its rows, with the crossing counts of each atom's loop under
-    the translate's marking.  A topology already seen costs no more than
-    its key."""
+    and so its rows, with the counts of each atom's loop under the
+    translate's marking."""
     graph = carrier._topo.graph
-    rows = graph.rows
     index = carrier._topo.index
-    weights, scale = _weights(current)
     loops = _atom_loops(carrier.marking, current)
-
-    def new(key) -> bool:
-        fresh = key not in seen
-        seen.add(key)
-        return fresh
-
-    base = dict(zip(index, _tally(loops, weights, index)))
-    turns = _turns(carrier, loops, weights)
+    counts = [_tally([loop], [1], index) for loop in loops]
+    bases = [dict(zip(index, c)) for c in counts]
+    turns = [_turns(carrier, [loop], [1]) for loop in loops]
     new_v, new_e = _fresh_names(carrier)
     at = sum(eid < new_e for eid in index)
     for v in carrier.vertices:
@@ -376,21 +431,50 @@ def _neighbor_probes(
             continue
         for moved in _partitions(carrier, v):
             shape, marking = _split_parts(carrier, v, new_v, new_e, moved)
-            key = carrier._topo.key_of(shape, marking)
-            if new(key):
-                yield key, _read_off(
-                    key, _expansion_cost(base, turns.get(v, []), shape, new_e, moved),
-                    scale, graph.split_rows(v, moved, at), eps,
-                    functools.partial(_split, carrier, v, new_v, new_e, moved),
-                )
-    for psi, imgs in zip(gens, images):
-        marking = tuple(carrier.path_of(w) for w in imgs)
-        key = carrier._topo.key_of(graph.shape, marking)
-        if new(key):
-            yield key, _read_off(
-                key, _tally(_atom_loops(marking, current), weights, index), scale, rows, eps,
-                functools.partial(transform, carrier, psi),
+            yield (
+                _lean(carrier._topo.key_of(shape, marking)),
+                _atom_counts(
+                    _expansion_cost(base, t.get(v, []), shape, new_e, moved)
+                    for base, t in zip(bases, turns)
+                ),
+                _shared(graph.split_rows(v, moved, at)),
+                (v, _shared(tuple(sorted(moved)), True)),
             )
+    for i, imgs in enumerate(_elementary(carrier.rank)[1]):
+        marking = tuple(carrier.path_of(w) for w in imgs)
+        yield (
+            _lean(carrier._topo.key_of(graph.shape, marking)),
+            _atom_counts(_tally([loop], [1], index) for loop in _atom_loops(marking, current)),
+            _shared(graph.rows),
+            i,
+        )
+
+
+def _neighbor_probes(carrier: MarkedGraph, current: RationalCurrent, eps: float, seen: set):
+    """(topology key, move) per neighbour of the carrier whose key is not
+    in ``seen``, in probe order, adding each key to ``seen``.  The
+    neighbours are the carrier's ``_neighbour_table``, read on the first
+    pass over a carrier of this topology key and kept, with the tables of
+    every other carrier, until a descent weighs other atoms; this only
+    weighs it.  A neighbour's cost is its atoms' crossing counts times
+    their weights, and its move is ``_read_off`` of that cost and its
+    rows, read as soon as its key is new.  The build is bound to this
+    carrier, so a point built, comarking included, is a move of the graph
+    the descent stands on.  A topology already seen costs no more than its
+    key."""
+    weights, scale = _weights(current)
+    gens = _elementary(carrier.rank)[0]
+    new_v, new_e = _fresh_names(carrier)
+    for key, counts, rows, move in _neighbour_table(carrier, current):
+        if key in seen:
+            continue
+        seen.add(key)
+        if type(move) is int:
+            build = functools.partial(transform, carrier, gens[move])
+        else:
+            build = functools.partial(_split, carrier, move[0], new_v, new_e, move[1])
+        cost = [sum(map(operator.mul, weights, col)) for col in zip(*counts)]
+        yield key, _read_off(key, cost, scale, rows, eps, build)
 
 
 @functools.cache
@@ -417,9 +501,12 @@ def minimize(
     regions; expansions alone cannot walk along the axis of an exponential
     pair, which takes a change of marking.  Neighbours are read off the
     carrier (``_neighbor_probes``) and built only when the descent moves to
-    one, so ``min_on_topology`` runs once, for the start.  The carrier
-    itself is not read: its region is the face x_Z = 0 of the optimum's (Z
-    the collapsed edges), so it never improves.
+    one, so ``min_on_topology`` runs once, for the start.  What they are
+    made of is read once per carrier topology key and atom set, into a
+    neighbour table kept across descents until one weighs other atoms
+    (``_neighbour_table``); each step only weighs its carrier's table.  The
+    carrier itself is not read: its region is the face x_Z = 0 of the
+    optimum's (Z the collapsed edges), so it never improves.
 
     The descent moves to the best neighbour on strict improvement
     (> 1e-9) and stops when none improves.  It terminates: each move
@@ -442,7 +529,6 @@ def minimize(
         raise ValueError(f"eps must be positive, not {eps}")
     if not in_spine(start, eps):
         raise ValueError("start point is outside the epsilon-spine")
-    gens, images = _elementary(start.rank)
     # raises InfeasibleSpine: in_spine's tolerance admits empty regions
     here = min_on_topology(start, current, eps)
     value, point = here.value, here.point
@@ -451,7 +537,7 @@ def minimize(
     while True:
         carrier = collapse_zero_edges(point)
         seen.add(carrier._topo.key)
-        moves = _neighbor_probes(carrier, gens, images, current, eps, seen)
+        moves = _neighbor_probes(carrier, current, eps, seen)
         best = min((m for _, m in moves if m is not None), key=lambda m: m[:2], default=None)
         improves = best is not None and best[0] < value - 1e-9
         if not improves or accepted >= budget:
@@ -506,6 +592,24 @@ class AxisSample(NamedTuple):
 _MAX_GRID = 10_000
 
 
+def _grid(points: Iterable[float], s_max: float) -> list[float]:
+    """The leading ``points`` up to ``s_max`` (and 1e-9 past it), which
+    must strictly increase.  Below the float spacing of s a step adds
+    nothing and the points never pass ``s_max``, so a point that does not
+    exceed the last, or more than ``_MAX_GRID`` steps, raises ValueError
+    before the next point is built."""
+    grid: list[float] = []
+    for s in points:
+        if s > s_max + 1e-9:
+            break
+        if grid and not s > grid[-1]:
+            raise ValueError(f"grid points do not increase at s={s}: the step is below their spacing")
+        if len(grid) > _MAX_GRID:
+            raise ValueError(f"grid has more than {_MAX_GRID} steps")
+        grid.append(s)
+    return grid
+
+
 def axis(
     mu: RationalCurrent,
     nu: RationalCurrent,
@@ -522,6 +626,8 @@ def axis(
     nearest s = 0 and on up, then from that point's minimizer down, so
     each descent walks one grid step, not the whole axis from the far
     end, and its cap on accepted topologies (``budget``) binds per step.
+    The grid is s_min + i * step up to s_max, at most ``_MAX_GRID`` steps,
+    and a step below the float spacing of s raises ValueError (``_grid``).
     """
     if not all(math.isfinite(v) for v in (s_min, s_max, step)):
         raise ValueError("need finite s_min, s_max and step")
@@ -531,14 +637,7 @@ def axis(
         raise ValueError(f"grid has more than {_MAX_GRID} steps")
     if start is None:
         start = unit_rose(mu.rank)
-    grid = []
-    i = 0
-    while True:
-        s = s_min + i * step
-        if s > s_max + 1e-9:
-            break
-        grid.append(s)
-        i += 1
+    grid = _grid((s_min + i * step for i in itertools.count()), s_max)
     if not grid:
         raise ValueError("empty sampling grid")
     mid = min(range(len(grid)), key=lambda i: (abs(grid[i]), i))

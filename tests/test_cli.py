@@ -353,6 +353,18 @@ def test_check_contracting_takes_a_b_past_float_exp_range(capsys):
     assert "clause 5 PASS (vacuous)" in out
 
 
+@pytest.mark.parametrize("name", sorted(diagnostics._MAX_COUNTS))
+def test_check_contracting_negative_sample_count_exits_2(capsys, name):
+    """A negative count exits 2 naming it, before the axis is walked; it
+    used to print clause verdicts, one of them a pass over no samples."""
+    argv = ["check-contracting", *MU_NU, "--b", "8", "--s-max", "0.5", "--n-far", "1",
+            "--n-sigma", "1", "--n-balanced", "1", "--" + name.replace("_", "-"), "-1"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {name} must be at least 0, not -1\n"
+
+
 def test_non_finite_json_value_is_named(tmp_path, capsys):
     """A near-zero edge makes the symmetric stretch overflow to inf, which
     has no JSON form; the error names the field that holds it."""

@@ -30,8 +30,9 @@ from outerspine import (
     transform,
     translate_axis,
 )
-from outerspine import graphs
+from outerspine import diagnostics, graphs
 from outerspine.diagnostics import _MAX_BALL_SAMPLES, _MAX_COUNTS, _max_run, _ray
+from outerspine.minima import _MAX_GRID
 from outerspine.sampling import jitter
 
 from oracles import o_max_run
@@ -200,6 +201,44 @@ class TestCheckContracting:
         # clause 3 lists s = -1, -1 + near_step, ... up to 1 before it walks
         with pytest.raises(ValueError, match="near_step"):
             check_contracting(floor_ax, 2.0, CFG._replace(near_step=near_step))
+
+    @pytest.mark.parametrize("near_step, match", [
+        (1e-17, "grid points do not increase at s=-1.0"),
+        (1e-5, f"more than {_MAX_GRID} steps"),
+    ])
+    def test_rejects_a_near_step_that_cannot_reach_one(self, floor_ax, near_step, match):
+        """Below the float spacing of s the near grid never reached 1 and
+        grew until memory ran out; above it, a fine step asked for more
+        descents than any axis may take.  Both raise before sampling."""
+        with pytest.raises(ValueError, match=match):
+            check_contracting(floor_ax, 2.0, CFG._replace(near_step=near_step))
+
+    @pytest.mark.parametrize("near_step", [0.25, 0.1, 0.3, 0.7, 2.5])
+    def test_walks_the_near_grid_of_the_former_loop(self, floor_ax, near_step, monkeypatch):
+        """Clause 3 walks bit for bit the s values of the former loop,
+        which summed near_step onto -1 until it passed 1."""
+        want = []
+        s = -1.0
+        while s <= 1.0 + 1e-9:
+            want.append(s)
+            s += near_step
+
+        class Walked(Exception):
+            pass
+
+        def walk(mu, nu, ss, *args):
+            raise Walked(list(ss))
+
+        monkeypatch.setattr(diagnostics, "_walk", walk)
+        with pytest.raises(Walked) as walked:
+            check_contracting(floor_ax, 2.0, CFG._replace(near_step=near_step, n_far=0))
+        assert walked.value.args[0] == want
+
+    @pytest.mark.parametrize("name", sorted(_MAX_COUNTS))
+    def test_config_rejects_a_negative_count(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be at least 0, not -1"):
+            CFG._replace(**{name: -1})
+        assert getattr(CFG._replace(**{name: 0}), name) == 0
 
     @pytest.mark.parametrize("name", sorted(_MAX_COUNTS))
     def test_config_rejects_a_count_over_its_cap(self, name):

@@ -1,5 +1,6 @@
 """Per-topology LPs, descent over the spine, balance, axes, projection."""
 
+import itertools
 import math
 import os
 import random
@@ -38,10 +39,12 @@ from outerspine.graphs import _fresh_names, _partitions, _split_parts, expansion
 from outerspine.minima import (
     _atom_loops,
     _expansion_cost,
+    _grid,
     _neighbor_probes,
     _objective,
     _tally,
     _turns,
+    _walk,
     certificate,
 )
 from outerspine.sampling import spine_points
@@ -454,7 +457,8 @@ class TestExpansionProbe:
                     assert rule == [crossing_vector(h, a)[e.id] for e in h.edges]
                     triples += 1
             # the probes' keys and least vertices are the built graphs'
-            probes = list(_neighbor_probes(c, (), [], cur, 0.05, set()))
+            # the expansions come first, the translates after them
+            probes = list(_neighbor_probes(c, cur, 0.05, set()))[: len(built)]
             assert [key for key, _ in probes] == [h._topo.key for h in built]
             for (_, got), h in zip(probes, built):
                 try:
@@ -465,6 +469,103 @@ class TestExpansionProbe:
                 if got is not None:
                     assert got[:2] == (want.value, want.point.key())
         assert triples > 1000
+
+
+class TestNeighbourTable:
+    """The weight-free neighbour table: read once per carrier topology and
+    atom set, weighed by every descent that stands on that carrier."""
+
+    @staticmethod
+    def fresh_tables(monkeypatch):
+        monkeypatch.setattr(minima, "_tables", {})
+        monkeypatch.setattr(minima, "_pool", {})
+        monkeypatch.setattr(minima, "_table_atoms", ())
+
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_weighs_to_the_objective_of_the_neighbour_built(self, rank, monkeypatch):
+        """At several s, each entry weighed by the atoms' weights is the
+        cost ``_objective`` reads off the neighbour built, an expansion or
+        a translate, and its key and rows are the built graph's."""
+        self.fresh_tables(monkeypatch)
+        pair = ("mu6.json", "nu6.json") if rank == 3 else ("mu14.json", "nu14.json")
+        mu, nu = (jsonio.load_current(os.path.join(FIXTURES, f)) for f in pair)
+        gens = minima._elementary(rank)[0]
+        # the rose, whose one vertex splits, and a minimizer off it
+        carriers = [unit_rose(rank), minimize(exp_combination(mu, nu, 0.5), 0.05, unit_rose(rank)).point]
+        kinds = []
+        for carrier in carriers:
+            new_v, new_e = _fresh_names(carrier)
+            for s in (-2.0, 0.0, 1.5):
+                cur = exp_combination(mu, nu, s)
+                weights, scale = minima._weights(cur)
+                for key, counts, rows, move in minima._neighbour_table(carrier, cur):
+                    if type(move) is int:
+                        built = transform(carrier, gens[move])
+                    else:
+                        built = graphs._split(carrier, move[0], new_v, new_e, move[1])
+                    cost = [sum(w * c for w, c in zip(weights, col)) for col in zip(*counts)]
+                    assert (cost, scale) == _objective(built, cur)
+                    assert key == built._topo.key
+                    assert rows == built._topo.graph.rows
+                    kinds.append(type(move) is int)
+        assert kinds.count(False) > 10 and kinds.count(True) > 10
+
+    def test_a_walk_reads_each_carrier_topology_once(self, monkeypatch):
+        """A walk over five s reads each carrier topology's table once,
+        however often its descents stand on it."""
+        self.fresh_tables(monkeypatch)
+        reads, passes = [], []
+        read, table = minima._read_neighbours, minima._neighbour_table
+
+        def counted_read(carrier, current):
+            reads.append(carrier._topo.key)
+            return read(carrier, current)
+
+        def counted_pass(carrier, current):
+            passes.append(carrier._topo.key)
+            return table(carrier, current)
+
+        monkeypatch.setattr(minima, "_read_neighbours", counted_read)
+        monkeypatch.setattr(minima, "_neighbour_table", counted_pass)
+        mu, nu = (jsonio.load_current(os.path.join(FIXTURES, f)) for f in ("mu6.json", "nu6.json"))
+        _walk(mu, nu, [-1.0, -0.5, 0.0, 0.5, 1.0], 0.05, ROSE, 600)
+        assert len(reads) == len(set(reads)) and set(reads) == set(passes)
+        # the walk's descents share carriers
+        assert len(passes) > len(reads)
+
+    def test_another_atom_set_clears_the_tables(self, monkeypatch):
+        self.fresh_tables(monkeypatch)
+        mu, nu = (jsonio.load_current(os.path.join(FIXTURES, f)) for f in ("mu6.json", "nu6.json"))
+        minimize(exp_combination(mu, nu, 0.0), 0.05, ROSE)
+        first = set(minima._tables)
+        other = add(dual(w("a b")), dual(w("c a' b")))
+        res = minimize(other, 0.05, ROSE)
+        assert minima._table_atoms == tuple(letters for letters, _ in other.atoms)
+        assert res.point._topo.key in minima._tables
+        assert set(minima._tables) != first
+        # the second descent's tables are all it probed
+        passes = []
+        table = minima._neighbour_table
+        monkeypatch.setattr(
+            minima, "_neighbour_table", lambda c, cur: passes.append(c._topo.key) or table(c, cur)
+        )
+        monkeypatch.setattr(minima, "_tables", {})
+        monkeypatch.setattr(minima, "_table_atoms", ())
+        assert minimize(other, 0.05, ROSE) == res
+        assert set(minima._tables) == set(passes)
+
+    def test_builds_each_point_from_the_carrier_it_stands_on(self):
+        """A walk that comes back over its s reuses the tables read on the
+        way out, yet each point, comarking included, is the one the
+        descent that builds every neighbour of its own carrier reaches."""
+        mu, nu = (jsonio.load_current(os.path.join(FIXTURES, f)) for f in ("mu6.json", "nu6.json"))
+        ss = [0.0, 0.5, 1.0, 1.5, 1.0, 0.5, 0.0, -0.5, -1.0, -0.5, 0.0]
+        start = ROSE
+        for s, point, value in _walk(mu, nu, ss, 0.05, ROSE, 600):
+            want = o_minimize(exp_combination(mu, nu, s), 0.05, start)
+            assert (point.key(), value) == (want.point.key(), want.value)
+            assert point._topo.comarking == want.point._topo.comarking
+            start = want.point
 
 
 class TestBalance:
@@ -558,6 +659,37 @@ class TestAxis:
             axis(SYM_MU, SYM_NU, 1.0, -1.0, 0.5, 0.05)
         with pytest.raises(ValueError):
             axis(SYM_MU, SYM_NU, -1.0, 1.0, 0.0, 0.05)
+
+    def test_grid_below_the_spacing_of_s_rejected(self):
+        """A step below the float spacing of s adds nothing, so the grid
+        never passed s_max and grew until memory ran out; it raises at its
+        second point."""
+        with pytest.raises(ValueError, match="grid points do not increase"):
+            axis(SYM_MU, SYM_NU, 0.5, 0.5, 1e-17, 0.05)
+
+    def test_grid_points_must_increase_and_stay_under_the_cap(self):
+        assert _grid(iter([-1.0, 0.0, 1.0, 1.0 + 1e-10, 2.0, 2.0]), 1.0) == [-1.0, 0.0, 1.0, 1.0 + 1e-10]
+        with pytest.raises(ValueError, match="grid points do not increase at s=0.0"):
+            _grid(itertools.repeat(0.0), 1.0)
+        with pytest.raises(ValueError, match="grid points do not increase at s=-1.0"):
+            _grid(iter([0.0, -1.0]), 1.0)
+        built = []
+        with pytest.raises(ValueError, match=f"more than {minima._MAX_GRID} steps"):
+            _grid((built.append(i) or i for i in itertools.count()), math.inf)
+        assert len(built) == minima._MAX_GRID + 2
+
+    @pytest.mark.parametrize("s_min, s_max, step", [
+        (-3.0, 3.0, 0.5), (0.0, 0.3, 0.1), (-1.0, 1.0, 0.3), (-2.0, 1.7, 1 / 3), (1.0, 1.0, 0.25),
+    ])
+    def test_grid_is_the_former_loop(self, s_min, s_max, step):
+        """Ordinary grids are bit for bit what the former unbounded loop
+        built (``o_axis``'s)."""
+        want = []
+        i = 0
+        while s_min + i * step <= s_max + 1e-9:
+            want.append(s_min + i * step)
+            i += 1
+        assert _grid((s_min + i * step for i in itertools.count()), s_max) == want
 
 
 class TestTranslateAxis:

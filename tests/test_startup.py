@@ -8,7 +8,9 @@ it) must replay in its human form, and one case in the ``--json`` and the
 import none of the package's other modules, ``iwip`` none of the LP,
 sampling or diagnostics layers, and no command ``dataclasses``.  A fresh
 interpreter can also run under a memory limit: far ``tau`` powers,
-repeated ones too, must finish, or exit 2, in 2 GB.
+repeated ones too, must finish, or exit 2, in 2 GB; an ``axis`` grid whose
+step is below the float spacing of s must exit 2 in 1 GB; and a rank-4
+``axis`` must peak under 64 MB, which bounds what its descents keep.
 """
 
 import json
@@ -198,3 +200,45 @@ def test_far_tribonacci_powers_fit_in_two_gigabytes(workdir, powers):
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.startswith("error: word too long: ")
+
+
+def _one_gigabyte():
+    resource.setrlimit(resource.RLIMIT_AS, (1_000_000 << 10, 1_000_000 << 10))
+
+
+def test_grid_below_the_spacing_of_s_exits_2_in_one_gigabyte(workdir):
+    """At s = 1e30 a step of 1 adds nothing, so the grid never passed
+    s_max: it grew until a ``MemoryError`` traceback under the limit, and
+    without one until the OOM killer ended it."""
+    argv = ["axis", "--mu", "data/mu6.json", "--nu", "data/nu6.json",
+            "--from", "1e30", "--to", "1e30", "--step", "1", "--json"]
+    done = _python(["-m", "outerspine.cli", *argv], workdir, timeout=30, preexec_fn=_one_gigabyte)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: grid points do not increase at s=1e+30")
+    assert done.stderr.count("\n") == 1
+
+
+# runs ARGV under a 1 GB limit and prints its exit code and peak RSS in
+# KiB, read by wait4 from this small process, so that the peak is the
+# child's alone and not the test process's, from which it would be forked
+_PEAK = """\
+import os, resource, subprocess, sys
+resource.setrlimit(resource.RLIMIT_AS, (1_000_000 << 10, 1_000_000 << 10))
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_rank4_axis_peaks_under_64_megabytes(workdir):
+    """The descents of a rank-4 axis keep one neighbour table per carrier
+    topology for the whole call; the call peaks at about 25 MB on Python
+    3.11 (23 MB without the tables), well under 64 MB."""
+    argv = ["axis", "--mu", "data/mu14.json", "--nu", "data/nu14.json",
+            "--from", "-3", "--to", "3", "--step", "0.5", "--json"]
+    done = _python(["-S", "-c", _PEAK, sys.executable, "-m", "outerspine.cli", *argv], workdir)
+    assert done.returncode == 0, done.stderr
+    rc, peak_kib = map(int, done.stdout.split())
+    assert rc == 0, done.stderr
+    assert peak_kib < 64 << 10
