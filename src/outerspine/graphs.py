@@ -33,12 +33,16 @@ and their order) and fixes one simplex of Outer space.  ``edges`` carries
 one point's lengths, which are summed along those cached paths; lengths
 pass between modules only as sequences in edge order, through
 ``with_lengths``, and only this module spells a key (``_point_key``,
-``_Topology.key_of``).  Every tight loop, of a word or of a candidate's
-image, is read by ``_tight_loop``, and every path expanded from a table
-is refused past ``words.MAX_LETTERS`` steps before it is built
-(``_expand``); a word's length alone is read without its loop on a rose
-marked by its petals, whose crossing counts are the letter counts of the
-word's cyclic core (``length_of``).
+``_Topology.key_of``).  A word's path joins its letters' paths, each
+tightened once per topology (``_letter_paths``), so steps cancel only
+where two of them meet, never inside one (``_expand``); its tight loop
+then peels the ends that meet across the cyclic seam (``_tight_loop``).
+Every path expanded from a table is refused past ``words.MAX_LETTERS``
+steps before any of it is built.  A word's length alone is read without
+its loop on a rose marked by its petals, whose crossing counts are the
+letter counts of the word's cyclic core (``length_of``); a candidate's
+image under a change of marking is never built at all
+(``lipschitz._loop_counts``).
 
 Only the public constructor validates, for graphs from outside
 (``jsonio``, ``rose``, library callers): it checks them and derives their
@@ -57,8 +61,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import cached_property
-from itertools import chain
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .words import (
     MAX_LETTERS,
@@ -115,20 +118,10 @@ def _tighten(path: Iterable[OrientedEdge]) -> list[OrientedEdge]:
     return stack
 
 
-def _cyclic_tighten(path: Iterable[OrientedEdge]) -> tuple[OrientedEdge, ...]:
-    p = _tighten(path)
-    # peel matching end pairs by index and slice once, as cyclic_reduce does
-    i, j = 0, len(p) - 1
-    while i < j and p[i][0] == p[j][0] and p[i][1] == -p[j][1]:
-        i += 1
-        j -= 1
-    return tuple(p[i : j + 1])
-
-
 class _Paths(dict):
-    """Edge paths by key (a signed letter, or an oriented edge), with the
-    step count of the longest, read once, so that ``_expand`` bounds an
-    expansion without scanning the table."""
+    """Edge paths by key, such as the signed letters of a marking, each
+    tight and nonempty, with the step count of the longest, read once, so
+    that ``_expand`` bounds an expansion without scanning the table."""
 
     __slots__ = ("longest",)
 
@@ -137,25 +130,54 @@ class _Paths(dict):
         self.longest = max(map(len, self.values()), default=0)
 
 
-def _expand(table: _Paths, steps: Sequence) -> Iterator[OrientedEdge]:
-    """The concatenation of ``table[x]`` over ``steps``, unbuilt.
+def _expand(table: _Paths, steps: Sequence) -> list[OrientedEdge]:
+    """The tightened concatenation of ``table[x]`` over ``steps``.
 
-    Raises ValueError, before anything is built, when it would take more
-    than MAX_LETTERS steps, as ``words._substitute`` bounds a word.
+    Every path in the table is tight, and so is the path so far, so steps
+    cancel only where a piece meets it: the piece's head pops the steps it
+    undoes off the path's tail, and the rest of the piece is appended
+    whole, as ``words._substitute`` joins images.
+
+    Raises ValueError, before anything is built, when the concatenation
+    would take more than MAX_LETTERS steps, as ``words._substitute`` bounds
+    a word.
     """
     # a cheap upper bound first; the exact count only when it is exceeded
     if len(steps) * table.longest > MAX_LETTERS:
         size = sum(steps.count(x) * len(p) for x, p in table.items())
         if size > MAX_LETTERS:
             raise ValueError(f"edge path too long: {size} steps (cap {MAX_LETTERS})")
-    return chain.from_iterable(map(table.__getitem__, steps))
+    # a step of no edge: under the path it cancels nothing and keeps a tail
+    out: list[OrientedEdge] = [(None, 0)]
+    pop, extend = out.pop, out.extend
+    for piece in map(table.__getitem__, steps):
+        top, (e, s) = out[-1], piece[0]
+        if top[1] != -s or top[0] != e:
+            extend(piece)
+            continue
+        k = 0
+        for e, s in piece:
+            top = out[-1]
+            if top[1] != -s or top[0] != e:
+                break
+            pop()
+            k += 1
+        extend(piece[k:])
+    del out[0]
+    return out
 
 
 def _tight_loop(table: _Paths, steps: Sequence) -> tuple[OrientedEdge, ...]:
     """The cyclically tightened concatenation of ``table[x]`` over
-    ``steps`` (``_expand``): a word's loop under a letter-path table, or a
-    candidate's image under a table of edge images."""
-    return _cyclic_tighten(_expand(table, steps))
+    ``steps``: a word's loop under a letter-path table.  The tightened
+    path (``_expand``) is peeled of matching end pairs by index and sliced
+    once, as ``words.cyclic_reduce`` does."""
+    p = _expand(table, steps)
+    i, j = 0, len(p) - 1
+    while i < j and p[i][0] == p[j][0] and p[i][1] == -p[j][1]:
+        i += 1
+        j -= 1
+    return tuple(p[i : j + 1])
 
 
 def _reverse(path: tuple[OrientedEdge, ...]) -> tuple[OrientedEdge, ...]:
@@ -163,9 +185,11 @@ def _reverse(path: tuple[OrientedEdge, ...]) -> tuple[OrientedEdge, ...]:
 
 
 def _letter_paths(marking) -> _Paths:
-    """The edge path of each signed letter under a marking."""
-    table = dict(enumerate(marking, start=1))
-    table.update((-k, _reverse(p)) for k, p in enumerate(marking, start=1))
+    """The tight edge path of each signed letter under a marking.  A
+    marking path from a file may backtrack; every move builds tight ones,
+    and tightening those changes nothing."""
+    table = {k: tuple(_tighten(p)) for k, p in enumerate(marking, start=1)}
+    table.update([(-k, _reverse(p)) for k, p in table.items()])
     return _Paths(table)
 
 
@@ -472,7 +496,7 @@ class MarkedGraph:
     def path_of(self, w: Word) -> tuple[OrientedEdge, ...]:
         """Tightened based path of ``w`` through the marking (no cyclic
         move); ValueError past MAX_LETTERS steps untightened (``_expand``)."""
-        return tuple(_tighten(_expand(self._topo.letter_paths, w.letters)))
+        return tuple(_expand(self._topo.letter_paths, w.letters))
 
     def _loops(self, entries) -> list[LoopPath]:
         """LoopPaths of cached (path, edge indices, ...) entries, each length

@@ -13,12 +13,14 @@ changes of marking; the search is local by design.  A descent stops at a
 local minimum; a cap on the topologies it accepts only guards a current
 that does not fill, and a result says when it fired.  ``minimize`` reads
 each neighbour off the carrier it stands on and builds only the one it
-moves to.  A translate under an automorphism keeps the carrier's edges,
-so its region; its cost is each atom's loop under the translated
-marking.  An expansion keeps every old edge's crossing count, its fresh
-edge is crossed once per turn between the two sides of the split, and its
-region is read off the carrier's cycles.  So ``min_on_topology`` runs
-once per descent, for its start, and a descent ends on its last carrier.
+moves to.  A translate under an automorphism psi keeps the carrier's
+edges, so its region; it marks x_k by the carrier's path of psi^-1(x_k),
+so each atom a crosses its edges as the carrier's loop of psi^-1(a)
+does, read under the carrier's letter paths.  An expansion keeps every
+old edge's crossing count, its fresh edge is crossed once per turn
+between the two sides of the split, and its region is read off the
+carrier's cycles.  So ``min_on_topology`` runs once per descent, for its
+start, and a descent ends on its last carrier.
 
 What a neighbour's cost is made of does not depend on the weights: its
 topology key, each atom's crossing counts, its rows and the move that
@@ -54,7 +56,6 @@ from .graphs import (
     MarkedGraph,
     OrientedEdge,
     _fresh_names,
-    _letter_paths,
     _partitions,
     _point_key,
     _split,
@@ -68,7 +69,7 @@ from .graphs import (
     with_lengths,
 )
 from .simplex import solve_lp
-from .words import Automorphism, Word, _reduced_word, elementary_automorphisms
+from .words import Automorphism, Word, _reduced_word, _substitute, elementary_automorphisms
 
 
 class InfeasibleSpine(ValueError):
@@ -110,10 +111,10 @@ def _weights(current: RationalCurrent) -> tuple[list[int], int]:
     return [p * (scale // q) for p, q in ratios], scale
 
 
-def _atom_loops(marking, current: RationalCurrent) -> list[tuple[OrientedEdge, ...]]:
-    """Each atom's tight cyclic loop under ``marking``, the loop
-    ``loop_of`` gives on a graph with this marking."""
-    table = _letter_paths(marking)
+def _atom_loops(g: MarkedGraph, current: RationalCurrent) -> list[tuple[OrientedEdge, ...]]:
+    """Each atom's tight cyclic loop in ``g``, the loop ``loop_of`` gives,
+    under its topology's cached letter paths."""
+    table = g._topo.letter_paths
     return [_tight_loop(table, letters) for letters, _ in current.atoms]
 
 
@@ -132,7 +133,7 @@ def _objective(g: MarkedGraph, current: RationalCurrent) -> tuple[list[int], int
     if g.rank != current.rank:
         raise ValueError("rank mismatch")
     weights, scale = _weights(current)
-    return _tally(_atom_loops(g.marking, current), weights, g._topo.index), scale
+    return _tally(_atom_loops(g, current), weights, g._topo.index), scale
 
 
 def _turns(c: MarkedGraph, loops, weights: list[int]) -> dict[str, list]:
@@ -415,12 +416,17 @@ def _read_neighbours(carrier: MarkedGraph, current: RationalCurrent):
     """``_neighbour_table``'s entries, each read off the carrier with
     nothing built, graph or search: an expansion's counts off the carrier's
     atom loops (``_expansion_cost``) and its rows off the carrier's cycles
-    (``_Graph.split_rows``); a translate, which keeps the carrier's edges
-    and so its rows, with the counts of each atom's loop under the
-    translate's marking."""
-    graph = carrier._topo.graph
-    index = carrier._topo.index
-    loops = _atom_loops(carrier.marking, current)
+    (``_Graph.split_rows``); a translate under psi, which keeps the
+    carrier's edges and so its rows, with each atom a's counts read as
+    those of the carrier's loop of psi^-1(a) (``counts_of``), under the
+    carrier's cached letter paths.  That is exact, the same integers the
+    translate's own loop of a gives: the translate marks x_k by the
+    carrier's tight path of psi^-1(x_k), so a's loop there is the tight
+    loop of psi^-1(a) in the carrier.  Each psi of ``_elementary``
+    carries its inverse's substitution table."""
+    topo = carrier._topo
+    graph, index = topo.graph, topo.index
+    loops = _atom_loops(carrier, current)
     counts = [_tally([loop], [1], index) for loop in loops]
     bases = [dict(zip(index, c)) for c in counts]
     turns = [_turns(carrier, [loop], [1]) for loop in loops]
@@ -432,7 +438,7 @@ def _read_neighbours(carrier: MarkedGraph, current: RationalCurrent):
         for moved in _partitions(carrier, v):
             shape, marking = _split_parts(carrier, v, new_v, new_e, moved)
             yield (
-                _lean(carrier._topo.key_of(shape, marking)),
+                _lean(topo.key_of(shape, marking)),
                 _atom_counts(
                     _expansion_cost(base, t.get(v, []), shape, new_e, moved)
                     for base, t in zip(bases, turns)
@@ -440,11 +446,15 @@ def _read_neighbours(carrier: MarkedGraph, current: RationalCurrent):
                 _shared(graph.split_rows(v, moved, at)),
                 (v, _shared(tuple(sorted(moved)), True)),
             )
-    for i, imgs in enumerate(_elementary(carrier.rank)[1]):
+    gens, preimages = _elementary(carrier.rank)
+    for i, (psi, imgs) in enumerate(zip(gens, preimages)):
         marking = tuple(carrier.path_of(w) for w in imgs)
         yield (
-            _lean(carrier._topo.key_of(graph.shape, marking)),
-            _atom_counts(_tally([loop], [1], index) for loop in _atom_loops(marking, current)),
+            _lean(topo.key_of(graph.shape, marking)),
+            _atom_counts(
+                topo.counts_of(_reduced_word(topo.rank, _substitute(letters, psi._inverse_table)))
+                for letters, _ in current.atoms
+            ),
             _shared(graph.rows),
             i,
         )

@@ -316,6 +316,13 @@ def _substitute(letters: Sequence[int], table: dict[int, tuple[int, ...]]) -> tu
     """Substitute the images of a ``_signed`` table into ``letters`` and
     freely reduce.
 
+    Every image is reduced and nonempty, as an automorphism's are, and so
+    is the result so far, so letters cancel only where an image meets it:
+    the image's head pops the letters it undoes off the result's tail, and
+    the rest of the image is appended whole.  Each letter of ``letters``
+    costs one junction and each cancelled letter one pop, where reducing
+    the concatenation costs a step per letter of it.
+
     Raises ValueError, before building anything, when the unreduced result
     would exceed MAX_LETTERS letters.
     """
@@ -327,7 +334,22 @@ def _substitute(letters: Sequence[int], table: dict[int, tuple[int, ...]]) -> tu
                 f"word too long: substitution would produce {size} letters "
                 f"(cap {MAX_LETTERS})"
             )
-    return free_reduce(chain.from_iterable(map(table.__getitem__, letters)))
+    # 0 is no letter: under the result it cancels nothing and keeps a tail
+    out = [0]
+    pop, extend = out.pop, out.extend
+    for img in map(table.__getitem__, letters):
+        if out[-1] != -img[0]:
+            extend(img)
+            continue
+        k = 0
+        for x in img:
+            if out[-1] != -x:
+                break
+            pop()
+            k += 1
+        extend(img[k:])
+    del out[0]
+    return tuple(out)
 
 
 def _replay(rank: int, moves: Sequence[NielsenMove]) -> tuple[tuple[int, ...], ...]:

@@ -78,15 +78,22 @@ def o_cyclic_reduce(letters) -> tuple[int, ...]:
     return tuple(w)
 
 
-def o_cyclic_tighten(path) -> tuple:
-    """An oriented edge path, tightened, then trimmed one matching end pair
-    at a time (quadratic in the trimmed length)."""
+def o_tighten(path) -> tuple:
+    """An oriented edge path with each step that undoes the one before it
+    deleted, step by step."""
     p: list = []
     for step in path:
         if p and p[-1][0] == step[0] and p[-1][1] == -step[1]:
             p.pop()
         else:
             p.append(step)
+    return tuple(p)
+
+
+def o_cyclic_tighten(path) -> tuple:
+    """An oriented edge path, tightened, then trimmed one matching end pair
+    at a time (quadratic in the trimmed length)."""
+    p = o_tighten(path)
     while len(p) >= 2 and p[0][0] == p[-1][0] and p[0][1] == -p[-1][1]:
         p = p[1:-1]
     return tuple(p)

@@ -332,6 +332,26 @@ def test_degenerate_graph_exits_2(tmp_path, capsys, length, argv, forms):
             assert rc == 0 and out and err == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["translen", "--graph", "GRAPH", "--word", "a b c' a"],
+        ["candidates", "--graph", "GRAPH"],
+        ["pair", "--tree", "GRAPH", "--current", "data/current_a.json"],
+        ["systole", "--graph", "GRAPH", "--witness"],
+        ["dist", "--from", "GRAPH", "--to", "data/rose_half_quarter.json", "--sym", "--witness"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_backtracking_marking_reads_as_its_tight_path(argv):
+    """``rose3_backtrack.json`` marks a by the path b b' a, which tightens
+    to ``rose3.json``'s a: letter paths are tightened before they are
+    joined, so every form prints what it prints for ``rose3.json``."""
+    read = lambda graph: run_case([graph if a == "GRAPH" else a for a in argv])
+    got = json.dumps(read("data/rose3_backtrack.json"))
+    assert json.loads(got.replace("rose3_backtrack.json", "rose3.json")) == read("data/rose3.json")
+
+
 def test_check_contracting_fits_b_on_the_axis_it_checks(capsys):
     """Without ``--b``, b is ``--fit-scale`` times the ``fitted_b`` the
     report gives, both read off the axis from -s-max to s-max by --step."""

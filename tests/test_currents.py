@@ -305,10 +305,10 @@ class TestIwipApprox:
         # normalizing pairings included, is read off letter counts
         want = trib_approx(8)
 
-        def refuse(path):
-            raise AssertionError("a loop was tightened")
+        def refuse(table, steps):
+            raise AssertionError("a loop was built")
 
-        monkeypatch.setattr(graphs, "_tighten", refuse)
+        monkeypatch.setattr(graphs, "_expand", refuse)
         assert iwip_pair_approx(TRIB, w("a"), 8) == want
 
 

@@ -449,9 +449,9 @@ class TestMaxRun:
         # the translate against itself would tighten paths of millions
         far = transform(rose([0.5, 0.25, 0.25]), power(TRIB, 30))
 
-        def refuse(path):
-            raise AssertionError("a path was tightened")
+        def refuse(table, steps):
+            raise AssertionError("a path was built")
 
-        monkeypatch.setattr(graphs, "_tighten", refuse)
+        monkeypatch.setattr(graphs, "_expand", refuse)
         assert d_sym(far, far) == 0.0
         assert _max_run([far] * 3, [far] * 3, 0.25, 0.0) == 2 * 0.25

@@ -33,8 +33,9 @@ from outerspine.graphs import (
     _candidate_paths,
     _canonical_cycle,
     _crossings,
-    _cyclic_tighten,
+    _expand,
     _Graph,
+    _Paths,
     _tight_loop,
     collapse_zero_edges,
 )
@@ -59,6 +60,7 @@ from oracles import (
     o_cycle_rows,
     o_cyclic_tighten,
     o_marking_reads_back,
+    o_tighten,
     rose_length,
 )
 from record_float_pins import FIXTURE, KEPT, float_pins, pin_points
@@ -353,31 +355,48 @@ class TestCandidates:
                 assert len({_canonical_cycle(p) for p in paths}) == len(paths)
 
 
+def _one_step(path) -> _Paths:
+    """A table reading each step of ``path`` as a path of that one step, so
+    that expanding ``path`` over it tightens ``path`` itself."""
+    return _Paths({step: (step,) for step in path})
+
+
 class TestCyclicTighten:
-    """The single-scan trim against the old one that trimmed one end pair
-    at a time."""
+    """Paths joined where pieces meet, and the single-scan trim, against
+    the per-step tightening of the concatenation and the old trim that
+    peeled one end pair at a time."""
 
     @given(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from([1, -1])), max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_matches_the_pairwise_trim(self, path):
-        assert _cyclic_tighten(path) == o_cyclic_tighten(path)
+        assert _tight_loop(_one_step(path), path) == o_cyclic_tighten(path)
 
-    @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=30), st.integers(0, 7))
-    @settings(max_examples=100, deadline=None)
-    def test_tight_loop_tightens_the_concatenation(self, letters, seed):
-        table = spine_points(3, 0.05, seed, 1)[0]._topo.letter_paths
+    @given(
+        st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=30),
+        st.integers(0, 7),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tight_loop_tightens_the_concatenation(self, letters, seed, moves):
+        """On the letter paths of seeded spine points and of translates of
+        them, whose long paths cancel deep at their junctions."""
+        g = spine_points(3, 0.05, seed, 1)[0]
+        if moves:
+            g = transform(g, random_automorphism(random.Random(seed), 3, 4 * moves))
+        table = g._topo.letter_paths
         path = [step for x in letters for step in table[x]]
+        assert tuple(_expand(table, letters)) == o_tighten(path)
         assert _tight_loop(table, letters) == o_cyclic_tighten(path)
 
     def test_long_conjugate(self):
         rng = random.Random(5)
         conj = [(rng.choice("abc"), rng.choice([1, -1])) for _ in range(2_000)]
         path = conj + [("a", 1)] + [(e, -s) for e, s in reversed(conj)]
-        assert _cyclic_tighten(path) == o_cyclic_tighten(path) == (("a", 1),)
+        assert _tight_loop(_one_step(path), path) == o_cyclic_tighten(path) == (("a", 1),)
         # c^k a c^-k at 50,001 letters
         k = 25_000
         path = [("c", 1)] * k + [("a", 1)] + [("c", -1)] * k
-        assert _cyclic_tighten(path) == o_cyclic_tighten(path) == (("a", 1),)
+        assert _tight_loop(_one_step(path), path) == o_cyclic_tighten(path) == (("a", 1),)
 
 
 class TestPathCap:
@@ -401,10 +420,10 @@ class TestPathCap:
         assert len(self.TWISTED.path_of(w)) == self.HALF + 3
 
     def test_past_the_cap_nothing_is_built(self, monkeypatch):
-        def refuse(path):
-            raise AssertionError("a path was tightened")
+        def refuse(table, key):
+            raise AssertionError("a piece of a path was read")
 
-        monkeypatch.setattr(graphs, "_tighten", refuse)
+        monkeypatch.setattr(graphs._Paths, "__getitem__", refuse)
         w = Word(3, (1,) * (self.HALF + 1))
         message = f"edge path too long: {MAX_LETTERS + 2} steps (cap {MAX_LETTERS})"
         for read in (self.TWISTED.path_of, self.TWISTED.loop_of, self.TWISTED.length_of):

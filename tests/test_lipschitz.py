@@ -124,15 +124,21 @@ class TestSelfStretch:
 
 
 def _pairs(rank: int, seed: int):
-    """Every ordered pair of seeded spine points, and (x, transform(x, psi))
-    for each twist pair doubled as ``_far_points`` doubles it, up to its
-    4000-letter guard."""
+    """Every ordered pair of seeded spine points, and the far translates
+    (x, transform(x, psi)) for psi = tau^(2^j), j <= 6, of each single
+    twist and each twist pair: the schedule ``_far_points`` walks at b = 8,
+    up to its 4000-letter guard.  Their candidates' images cancel whole
+    edge images at junctions, and their cyclic seams span several images."""
     pts = spine_points(rank, 0.05, seed=seed, n=5)
     pairs = [(x, y) for x in pts for y in pts]
     x = pts[0]
-    for phi in _twist_pairs(rank):
+    twists = [
+        phi for phi in elementary_automorphisms(rank)
+        if len(phi.moves) == 1 and phi.moves[0].kind == "right_multiply"
+    ]
+    for phi in twists + _twist_pairs(rank):
         psi = phi
-        for _ in range(24):
+        for _ in range(7):
             if sum(len(img) for img in psi.images) > 4000:
                 break
             pairs.append((x, transform(x, psi)))

@@ -433,7 +433,7 @@ class TestExpansionProbe:
                 for _ in range(4)
             ]
             cur = RationalCurrent(rank, [(a, 1.0) for a in words if a]) or dual(Word(rank, (1,)))
-            loops = _atom_loops(c.marking, cur)
+            loops = _atom_loops(c, cur)
             atoms = [Word(rank, a) for a, _ in cur.atoms]
             counts = [crossing_vector(c, a) for a in atoms]
             for loop, cv in zip(loops, counts):

@@ -26,12 +26,14 @@ from outerspine import (
 from outerspine.sampling import random_automorphism, spine_points
 from outerspine.words import (
     _replay,
+    _signed,
+    _substitute,
     canonical_representative,
     free_reduce,
     invert_basis,
 )
 
-from oracles import o_reduce, o_spelling_rep
+from oracles import o_invert, o_reduce, o_spelling_rep
 
 TRIBONACCI = Automorphism.from_moves(
     3,
@@ -92,6 +94,46 @@ class TestReduction:
         once = free_reduce(letters)
         assert free_reduce(once) == once
         assert len(once) <= len(letters)
+
+
+@st.composite
+def image_tables(draw):
+    """(rank, images of x_1..x_rank): each reduced and nonempty, and the
+    last one, when drawn so, the inverse of an earlier one followed by a
+    reduced tail, so that substituting that earlier letter and then the
+    last cancels the earlier image whole."""
+    rank = draw(st.integers(2, 4))
+    alphabet = [s * k for k in range(1, rank + 1) for s in (1, -1)]
+    word = st.lists(st.sampled_from(alphabet), min_size=1, max_size=12).map(o_reduce).filter(bool)
+    images = [draw(word) for _ in range(rank)]
+    if draw(st.booleans()):
+        undone = images[draw(st.integers(0, rank - 2))]
+        tail = draw(
+            st.lists(st.sampled_from(alphabet), max_size=4)
+            .map(o_reduce)
+            .filter(lambda t: t[:1] != undone[:1])
+        )
+        images[-1] = o_invert(undone) + tail
+    return rank, images
+
+
+class TestSubstitute:
+    """Images joined where they meet against the concatenation reduced
+    letter by letter."""
+
+    @given(image_tables(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_reduced_concatenation(self, case, data):
+        rank, images = case
+        alphabet = [s * k for k in range(1, rank + 1) for s in (1, -1)]
+        letters = data.draw(st.lists(st.sampled_from(alphabet), max_size=30))
+        table = _signed(map(tuple, images))
+        assert _substitute(letters, table) == o_reduce(x for y in letters for x in table[y])
+
+    def test_an_image_cancels_whole(self):
+        table = _signed([(1, 2, 3), (-3, -2, -1, 2), (3,)])
+        assert _substitute([1, 2], table) == (2,)
+        assert _substitute([1, 2, -2, 3, -3, -1], table) == ()
 
 
 class TestCyclicReduce:
